@@ -1,6 +1,7 @@
 """Strict YAML schema, per-kind scenario runners, and deterministic export."""
 
 import csv
+import hashlib
 import io
 import json
 import pathlib
@@ -282,3 +283,111 @@ def test_write_outputs_reruns_byte_identical(tmp_path):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     with pytest.raises(ValueError):
         write_outputs(rec, tmp_path, "res", fmt="parquet")
+
+
+# sha256 of each fixture's canonical document (`cfg.digest`) and of every
+# data file `write_outputs` writes for it, keyed by (fixture, seed override).
+# The document digest is independent of the BLAS kernel; the data-file
+# digests pin floats and so hold only where the same kernels run.
+FIXTURE_GOLDENS = {
+    ('coop', None): ('ab0350c3c30012c3ac8c85d1242e05a3f288035e12d035a89182b4fa5792e10f', {
+        'nucleolus.csv': '6ce7061b0032dbc1eab5e1d0f67a23fdb9ac77d8deb0d20c1fd8eacdcea419f8',
+        'nucleolus.jsonl': '66738ba4df0148ed4809b6ebcbf9045406f40e34cfc3bd9d12ad78efbb45e2a9',
+        'shapley.csv': '0310180667abc7ab5093cf4bb82dc1416779a3bb66262774e7bed129c1328ae9',
+        'shapley.jsonl': '2a3a87f2764142c575cbf0982a58bd3bcf8f7e663762c0e79227e64825bf5112',
+        'summary.csv': 'ab8a8b4b2d4bb02aa1a08aca8bb71b200b71b0c3e28b80cf9aafaa0e32d578fd',
+        'summary.jsonl': 'e61e8a1673373157f453e22e84925ae7a58ce097f1280842b2c6da9db52b6043',
+    }),
+    ('incentive', None): ('f646f1eefcf44ea021d526d02f8d79af207212bba90815ac115be7198b10eb44', {
+        'payments.csv': '895315152a43ec82f371f4e9ba8d9adf2439afc2f0e0d31ca057c4e11473230e',
+        'payments.jsonl': '0a76dee8ffacf48cfe9eefdfd51c3c958f0dbd095582db76e9d1b03e0e137e1a',
+        'summary.csv': '6386520d1520de6177af2ca80dce432794d6f9df633ad8eaea359ac021ef9c72',
+        'summary.jsonl': '177b4c4b416b019bc36b5d7e94ffc24b4e782736dd0d625a30c4fdd53328c4ca',
+    }),
+    ('learn', None): ('f7562568c089f1d760bf1a5e83a85860a9739795e2c733ee0105d585cedc3074', {
+        'gap.csv': '6a232e7c979b235e4f4442a3a97a51720e09bbc28b74efc5758745cb1ae9d0b3',
+        'gap.jsonl': '7cc9aa213e35fe53e0b3471d893d0e8d8f1d7f7a5638f68c02ddc1d9db65d45f',
+        'summary.csv': '2b39cde461b1e4193da0261dda569ae6cdc9da8089d24f53dbf14a83f83a2243',
+        'summary.jsonl': 'ffddb6bd50d84f2351b79b7b6953ec2db147c7ed4a68a997085ecdf67b715710',
+        'trace.csv': '9c880394f83b12c20aa33cab42155998f483a083cea8cbfa4eac5c716e03b60e',
+        'trace.jsonl': '8b558628a08f0e3711efe7c182efc6653f4a89dd92009ffd083ff006b8a24956',
+    }),
+    ('learn', 3): ('949ad93ef4a7fb76d30344ce672c5c34e252ce255c196cc493e6b7f0fa80352c', {
+        'gap.csv': '4b3214b4d998fe8589e4bfa001c107aaf5b7ca9b6efaae31045b197fa4e6a4b1',
+        'gap.jsonl': '8de77654f42228fd619058c8f2069b91778285b92ae28ff0ef10f6816b1fbbd3',
+        'summary.csv': 'da81a00ae6668118359c6f10473dd3e7dfd3179a31f5258213553f63ed4e38f9',
+        'summary.jsonl': 'f2657298b24770c66026462aeeca6f3ee06618c331f0bab6680274504b1df3bc',
+        'trace.csv': '99fa2e68ba87fa66fae6ec6cb357635dd9638d867b66d8cd193daa58fa456907',
+        'trace.jsonl': '021c4f08471b467ecb2e7a992042359a6f5d40fb13513dd59b22a6cddee683c2',
+    }),
+    ('match', None): ('783646bdff1a36de8a5d1db0ee3db50d4655117cf66da1b8417e427fa0c3598e', {
+        'matching.csv': 'e64edc7fb5255de4ce3acfd0313f07094013aaaabad3eaf0aa5d666dfc638016',
+        'matching.jsonl': 'c2b8fbbb800c777eddb7ee311ec67d4cb00ee4810172c02491c865670fcb5a58',
+        'stable_set.csv': '818e26fb864b1e889c8b2ecffbfa532185025113dc3390a9231e90e8b05a22fa',
+        'stable_set.jsonl': '75c06635353fb44062b80251ea11cadf8f668a7f7b3d0a7d8cd0c3b838554c51',
+        'summary.csv': 'edd153efb3058b2c586cfc64c51d92cac10fcbee3aca0609aa5c9825466fcaac',
+        'summary.jsonl': '93d06c1855c75700896f383ee8e70ad3b5b5549e8b0ce8a5f4f12fb65107d643',
+    }),
+    ('nash', None): ('16e75ad3dc4d8d45a3f4ec1cbadd9c5db156aff9af755f146106973c7f1525db', {
+        'profiles.csv': 'a8868c0d885bb60f44087e03fe6cc9a62d2ce3fa79f5e2c930066ddbad3a18cb',
+        'profiles.jsonl': '340211c5b86751ffa345db5db51b46b0f95347f7bb88bb4b210ae9131cc2a4e6',
+        'summary.csv': '1f908da7fbc83b7b3ec3f014b535f7c416e978af265e95f2ad221a1cd892e7ee',
+        'summary.jsonl': '71884759a87e43d3aad1a7f49acca077a30ea7d98c21a249d5f006b4ed832354',
+    }),
+    ('resilience', None): ('1b28e17d69dc4f43945d8e3a56244fdc8205927304790dc784612f8b2570c293', {
+        'summary.csv': '8faf1ed39b1350eb0ffa2bc6369eb6509821e2d939d11fd336b6110389868806',
+        'summary.jsonl': '0856906049939fc35aa0379d95e101fdc8f8c659e31e4350f7d2e0976d3dce9b',
+        'values.csv': '22d3e4d215db322c84dd08446c50b25131835883735803994e79eb021326643e',
+        'values.jsonl': '62f2cfa311ae710473b19060128f918f689c0e9b76dd89538e8bcf8b0dc3a3ab',
+    }),
+    ('resilience', 3): ('d2832272fe1ed32f69d2189cc0d6f58583e10892db22c2080093b111f9e06642', {
+        'summary.csv': 'cc3052ef7b067cfe9674238ccc35286432ee455b28949bebc2d49505b3ce3bf6',
+        'summary.jsonl': '87cdbe4c8d528834707cc1466a924b634343a5324d17c60d4598f120b5dd8b9e',
+        'values.csv': '22d3e4d215db322c84dd08446c50b25131835883735803994e79eb021326643e',
+        'values.jsonl': '62f2cfa311ae710473b19060128f918f689c0e9b76dd89538e8bcf8b0dc3a3ab',
+    }),
+    ('stackelberg', None): ('5cebd487c120264487f7101ee334460f59b31d984fb847a4be81c4d93cc0893b', {
+        'candidates.csv': 'a88e5f6002293ed9a0b6022d120eae52d80c3aa60354514d7e7b2d30b3bdb148',
+        'candidates.jsonl': 'c453f06df69a1c0aa8a9d181a04936d89680ff5b95df06c5250c2a2f7c8978d0',
+        'summary.csv': 'c30dffb3b104ba2be6678d2a7c97c3d927d1c019a3763c232a99afa70091d6a1',
+        'summary.jsonl': '7939487728caba3fe4604c68b3dc85c039aab1f35462c2f69c3494fd04e94b01',
+    }),
+    ('ttscale', None): ('7a8ef26d0f67823bbdee7599ddba0ac135e1dc99cec04c499bd6687d7c714363', {
+        'epochs.csv': '53fba859318eb7e7263612a6e4ea061ccd3bb8b33e79f277bc69d10dc693e75e',
+        'epochs.jsonl': '2355ce241776e2e12b7ddb967b8f70c985bcebe6ddb84481b59854cbe670c706',
+        'summary.csv': '5d04db24ac940adabb629f976ea9dcae1d13c9bae113ad9ae743dcee53e6d7cf',
+        'summary.jsonl': '2afb71fded9d4f2d1f467aac461881ec7817e98c4a58aa164d853fb9ccc2a627',
+    }),
+    ('ttscale', 3): ('27c011dacedc9f8fa22f291004152045623d5abc4f3fc3f551b9f7cda589a041', {
+        'epochs.csv': '328b4f6207acba56d6f5f404b04aaae3537406b8d4e66f90de044c66baa62927',
+        'epochs.jsonl': '43e1709945757676dc1f754a0739354e9bae60c8511214faec4d23176d29c62c',
+        'summary.csv': '0739523fd70ea4cd8a8fa1d666ad3220b463576159f76cf44052738c36b88c4a',
+        'summary.jsonl': '3ca60c367b78a23506a214f0d5a92d2de88063b18e0ac4b815fbcafcab7220c3',
+    }),
+    ('wardrop', None): ('ee6a82dc35079df7ce2d8aaa4f987c81b03a5561c222cfb603cc8886584666b1', {
+        'equilibrium_paths.csv': '6ef9ccf4a475dc7746c723cf430cdf51cd15929cf47d787cdd27bdc68c41edff',
+        'equilibrium_paths.jsonl': '0a87985490b2f94d34692c74af30ca4c1b4a9decc35352c5d0527e1703ea7003',
+        'optimum_paths.csv': '6ef9ccf4a475dc7746c723cf430cdf51cd15929cf47d787cdd27bdc68c41edff',
+        'optimum_paths.jsonl': '0a87985490b2f94d34692c74af30ca4c1b4a9decc35352c5d0527e1703ea7003',
+        'summary.csv': 'b3e4caf63a55cc08d7047f4d377acfc19273652dc7cffdf53049aeaeb5f7c5b4',
+        'summary.jsonl': 'f611a0a721c514dd4040994d6dae28e4a09b46fd170a686c4b503698fc4aa97b',
+        'tolls.csv': 'de6ff863e19f5ab8c5945d119ee887c26a106b2b5138771c361085576e4554ad',
+        'tolls.jsonl': 'fd6a06e0e7cddbf8b3f45a84352ba89a52a11321cbe82c1213fd658eaf2442b6',
+    }),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(FIXTURE_GOLDENS, key=str))
+def test_fixture_goldens(name, seed, tmp_path):
+    digest, files = FIXTURE_GOLDENS[name, seed]
+    cfg = load(name, seed_override=seed)
+    assert cfg.digest == digest
+    record = run_scenario(cfg)
+    got = {}
+    for fmt in ("csv", "jsonl"):
+        for path in write_outputs(record, tmp_path, name, fmt=fmt):
+            path = pathlib.Path(path)
+            if not path.name.endswith(".meta.json"):
+                got[path.name[len(name) + 1:]] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+    assert got == files
