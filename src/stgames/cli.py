@@ -15,8 +15,7 @@ import os
 import sys
 
 from .errors import CapacityError, ComputationError, SchemaError
-from .scenario import (KINDS, STOCHASTIC_KINDS, parse_scenario, run_scenario,
-                       write_outputs)
+from .scenario import REGISTRY, parse_scenario, run_scenario, write_outputs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,25 +37,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stgames",
                      description="Run game-theoretic scenarios from YAML configs.")
     sub = parser.add_subparsers(dest="command", metavar="KIND")
-    descriptions = {
-        "coop": "coalition values: Shapley, core, nucleolus",
-        "match": "two-sided matching via deferred acceptance",
-        "nash": "pure equilibria, welfare and price of anarchy",
-        "learn": "learning dynamics on a strategic game",
-        "ttscale": "slow coordinator over fast learning epochs",
-        "stackelberg": "leader signal choice against follower equilibria",
-        "wardrop": "routing equilibrium, optimum, Braess delta, tolls",
-        "incentive": "minimal transfers making a target profile stable",
-        "resilience": "consensus under adversarial reports",
-    }
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=descriptions[kind], description=descriptions[kind])
+    for kind, spec in REGISTRY.items():
+        p = sub.add_parser(kind, help=spec.help, description=spec.help)
         p.add_argument("--config", action="append", required=True,
                        metavar="FILE", help="YAML scenario config (repeatable)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed"
                             + (" (required for this kind if the config has none)"
-                               if kind in STOCHASTIC_KINDS else ""))
+                               if spec.stochastic else ""))
         p.add_argument("--out", default=None, metavar="DIR",
                        help="directory for result files (default: print summary)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv",

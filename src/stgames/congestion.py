@@ -47,10 +47,6 @@ class CongestionNetwork:
     def __post_init__(self):
         if self.demand <= 0:
             raise ValueError(f"demand must be positive, got {self.demand}")
-        nodes = {self.origin, self.destination}
-        for e in self.edges:
-            nodes.add(e.tail)
-            nodes.add(e.head)
         if self.origin == self.destination:
             raise ValueError("origin and destination must differ")
 
@@ -111,20 +107,25 @@ class FlowAssignment:
     gap: float               # first-order gap of the minimized objective
 
 
-def _descend(paths, a_vec, b_vec, demand):
+def _arrays(network, paths):
+    """The path-edge incidence matrix (a row per path, counting repeated
+    edges) and the edges' a and b vectors."""
+    inc = np.zeros((len(paths), len(network.edges)))
+    for p, path in enumerate(paths):
+        for e in path:
+            inc[p, e] += 1.0
+    return (inc, np.asarray([e.a for e in network.edges]),
+            np.asarray([e.b for e in network.edges]))
+
+
+def _descend(inc, a_vec, b_vec, demand):
     """Minimize sum_e (a_e f_e + b_e f_e^2 / 2) over the path-flow simplex.
 
     Pairwise shifts from the costliest used path to the cheapest path with
     exact line search; terminates when the total gap is below 1e-9 and every
-    used path is within 5e-8 of the cheapest.
+    used path is within 5e-8 of the cheapest. Returns the path flows.
     """
-    n_paths = len(paths)
-    n_edges = len(a_vec)
-    inc = np.zeros((n_paths, n_edges))
-    for p, path in enumerate(paths):
-        for e in path:
-            inc[p, e] += 1.0
-    h = np.zeros(n_paths)
+    h = np.zeros(inc.shape[0])
     h[0] = demand
     for it in range(MAX_SHIFTS):
         f = inc.T @ h
@@ -136,7 +137,7 @@ def _descend(paths, a_vec, b_vec, demand):
         gap = float(h @ lat - demand * lat[p_min])
         worst = float(lat[p_max] - lat[p_min])
         if gap < GAP_TOL and worst <= 5e-8:
-            return h, f, lat, gap
+            return h
         diff = inc[p_max] - inc[p_min]
         denom = float(b_vec @ (diff * diff))
         if denom > 0:
@@ -144,23 +145,20 @@ def _descend(paths, a_vec, b_vec, demand):
         else:
             t = h[p_max]
         if t <= 0:
-            return h, f, lat, gap
+            return h
         h[p_max] -= t
         h[p_min] += t
     raise ComputationError("flow-shift descent did not converge")
 
 
-def _assignment(network, paths, h, kind):
-    a_vec = np.asarray([e.a for e in network.edges])
-    b_vec = np.asarray([e.b for e in network.edges])
-    inc = np.zeros((len(paths), len(network.edges)))
-    for p, path in enumerate(paths):
-        for e in path:
-            inc[p, e] += 1.0
+def _assignment(network, paths, kind, slope):
+    """The flow assignment at the minimum of the descent run with the given
+    slope multiplier (1: equilibrium, 2: system optimum)."""
+    inc, a_vec, b_vec = _arrays(network, paths)
+    h = _descend(inc, a_vec, slope * b_vec, network.demand)
     f = inc.T @ h
     lat = inc @ (a_vec + b_vec * f)
     total = float(f @ (a_vec + b_vec * f))
-    used = h > USED_TOL
     gap = float(h @ lat - network.demand * lat.min())
     return FlowAssignment("minimize", kind, paths, h, f, lat, total,
                           total / network.demand, gap)
@@ -168,21 +166,12 @@ def _assignment(network, paths, h, kind):
 
 def wardrop_equilibrium(network: CongestionNetwork) -> FlowAssignment:
     """User equilibrium: every used path has minimal latency (within 1e-7)."""
-    paths = enumerate_paths(network)
-    a_vec = np.asarray([e.a for e in network.edges])
-    b_vec = np.asarray([e.b for e in network.edges])
-    h, _, _, _ = _descend(paths, a_vec, b_vec, network.demand)
-    return _assignment(network, paths, h, "equilibrium")
+    return _assignment(network, enumerate_paths(network), "equilibrium", 1.0)
 
 
 def system_optimum(network: CongestionNetwork) -> FlowAssignment:
     """Total-cost minimizer; the descent runs on marginal costs a + 2 b f."""
-    paths = enumerate_paths(network)
-    a_vec = np.asarray([e.a for e in network.edges])
-    b_vec = np.asarray([e.b for e in network.edges])
-    h, _, _, _ = _descend(paths, a_vec, 2.0 * b_vec, network.demand)
-    out = _assignment(network, paths, h, "system-optimum")
-    return out
+    return _assignment(network, enumerate_paths(network), "system-optimum", 2.0)
 
 
 @dataclass(frozen=True)
@@ -244,15 +233,14 @@ def marginal_cost_tolls(network: CongestionNetwork) -> TollReport:
     (tolls are transfers, not travel time).
     """
     so = system_optimum(network)
-    tolls = np.asarray([e.b for e in network.edges]) * so.edge_flows
+    _, a_vec, b_vec = _arrays(network, ())
+    tolls = b_vec * so.edge_flows
     tolled = CongestionNetwork(
         tuple(Edge(e.tail, e.head, e.a + tolls[i], e.b)
               for i, e in enumerate(network.edges)),
         network.origin, network.destination, network.demand)
     eq = wardrop_equilibrium(tolled)
     gap = float(np.max(np.abs(eq.edge_flows - so.edge_flows)))
-    a_vec = np.asarray([e.a for e in network.edges])
-    b_vec = np.asarray([e.b for e in network.edges])
     latency_cost = float(eq.edge_flows @ (a_vec + b_vec * eq.edge_flows))
     return TollReport(tolls, eq, so, gap, latency_cost,
                       latency_cost / network.demand)

@@ -23,6 +23,9 @@ from .learning import LearningState, Trace, run_dynamics
 from .strategic import (StrategicGame, _profile_index, enumerate_pure_nash,
                         expected_payoffs)
 
+COORDINATOR_KINDS = ("constant", "round-robin", "greedy")
+STACKELBERG_MODES = ("optimistic", "pessimistic")
+
 # --- information mechanisms -------------------------------------------------
 
 _FIELDS = ("state", "actions", "signal")
@@ -138,12 +141,12 @@ class EpochDigest:
 
 @dataclass(frozen=True)
 class CoordinatorPolicy:
-    kind: str                    # "constant" | "round-robin" | "greedy"
+    kind: str                    # one of COORDINATOR_KINDS
     candidates: tuple
     welfare: object = None       # greedy: callable (game, candidate, digest) -> float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "round-robin", "greedy"):
+        if self.kind not in COORDINATOR_KINDS:
             raise ValueError(f"unknown coordinator kind {self.kind!r}")
         if not self.candidates:
             raise ValueError("candidate set must be nonempty")
@@ -303,7 +306,7 @@ def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
     worst. Candidates without a pure equilibrium are skipped with a warning.
     Ties keep the earliest candidate.
     """
-    if mode not in ("optimistic", "pessimistic"):
+    if mode not in STACKELBERG_MODES:
         raise ValueError(f"mode must be optimistic or pessimistic, got {mode!r}")
     objective = leader_objective if leader_objective is not None else total_welfare_objective
     outcomes = []

@@ -41,6 +41,7 @@ from .strategic import (StrategicGame, contract_others, mixed_gap,
 
 KINDS = ("best-response", "smoothed-best-response", "fictitious-play",
          "replicator", "payoff-estimation")
+SCHEDULES = ("constant", "harmonic")
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class RateSchedule:
     value: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "harmonic"):
+        if self.kind not in SCHEDULES:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"rate value must be in [0, 1], got {self.value}")
@@ -111,11 +112,6 @@ class LearningState:
             estimates.append(q)
             counts.append(np.zeros(k))
         return LearningState(policies, estimates, counts)
-
-    def clone(self) -> "LearningState":
-        return LearningState([p.copy() for p in self.policies],
-                             [q.copy() for q in self.estimates],
-                             [c.copy() for c in self.counts], self.t)
 
 
 def softmax(q: np.ndarray, tau: float) -> np.ndarray:

@@ -3,10 +3,14 @@
 Configs are YAML documents with a `kind` key, an optional `seed`, and a
 payload block named after the kind. Validation is strict: unknown keys are
 rejected with their full path, types are checked, and size caps raise
-capacity errors before any computation starts. Runs produce a RunRecord
-(summary metrics plus named trace tables) exported as CSV or JSON lines;
-floats serialize with 17 significant digits so a parse-back is lossless, and
-the record embeds a digest of the canonicalized config.
+capacity errors before any computation starts. Each kind's validator builds
+the library objects its runner needs while it walks the document, so a
+constructor's complaint is reported at the field that caused it. Runs
+produce a RunRecord (summary metrics plus named trace tables) exported as
+CSV, where floats carry 17 significant digits, or as JSON lines, where they
+carry the shortest repr that reads back to the same double; either way a
+parse-back is lossless. The record embeds a digest of the canonicalized
+config.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -24,24 +28,33 @@ import yaml
 from . import coop as coopmod
 from . import congestion as netmod
 from . import matching as matchmod
-from .coordination import (AdmissibleSetRule, CoordinatorPolicy,
+from .coordination import (COORDINATOR_KINDS, STACKELBERG_MODES,
+                           AdmissibleSetRule, CoordinatorPolicy,
                            run_two_timescale, stackelberg_solve)
-from .errors import CapacityError, ComputationError, SchemaError
+from .errors import CapacityError, SchemaError
 from .incentives import BudgetSpec, IncentiveSchedule, design_incentive
-from .learning import LearnerSpec, RateSchedule, diagnostics, run_dynamics
+from .learning import KINDS as LEARNER_KINDS
+from .learning import (SCHEDULES, LearnerSpec, RateSchedule, diagnostics,
+                       run_dynamics)
+from .resilience import KINDS as ADVERSARY_KINDS
 from .resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
-                          TrustMatrix, run_consensus_scenario)
-from .strategic import DEFAULT_SIGNAL, StrategicGame, welfare_and_poa, enumerate_pure_nash
-
-KINDS = ("coop", "match", "nash", "learn", "ttscale", "stackelberg",
-         "wardrop", "incentive", "resilience")
-STOCHASTIC_KINDS = ("learn", "ttscale", "resilience")
+                         TrustMatrix, run_consensus_scenario)
+from .strategic import (DEFAULT_SIGNAL, StrategicGame, enumerate_pure_nash,
+                        is_nash, welfare_and_poa)
 
 
 # --- strict-schema helpers ----------------------------------------------------
 
 def _fail(path, message):
     raise SchemaError(message, path)
+
+
+def _make(path, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a ValueError reported at `path`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _need_map(node, path, required=(), optional=()):
@@ -69,12 +82,24 @@ def _need_list(node, path, min_len=0):
 def _need_number(node, path, lo=None, hi=None):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
-    v = float(node)
+    try:
+        v = float(node)
+    except OverflowError:            # an integer beyond the double range
+        v = math.inf
+    if not math.isfinite(v):
+        _fail(path, f"expected a finite number, got {v}")
     if lo is not None and v < lo:
         _fail(path, f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:
         _fail(path, f"must be <= {hi}, got {v}")
     return v
+
+
+def _need_vector(node, path, length, lo=None):
+    """A list of exactly `length` numbers, as floats."""
+    if len(_need_list(node, path)) != length:
+        _fail(path, f"needs {length} entries")
+    return [_need_number(v, f"{path}[{i}]", lo) for i, v in enumerate(node)]
 
 
 def _need_int(node, path, lo=None, hi=None):
@@ -101,20 +126,38 @@ def _need_bool(node, path):
     return node
 
 
+def _need_label(node, path, labels):
+    """One of an agent's action `labels`, as a string."""
+    if str(node) not in labels:
+        _fail(path, f"unknown action {node!r} (valid: {list(labels)})")
+    return str(node)
+
+
+def _need_profile(node, path, actions):
+    """One action label per agent, as a tuple of strings."""
+    if len(_need_list(node, path)) != len(actions):
+        _fail(path, f"needs {len(actions)} actions")
+    return tuple(_need_label(lab, f"{path}[{i}]", actions[i])
+                 for i, lab in enumerate(node))
+
+
+def _need_signal(node, path, game):
+    """A signal with a payoff table in `game`; None (the key left out)
+    stands for the only signal of a one-signal game."""
+    if node is not None:
+        _need_str(node, path)
+    return _make(path, game.resolve_signal, node)
+
+
 # --- parsed scenario ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
     seed: int | None
-    payload: dict
+    payload: dict           # the runner's inputs, built from the document
     canonical: str          # canonical JSON of the whole normalized document
     digest: str
-
-    def require_seed(self):
-        if self.kind in STOCHASTIC_KINDS and self.seed is None:
-            raise SchemaError(f"kind {self.kind!r} is stochastic and needs a seed",
-                              "seed")
 
 
 def parse_scenario(text: str, seed_override=None) -> ScenarioConfig:
@@ -129,128 +172,109 @@ def parse_scenario(text: str, seed_override=None) -> ScenarioConfig:
         _fail("", "document must be a map")
     kind = _need_str(doc.get("kind"), "kind", KINDS)
     _need_map(doc, "", required=("kind", kind), optional=("seed", "name"))
-    seed = doc.get("seed")
-    if seed is not None:
-        seed = _need_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
-    if seed_override is not None:
-        seed = int(seed_override)
+    seed = None
+    for given in (doc.get("seed"), seed_override):      # the override wins
+        if given is not None:
+            seed = _need_int(given, "seed", lo=0, hi=2 ** 64 - 1)
     if "name" in doc:
         _need_str(doc["name"], "name")
-    payload = _VALIDATORS[kind](doc[kind], kind)
-    normalized = {"kind": kind, "seed": seed, kind: payload}
+    block, payload = REGISTRY[kind].validate(doc[kind], kind)
+    normalized = {"kind": kind, "seed": seed, kind: block}
     if "name" in doc:
         normalized["name"] = doc["name"]
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"),
                            allow_nan=False)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    cfg = ScenarioConfig(kind, seed, payload, canonical, digest)
-    cfg.require_seed()
-    return cfg
+    if REGISTRY[kind].stochastic and seed is None:
+        raise SchemaError(f"kind {kind!r} is stochastic and needs a seed", "seed")
+    return ScenarioConfig(kind, seed, payload, canonical, digest)
 
 
 # --- game sub-schema ------------------------------------------------------------
+#
+# Each validator returns the normalized block, whose canonical JSON feeds the
+# digest, and the runner's keyword inputs.
 
 def _validate_profile_entries(entries, actions, path):
-    n = len(actions)
     full = 1
     for a in actions:
         full *= len(a)
-    seen = {}
+    table = {}
     for e_idx, entry in enumerate(_need_list(entries, path, min_len=1)):
         epath = f"{path}[{e_idx}]"
         _need_map(entry, epath, required=("profile", "values"))
-        profile = _need_list(entry["profile"], f"{epath}.profile")
-        if len(profile) != n:
-            _fail(f"{epath}.profile", f"needs {n} actions")
-        for i, lab in enumerate(profile):
-            if str(lab) not in actions[i]:
-                _fail(f"{epath}.profile[{i}]",
-                      f"unknown action {lab!r} for agent {i} (valid: {list(actions[i])})")
-        values = _need_list(entry["values"], f"{epath}.values")
-        if len(values) != n:
-            _fail(f"{epath}.values", f"needs {n} payoffs")
-        vals = [_need_number(v, f"{epath}.values[{i}]") for i, v in enumerate(values)]
-        key = tuple(str(lab) for lab in profile)
-        if key in seen:
-            _fail(epath, f"duplicate profile {key}")
-        seen[key] = vals
-    if len(seen) != full:
-        _fail(path, f"{len(seen)} of {full} profiles specified")
-    return {" ".join(k): v for k, v in seen.items()}
+        profile = _need_profile(entry["profile"], f"{epath}.profile", actions)
+        values = _need_vector(entry["values"], f"{epath}.values", len(actions))
+        if profile in table:
+            _fail(epath, f"duplicate profile {profile}")
+        table[profile] = values
+    if len(table) != full:
+        _fail(path, f"{len(table)} of {full} profiles specified")
+    return table
 
 
 def _validate_game(node, path):
     _need_map(node, path, required=("actions", "payoffs"))
     actions = []
     for i, labels in enumerate(_need_list(node["actions"], f"{path}.actions", 2)):
-        labels = _need_list(labels, f"{path}.actions[{i}]", 1)
-        actions.append(tuple(str(x) for x in labels))
-        if len(set(actions[-1])) != len(actions[-1]):
+        labels = tuple(str(x) for x in _need_list(labels, f"{path}.actions[{i}]", 1))
+        for j, label in enumerate(labels):
+            # the normalized document keys a profile by its labels joined
+            # with spaces, which must not collide
+            if " " in label:
+                _fail(f"{path}.actions[{i}][{j}]", "action labels cannot contain spaces")
+        if len(set(labels)) != len(labels):
             _fail(f"{path}.actions[{i}]", "duplicate action labels")
+        actions.append(labels)
     payoffs = node["payoffs"]
     if isinstance(payoffs, list):
         tables = {DEFAULT_SIGNAL: _validate_profile_entries(
             payoffs, actions, f"{path}.payoffs")}
     elif isinstance(payoffs, dict):
-        tables = {}
-        for sig, entries in payoffs.items():
-            tables[str(sig)] = _validate_profile_entries(
-                entries, actions, f"{path}.payoffs.{sig}")
+        tables = {str(sig): _validate_profile_entries(
+            entries, actions, f"{path}.payoffs.{sig}")
+            for sig, entries in payoffs.items()}
     else:
         _fail(f"{path}.payoffs", "expected a list or a map of signal -> list")
-    return {"actions": [list(a) for a in actions], "payoffs": tables}
-
-
-def _build_game(payload) -> StrategicGame:
-    actions = tuple(tuple(a) for a in payload["actions"])
-    tables = {}
-    for sig, entries in payload["payoffs"].items():
-        tables[sig] = {tuple(k.split(" ")): v for k, v in entries.items()}
-    return StrategicGame.from_tables(actions, tables)
+    block = {"actions": [list(a) for a in actions],
+             "payoffs": {sig: {" ".join(k): v for k, v in table.items()}
+                         for sig, table in tables.items()}}
+    return block, _make(f"{path}.payoffs", StrategicGame.from_tables,
+                        actions, tables)
 
 
 def _validate_learner(node, path, n_actions):
     _need_map(node, path, required=("kind",),
               optional=("payoff_rate", "policy_rate", "temperature",
                         "initial_policy", "initial_estimate"))
-    out = {"kind": _need_str(node["kind"], f"{path}.kind",
-                             ("best-response", "smoothed-best-response",
-                              "fictitious-play", "replicator",
-                              "payoff-estimation"))}
+    block = {"kind": _need_str(node["kind"], f"{path}.kind", LEARNER_KINDS)}
+    spec = dict(block)
     for key in ("payoff_rate", "policy_rate"):
         if key in node:
             r = _need_map(node[key], f"{path}.{key}", required=("schedule",),
                           optional=("value",))
-            sched = _need_str(r["schedule"], f"{path}.{key}.schedule",
-                              ("constant", "harmonic"))
-            value = _need_number(r.get("value", 1.0), f"{path}.{key}.value", 0.0, 1.0)
-            out[key] = {"schedule": sched, "value": value}
+            block[key] = {"schedule": _need_str(r["schedule"], f"{path}.{key}.schedule",
+                                                SCHEDULES),
+                          "value": _need_number(r.get("value", 1.0),
+                                                f"{path}.{key}.value", 0.0, 1.0)}
+            spec[key] = RateSchedule(block[key]["schedule"], block[key]["value"])
     if "temperature" in node:
-        out["temperature"] = _need_number(node["temperature"], f"{path}.temperature")
-        if out["temperature"] <= 0:
-            _fail(f"{path}.temperature", "must be > 0")
+        block["temperature"] = spec["temperature"] = _need_number(
+            node["temperature"], f"{path}.temperature")
     for key in ("initial_policy", "initial_estimate"):
         if key in node:
-            vec = _need_list(node[key], f"{path}.{key}")
-            if len(vec) != n_actions:
-                _fail(f"{path}.{key}", f"needs {n_actions} entries")
-            out[key] = [_need_number(v, f"{path}.{key}[{i}]")
-                        for i, v in enumerate(vec)]
-    return out
+            block[key] = _need_vector(node[key], f"{path}.{key}", n_actions)
+            spec[key] = tuple(block[key])
+    return block, _make(path, LearnerSpec, **spec)
 
 
-def _build_learner(payload) -> LearnerSpec:
-    kw = {"kind": payload["kind"]}
-    for key in ("payoff_rate", "policy_rate"):
-        if key in payload:
-            kw[key] = RateSchedule(payload[key]["schedule"], payload[key]["value"])
-    if "temperature" in payload:
-        kw["temperature"] = payload["temperature"]
-    if "initial_policy" in payload:
-        kw["initial_policy"] = tuple(payload["initial_policy"])
-    if "initial_estimate" in payload:
-        kw["initial_estimate"] = tuple(payload["initial_estimate"])
-    return LearnerSpec(**kw)
+def _validate_learners(node, path, game):
+    """One learner spec per agent: (normalized blocks, LearnerSpecs)."""
+    learners = _need_list(node, path, 1)
+    if len(learners) != game.n_agents:
+        _fail(path, f"needs one spec per agent ({game.n_agents})")
+    return zip(*(_validate_learner(spec, f"{path}[{i}]", len(game.actions[i]))
+                 for i, spec in enumerate(learners)))
 
 
 # --- per-kind validators ---------------------------------------------------------
@@ -258,7 +282,7 @@ def _build_learner(payload) -> LearnerSpec:
 def _v_coop(node, path):
     _need_map(node, path, required=("agents", "values"), optional=("compute",))
     n = _need_int(node["agents"], f"{path}.agents", 1, coopmod.MAX_AGENTS)
-    entries = {}
+    values = {}
     for i, entry in enumerate(_need_list(node["values"], f"{path}.values", 1)):
         epath = f"{path}.values[{i}]"
         _need_map(entry, epath, required=("coalition", "value"))
@@ -269,10 +293,10 @@ def _v_coop(node, path):
             if mask >> a & 1:
                 _fail(f"{epath}.coalition", f"agent {a} repeated")
             mask |= 1 << a
-        if str(mask) in entries:
+        if mask in values:
             _fail(epath, f"coalition {sorted(coalition)} specified twice")
-        entries[str(mask)] = _need_number(entry["value"], f"{epath}.value")
-    missing = (1 << n) - 1 - len(entries)
+        values[mask] = _need_number(entry["value"], f"{epath}.value")
+    missing = (1 << n) - 1 - len(values)
     if missing:
         warnings.warn(f"{missing} coalition values missing; defaulting to 0")
     steps = ("superadditive", "surplus", "shapley", "core", "nucleolus", "convex")
@@ -280,14 +304,17 @@ def _v_coop(node, path):
     if "compute" in node:
         compute = [_need_str(s, f"{path}.compute[{i}]", steps)
                    for i, s in enumerate(_need_list(node["compute"], f"{path}.compute", 1))]
-    return {"agents": n, "values": entries, "compute": compute}
+    block = {"agents": n, "values": {str(m): v for m, v in values.items()},
+             "compute": compute}
+    return block, {"game": coopmod.CoalitionGame.from_dict(n, values),
+                   "compute": compute}
 
 
 def _v_match(node, path):
     _need_map(node, path, required=("left", "right"),
               optional=("proposing", "enumerate"))
     n = None
-    out = {}
+    block = {}
     for side in ("left", "right"):
         prefs = _need_list(node[side], f"{path}.{side}", 1)
         if n is None:
@@ -304,48 +331,50 @@ def _v_match(node, path):
             if sorted(row) != list(range(n)):
                 _fail(f"{path}.{side}[{i}]", f"must be a permutation of 0..{n - 1}")
             rows.append(row)
-        out[side] = rows
-    out["proposing"] = _need_str(node.get("proposing", "left"),
-                                 f"{path}.proposing", ("left", "right"))
-    out["enumerate"] = _need_bool(node.get("enumerate", False), f"{path}.enumerate")
-    return out
+        block[side] = rows
+    block["proposing"] = _need_str(node.get("proposing", "left"),
+                                   f"{path}.proposing", ("left", "right"))
+    block["enumerate"] = _need_bool(node.get("enumerate", False), f"{path}.enumerate")
+    return block, {"market": matchmod.MatchingMarket.of(block["left"], block["right"]),
+                   "proposing": block["proposing"], "stable_set": block["enumerate"]}
 
 
 def _v_nash(node, path):
     _need_map(node, path, required=("game",), optional=("signal", "eps"))
-    out = {"game": _validate_game(node["game"], f"{path}.game")}
+    game_block, game = _validate_game(node["game"], f"{path}.game")
+    block = {"game": game_block}
+    signal = _need_signal(node.get("signal"), f"{path}.signal", game)
     if "signal" in node:
-        out["signal"] = _need_str(node["signal"], f"{path}.signal")
+        block["signal"] = signal
     if "eps" in node:
-        out["eps"] = _need_number(node["eps"], f"{path}.eps", 0.0)
-    return out
+        block["eps"] = _need_number(node["eps"], f"{path}.eps", 0.0)
+    return block, {"game": game, "signal": signal, "eps": block.get("eps", 0.0)}
 
 
 def _v_learn(node, path):
     _need_map(node, path, required=("game", "horizon", "learners"),
               optional=("signal_schedule", "gap_stride"))
-    game = _validate_game(node["game"], f"{path}.game")
+    game_block, game = _validate_game(node["game"], f"{path}.game")
     horizon = _need_int(node["horizon"], f"{path}.horizon", 1, 10 ** 6)
-    learners = _need_list(node["learners"], f"{path}.learners", 1)
-    if len(learners) != len(game["actions"]):
-        _fail(f"{path}.learners",
-              f"needs one spec per agent ({len(game['actions'])})")
-    specs = [_validate_learner(l, f"{path}.learners[{i}]", len(game["actions"][i]))
-             for i, l in enumerate(learners)]
-    out = {"game": game, "horizon": horizon, "learners": specs}
+    blocks, specs = _validate_learners(node["learners"], f"{path}.learners", game)
+    block = {"game": game_block, "horizon": horizon, "learners": blocks}
+    schedule = None
     if "signal_schedule" in node:
-        sched = node["signal_schedule"]
+        sched, spath = node["signal_schedule"], f"{path}.signal_schedule"
         if isinstance(sched, dict):
-            _need_map(sched, f"{path}.signal_schedule", required=("constant",))
-            out["signal_schedule"] = {"constant": _need_str(
-                sched["constant"], f"{path}.signal_schedule.constant")}
+            _need_map(sched, spath, required=("constant",))
+            signal = _need_signal(sched["constant"], f"{spath}.constant", game)
+            block["signal_schedule"] = {"constant": signal}
+            schedule = lambda t: signal
         else:
-            out["signal_schedule"] = [
-                _need_str(s, f"{path}.signal_schedule[{i}]")
-                for i, s in enumerate(_need_list(sched, f"{path}.signal_schedule", 1))]
+            seq = [_need_signal(s, f"{spath}[{i}]", game)
+                   for i, s in enumerate(_need_list(sched, spath, 1))]
+            block["signal_schedule"] = seq
+            schedule = lambda t: seq[(t - 1) % len(seq)]
     if "gap_stride" in node:
-        out["gap_stride"] = _need_int(node["gap_stride"], f"{path}.gap_stride", 1)
-    return out
+        block["gap_stride"] = _need_int(node["gap_stride"], f"{path}.gap_stride", 1)
+    return block, {"game": game, "specs": specs, "horizon": horizon,
+                   "schedule": schedule, "gap_stride": block.get("gap_stride", 1)}
 
 
 def _v_ttscale(node, path):
@@ -353,110 +382,100 @@ def _v_ttscale(node, path):
               required=("game", "learners", "outer_steps", "epoch_length",
                         "coordinator"),
               optional=("admissible", "incentives", "initial_signal"))
-    game = _validate_game(node["game"], f"{path}.game")
-    learners = _need_list(node["learners"], f"{path}.learners", 1)
-    if len(learners) != len(game["actions"]):
-        _fail(f"{path}.learners", "needs one spec per agent")
-    specs = [_validate_learner(l, f"{path}.learners[{i}]", len(game["actions"][i]))
-             for i, l in enumerate(learners)]
-    coord = _need_map(node["coordinator"], f"{path}.coordinator",
-                      required=("kind", "candidates"))
-    kind = _need_str(coord["kind"], f"{path}.coordinator.kind",
-                     ("constant", "round-robin", "greedy"))
-    candidates = [_need_str(c, f"{path}.coordinator.candidates[{i}]")
-                  for i, c in enumerate(_need_list(coord["candidates"],
-                                                   f"{path}.coordinator.candidates", 1))]
-    for i, c in enumerate(candidates):
-        if c not in game["payoffs"]:
-            _fail(f"{path}.coordinator.candidates[{i}]",
-                  f"signal {c!r} has no payoff table")
-    out = {"game": game, "learners": specs,
-           "outer_steps": _need_int(node["outer_steps"], f"{path}.outer_steps", 1, 10 ** 4),
-           "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1, 10 ** 6),
-           "coordinator": {"kind": kind, "candidates": candidates}}
+    game_block, game = _validate_game(node["game"], f"{path}.game")
+    blocks, specs = _validate_learners(node["learners"], f"{path}.learners", game)
+    cpath = f"{path}.coordinator"
+    coord = _need_map(node["coordinator"], cpath, required=("kind", "candidates"))
+    coordinator = {"kind": _need_str(coord["kind"], f"{cpath}.kind", COORDINATOR_KINDS),
+                   "candidates": [_need_signal(c, f"{cpath}.candidates[{i}]", game)
+                                  for i, c in enumerate(_need_list(
+                                      coord["candidates"], f"{cpath}.candidates", 1))]}
+    block = {"game": game_block, "learners": blocks,
+             "outer_steps": _need_int(node["outer_steps"], f"{path}.outer_steps", 1, 10 ** 4),
+             "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1, 10 ** 6),
+             "coordinator": coordinator}
+    inputs = {"game": game, "specs": specs,
+              "coordinator": CoordinatorPolicy(coordinator["kind"],
+                                               tuple(coordinator["candidates"])),
+              "outer_steps": block["outer_steps"],
+              "epoch_length": block["epoch_length"],
+              "admissible": None, "incentives": None, "initial_signal": None}
     if "initial_signal" in node:
-        sig = _need_str(node["initial_signal"], f"{path}.initial_signal")
-        if sig not in game["payoffs"]:
-            _fail(f"{path}.initial_signal", f"signal {sig!r} has no payoff table")
-        out["initial_signal"] = sig
+        block["initial_signal"] = inputs["initial_signal"] = _need_signal(
+            node["initial_signal"], f"{path}.initial_signal", game)
     if "admissible" in node:
-        adm = {}
         if not isinstance(node["admissible"], dict):
             _fail(f"{path}.admissible", "expected a map of signal -> per-agent actions")
+        allowed = {}
         for sig, per_agent in node["admissible"].items():
-            if str(sig) not in game["payoffs"]:
-                _fail(f"{path}.admissible.{sig}", f"signal {sig!r} has no payoff table")
-            per_agent = _need_list(per_agent, f"{path}.admissible.{sig}")
-            if len(per_agent) != len(game["actions"]):
-                _fail(f"{path}.admissible.{sig}", "needs one action list per agent")
-            rows = []
-            for i, labels in enumerate(per_agent):
-                labels = [str(x) for x in
-                          _need_list(labels, f"{path}.admissible.{sig}[{i}]", 1)]
-                for lab in labels:
-                    if lab not in game["actions"][i]:
-                        _fail(f"{path}.admissible.{sig}[{i}]",
-                              f"unknown action {lab!r}")
-                rows.append(labels)
-            adm[str(sig)] = rows
-        out["admissible"] = adm
+            apath = f"{path}.admissible.{sig}"
+            sig = _need_signal(str(sig), apath, game)
+            if len(_need_list(per_agent, apath)) != game.n_agents:
+                _fail(apath, "needs one action list per agent")
+            allowed[sig] = tuple(
+                tuple(_need_label(lab, f"{apath}[{i}][{k}]", game.actions[i])
+                      for k, lab in enumerate(_need_list(labels, f"{apath}[{i}]", 1)))
+                for i, labels in enumerate(per_agent))
+        block["admissible"] = allowed
+        inputs["admissible"] = AdmissibleSetRule(allowed)
     if "incentives" in node:
         entries = []
+        incentives = IncentiveSchedule.zero(game)
         for i, entry in enumerate(_need_list(node["incentives"], f"{path}.incentives", 1)):
             epath = f"{path}.incentives[{i}]"
             _need_map(entry, epath, required=("profile", "values"), optional=("signal",))
-            profile = [str(x) for x in _need_list(entry["profile"], f"{epath}.profile")]
-            values = [_need_number(v, f"{epath}.values[{k}]")
-                      for k, v in enumerate(_need_list(entry["values"], f"{epath}.values"))]
-            if len(profile) != len(game["actions"]) or len(values) != len(game["actions"]):
-                _fail(epath, "profile and values need one entry per agent")
-            rec = {"profile": profile, "values": values}
+            rec = {"profile": _need_profile(entry["profile"], f"{epath}.profile", game.actions),
+                   "values": _need_vector(entry["values"], f"{epath}.values", game.n_agents)}
+            sig = _need_signal(entry.get("signal"), f"{epath}.signal", game)
             if "signal" in entry:
-                sig = _need_str(entry["signal"], f"{epath}.signal")
-                if sig not in game["payoffs"]:
-                    _fail(f"{epath}.signal", f"signal {sig!r} has no payoff table")
                 rec["signal"] = sig
             entries.append(rec)
-        out["incentives"] = entries
-    return out
+            one = IncentiveSchedule.on_profile(game, rec["profile"], rec["values"],
+                                               signal=sig)
+            incentives.transfers[sig] += one.transfers[sig]
+        block["incentives"] = entries
+        inputs["incentives"] = incentives
+    return block, inputs
 
 
 def _v_stackelberg(node, path):
     _need_map(node, path, required=("game", "candidates"),
               optional=("mode", "leader_objective"))
-    game = _validate_game(node["game"], f"{path}.game")
-    candidates = [_need_str(c, f"{path}.candidates[{i}]")
+    game_block, game = _validate_game(node["game"], f"{path}.game")
+    candidates = [_need_signal(c, f"{path}.candidates[{i}]", game)
                   for i, c in enumerate(_need_list(node["candidates"],
                                                    f"{path}.candidates", 1))]
-    for i, c in enumerate(candidates):
-        if c not in game["payoffs"]:
-            _fail(f"{path}.candidates[{i}]", f"signal {c!r} has no payoff table")
-    out = {"game": game, "candidates": candidates,
-           "mode": _need_str(node.get("mode", "optimistic"), f"{path}.mode",
-                             ("optimistic", "pessimistic"))}
+    block = {"game": game_block, "candidates": candidates,
+             "mode": _need_str(node.get("mode", "optimistic"), f"{path}.mode",
+                               STACKELBERG_MODES)}
+    objective = None
     if "leader_objective" in node:
-        lo = node["leader_objective"]
+        lo, lpath = node["leader_objective"], f"{path}.leader_objective"
         if isinstance(lo, str):
-            _need_str(lo, f"{path}.leader_objective", ("welfare",))
-            out["leader_objective"] = "welfare"
+            block["leader_objective"] = _need_str(lo, lpath, ("welfare",))
         else:
-            _need_map(lo, f"{path}.leader_objective", required=("table",))
-            table = {}
+            _need_map(lo, lpath, required=("table",))
             if not isinstance(lo["table"], dict):
-                _fail(f"{path}.leader_objective.table", "expected signal -> entries")
+                _fail(f"{lpath}.table", "expected signal -> entries")
+            table = {}
             for sig, entries in lo["table"].items():
-                if str(sig) not in game["payoffs"]:
-                    _fail(f"{path}.leader_objective.table.{sig}", "unknown signal")
-                rows = {}
-                for k, entry in enumerate(_need_list(entries,
-                                                     f"{path}.leader_objective.table.{sig}", 1)):
-                    epath = f"{path}.leader_objective.table.{sig}[{k}]"
+                tpath = f"{lpath}.table.{sig}"
+                rows = table[_need_signal(str(sig), tpath, game)] = {}
+                for k, entry in enumerate(_need_list(entries, tpath, 1)):
+                    epath = f"{tpath}[{k}]"
                     _need_map(entry, epath, required=("profile", "value"))
-                    profile = [str(x) for x in _need_list(entry["profile"], f"{epath}.profile")]
-                    rows[" ".join(profile)] = _need_number(entry["value"], f"{epath}.value")
-                table[str(sig)] = rows
-            out["leader_objective"] = {"table": table}
-    return out
+                    profile = _need_profile(entry["profile"], f"{epath}.profile",
+                                            game.actions)
+                    rows[profile] = _need_number(entry["value"], f"{epath}.value")
+            block["leader_objective"] = {"table": {
+                sig: {" ".join(p): v for p, v in rows.items()}
+                for sig, rows in table.items()}}
+
+            def objective(g, signal, profile):
+                return table[signal][tuple(profile)]
+
+    return block, {"game": game, "candidates": tuple(candidates),
+                   "mode": block["mode"], "objective": objective}
 
 
 def _v_wardrop(node, path):
@@ -470,54 +489,48 @@ def _v_wardrop(node, path):
                 "a": _need_number(e["a"], f"{epath}.a", 0.0),
                 "b": _need_number(e["b"], f"{epath}.b", 0.0)}
 
-    edges = [edge(e, f"{path}.edges[{i}]")
-             for i, e in enumerate(_need_list(node["edges"], f"{path}.edges", 1))]
-    out = {"edges": edges,
-           "origin": _need_str(node["origin"], f"{path}.origin"),
-           "destination": _need_str(node["destination"], f"{path}.destination"),
-           "demand": _need_number(node["demand"], f"{path}.demand")}
-    if out["demand"] <= 0:
+    block = {"edges": [edge(e, f"{path}.edges[{i}]")
+                       for i, e in enumerate(_need_list(node["edges"], f"{path}.edges", 1))],
+             "origin": _need_str(node["origin"], f"{path}.origin"),
+             "destination": _need_str(node["destination"], f"{path}.destination"),
+             "demand": _need_number(node["demand"], f"{path}.demand")}
+    if block["demand"] <= 0:
         _fail(f"{path}.demand", "must be positive")
+    network = _make(path, netmod.CongestionNetwork,
+                    tuple(netmod.Edge(**e) for e in block["edges"]),
+                    block["origin"], block["destination"], block["demand"])
+    inputs = {"network": network, "extra_edge": None, "tolls": False}
     if "extra_edge" in node:
-        out["extra_edge"] = edge(node["extra_edge"], f"{path}.extra_edge")
+        block["extra_edge"] = edge(node["extra_edge"], f"{path}.extra_edge")
+        inputs["extra_edge"] = netmod.Edge(**block["extra_edge"])
     if "tolls" in node:
-        out["tolls"] = _need_bool(node["tolls"], f"{path}.tolls")
-    return out
+        block["tolls"] = inputs["tolls"] = _need_bool(node["tolls"], f"{path}.tolls")
+    return block, inputs
 
 
 def _v_incentive(node, path):
     _need_map(node, path, required=("game", "target", "baseline", "budget"),
               optional=("signal",))
-    game = _validate_game(node["game"], f"{path}.game")
-    n = len(game["actions"])
-
-    def profile(key):
-        p = [str(x) for x in _need_list(node[key], f"{path}.{key}")]
-        if len(p) != n:
-            _fail(f"{path}.{key}", f"needs {n} actions")
-        for i, lab in enumerate(p):
-            if lab not in game["actions"][i]:
-                _fail(f"{path}.{key}[{i}]", f"unknown action {lab!r}")
-        return p
-
+    game_block, game = _validate_game(node["game"], f"{path}.game")
     budget = _need_map(node["budget"], f"{path}.budget",
                        required=("limit", "delta"), optional=("horizon",))
     horizon = budget.get("horizon", "infinite")
     if horizon != "infinite":
         horizon = _need_int(horizon, f"{path}.budget.horizon", 1)
-    delta = _need_number(budget["delta"], f"{path}.budget.delta")
-    if not 0 < delta <= 1:
-        _fail(f"{path}.budget.delta", "must be in (0, 1]")
-    if horizon == "infinite" and delta == 1.0:
-        _fail(f"{path}.budget.delta",
-              "delta = 1 with an infinite horizon has no finite total")
-    out = {"game": game, "target": profile("target"),
-           "baseline": profile("baseline"),
-           "budget": {"limit": _need_number(budget["limit"], f"{path}.budget.limit"),
-                      "delta": delta, "horizon": horizon}}
+    block = {"game": game_block,
+             "target": _need_profile(node["target"], f"{path}.target", game.actions),
+             "baseline": _need_profile(node["baseline"], f"{path}.baseline", game.actions),
+             "budget": {"limit": _need_number(budget["limit"], f"{path}.budget.limit"),
+                        "delta": _need_number(budget["delta"], f"{path}.budget.delta"),
+                        "horizon": horizon}}
+    signal = _need_signal(node.get("signal"), f"{path}.signal", game)
     if "signal" in node:
-        out["signal"] = _need_str(node["signal"], f"{path}.signal")
-    return out
+        block["signal"] = signal
+    return block, {"game": game, "target": block["target"],
+                   "baseline": block["baseline"], "signal": signal,
+                   "budget": _make(f"{path}.budget", BudgetSpec,
+                                   block["budget"]["limit"], block["budget"]["delta"],
+                                   None if horizon == "infinite" else horizon)}
 
 
 def _v_resilience(node, path):
@@ -528,75 +541,69 @@ def _v_resilience(node, path):
     iv = node["initial_values"]
     if isinstance(iv, dict):
         _need_map(iv, f"{path}.initial_values", required=("random",))
-        r = _need_map(iv["random"], f"{path}.initial_values.random",
-                      required=("n",), optional=("low", "high"))
-        spec = {"random": {"n": _need_int(r["n"], f"{path}.initial_values.random.n", 2, 64),
-                           "low": _need_number(r.get("low", 0.0), f"{path}.initial_values.random.low"),
-                           "high": _need_number(r.get("high", 1.0), f"{path}.initial_values.random.high")}}
-        if spec["random"]["low"] >= spec["random"]["high"]:
-            _fail(f"{path}.initial_values.random", "low must be < high")
-        n = spec["random"]["n"]
-        values = spec
+        rpath = f"{path}.initial_values.random"
+        r = _need_map(iv["random"], rpath, required=("n",), optional=("low", "high"))
+        n = _need_int(r["n"], f"{rpath}.n", 2, 64)
+        low = _need_number(r.get("low", 0.0), f"{rpath}.low")
+        high = _need_number(r.get("high", 1.0), f"{rpath}.high")
+        if low >= high:
+            _fail(rpath, "low must be < high")
+        values = {"random": {"n": n, "low": low, "high": high}}
+
+        def initial(seed):
+            return np.random.default_rng([seed, 0x1F]).uniform(low, high, size=n)
     else:
-        vals = [_need_number(v, f"{path}.initial_values[{i}]")
-                for i, v in enumerate(_need_list(iv, f"{path}.initial_values", 2))]
-        n = len(vals)
-        values = vals
-    out = {"initial_values": values,
-           "horizon": _need_int(node["horizon"], f"{path}.horizon", 1, 10 ** 5)}
+        values = [_need_number(v, f"{path}.initial_values[{i}]")
+                  for i, v in enumerate(_need_list(iv, f"{path}.initial_values", 2))]
+        n = len(values)
+
+        def initial(seed):
+            return values
+    block = {"initial_values": values,
+             "horizon": _need_int(node["horizon"], f"{path}.horizon", 1, 10 ** 5)}
     defense = _need_map(node["defense"], f"{path}.defense", optional=("trim", "trust_eta"))
-    out["defense"] = {"trim": _need_int(defense.get("trim", 0), f"{path}.defense.trim", 0)}
+    block["defense"] = {"trim": _need_int(defense.get("trim", 0), f"{path}.defense.trim", 0)}
     if "trust_eta" in defense:
-        out["defense"]["trust_eta"] = _need_number(defense["trust_eta"],
-                                                   f"{path}.defense.trust_eta", 0.0)
+        block["defense"]["trust_eta"] = _need_number(defense["trust_eta"],
+                                                     f"{path}.defense.trust_eta", 0.0)
+    inputs = {"initial": initial, "horizon": block["horizon"], "adversary": None,
+              "defense": DefenseSpec(block["defense"]["trim"],
+                                     block["defense"].get("trust_eta"))}
     if "adversary" in node:
-        adv = _need_map(node["adversary"], f"{path}.adversary",
-                        required=("agents", "kind"),
+        apath = f"{path}.adversary"
+        adv = _need_map(node["adversary"], apath, required=("agents", "kind"),
                         optional=("value", "lag", "drop_prob", "window"))
-        agents = [_need_int(a, f"{path}.adversary.agents[{i}]", 0, n - 1)
-                  for i, a in enumerate(_need_list(adv["agents"], f"{path}.adversary.agents", 1))]
-        rec = {"agents": agents,
-               "kind": _need_str(adv["kind"], f"{path}.adversary.kind",
-                                 ("constant-injection", "sign-flip", "replay",
-                                  "channel-drop"))}
+        rec = {"agents": [_need_int(a, f"{apath}.agents[{i}]", 0, n - 1)
+                          for i, a in enumerate(_need_list(adv["agents"], f"{apath}.agents", 1))],
+               "kind": _need_str(adv["kind"], f"{apath}.kind", ADVERSARY_KINDS)}
         if "value" in adv:
-            rec["value"] = _need_number(adv["value"], f"{path}.adversary.value")
+            rec["value"] = _need_number(adv["value"], f"{apath}.value")
         if "lag" in adv:
-            rec["lag"] = _need_int(adv["lag"], f"{path}.adversary.lag", 1)
+            rec["lag"] = _need_int(adv["lag"], f"{apath}.lag", 1)
         if "drop_prob" in adv:
-            rec["drop_prob"] = _need_number(adv["drop_prob"],
-                                            f"{path}.adversary.drop_prob", 0.0, 1.0)
+            rec["drop_prob"] = _need_number(adv["drop_prob"], f"{apath}.drop_prob", 0.0, 1.0)
         if "window" in adv:
-            w = _need_list(adv["window"], f"{path}.adversary.window")
+            w = _need_list(adv["window"], f"{apath}.window")
             if len(w) != 2:
-                _fail(f"{path}.adversary.window", "needs [start, end]")
-            rec["window"] = [_need_int(w[0], f"{path}.adversary.window[0]", 0),
-                             _need_int(w[1], f"{path}.adversary.window[1]", 0)]
-            if rec["window"][0] > rec["window"][1]:
-                _fail(f"{path}.adversary.window", "start must be <= end")
-        out["adversary"] = rec
+                _fail(f"{apath}.window", "needs [start, end]")
+            rec["window"] = [_need_int(w[k], f"{apath}.window[{k}]", 0) for k in (0, 1)]
+        block["adversary"] = rec
+        inputs["adversary"] = _make(
+            apath, AdversaryModel, compromised=tuple(rec["agents"]), kind=rec["kind"],
+            value=rec.get("value", 0.0), lag=rec.get("lag", 1),
+            drop_prob=rec.get("drop_prob", 0.5),
+            window=tuple(rec.get("window", (0, block["horizon"]))))
     trust = node.get("trust", "uniform")
     if isinstance(trust, str):
-        out["trust"] = _need_str(trust, f"{path}.trust", ("uniform",))
+        block["trust"] = _need_str(trust, f"{path}.trust", ("uniform",))
+        inputs["trust"] = TrustMatrix.uniform(n)
     else:
-        rows = _need_list(trust, f"{path}.trust", n)
-        if len(rows) != n:
+        if len(_need_list(trust, f"{path}.trust")) != n:
             _fail(f"{path}.trust", f"needs {n} rows")
-        mat = []
-        for i, row in enumerate(rows):
-            row = _need_list(row, f"{path}.trust[{i}]")
-            if len(row) != n:
-                _fail(f"{path}.trust[{i}]", f"needs {n} entries")
-            mat.append([_need_number(v, f"{path}.trust[{i}][{k}]", 0.0)
-                        for k, v in enumerate(row)])
-        out["trust"] = mat
-    return out
-
-
-_VALIDATORS = {"coop": _v_coop, "match": _v_match, "nash": _v_nash,
-               "learn": _v_learn, "ttscale": _v_ttscale,
-               "stackelberg": _v_stackelberg, "wardrop": _v_wardrop,
-               "incentive": _v_incentive, "resilience": _v_resilience}
+        block["trust"] = [_need_vector(row, f"{path}.trust[{i}]", n, 0.0)
+                          for i, row in enumerate(trust)]
+        inputs["trust"] = _make(f"{path}.trust", TrustMatrix.from_weights, block["trust"])
+    return block, inputs
 
 
 # --- run records -----------------------------------------------------------------
@@ -647,31 +654,27 @@ def _py(value):
 
 # --- per-kind runners --------------------------------------------------------------
 
-def _run_coop(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    values = {int(m): v for m, v in p["values"].items()}
-    game = coopmod.CoalitionGame.from_dict(p["agents"], values)
+def _run_coop(cfg, game, compute):
     summary = {"agents": game.n}
     tables = []
-    steps = p["compute"]
-    if "superadditive" in steps:
+    if "superadditive" in compute:
         summary["superadditive"] = coopmod.is_superadditive(game)
-    if "convex" in steps:
+    if "convex" in compute:
         summary["convex"] = coopmod.is_convex(game)
-    if "surplus" in steps:
+    if "surplus" in compute:
         summary["cooperative_surplus"] = coopmod.cooperative_surplus(game)
-    if "shapley" in steps:
+    if "shapley" in compute:
         phi = coopmod.shapley(game)
         summary["shapley"] = _py(phi)
         tables.append(Table.of("shapley", ("agent", "value"),
                                [(i, float(phi[i])) for i in range(game.n)]))
-    if "core" in steps:
+    if "core" in compute:
         rep = coopmod.core_nonempty(game)
         summary["core_nonempty"] = rep.nonempty
         if rep.certificate is not None:
             summary["core_point"] = _py(rep.certificate)
         summary["core_lp_optimum"] = rep.lp_optimum
-    if "nucleolus" in steps:
+    if "nucleolus" in compute:
         rep = coopmod.nucleolus(game)
         summary["nucleolus"] = _py(rep.allocation)
         summary["nucleolus_stages"] = rep.stages
@@ -681,17 +684,13 @@ def _run_coop(cfg: ScenarioConfig) -> RunRecord:
     return RunRecord("coop", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
-def _run_match(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    market = matchmod.MatchingMarket(
-        tuple(tuple(r) for r in p["left"]),
-        tuple(tuple(r) for r in p["right"]))
-    result = matchmod.deferred_acceptance(market, proposing=p["proposing"])
-    summary = {"proposing": p["proposing"],
+def _run_match(cfg, market, proposing, stable_set):
+    result = matchmod.deferred_acceptance(market, proposing=proposing)
+    summary = {"proposing": proposing,
                "stable": matchmod.is_stable(market, result),
                "pairs": [list(pair) for pair in result.pairs]}
     tables = [Table.of("matching", ("left", "right"), result.pairs)]
-    if p["enumerate"]:
+    if stable_set:
         stable = matchmod.enumerate_stable(market)
         summary["stable_count"] = len(stable)
         tables.append(Table.of(
@@ -701,13 +700,8 @@ def _run_match(cfg: ScenarioConfig) -> RunRecord:
     return RunRecord("match", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
-def _run_nash(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    game = _build_game(p["game"])
-    signal = game.resolve_signal(p.get("signal"))
-    eps = p.get("eps", 0.0)
+def _run_nash(cfg, game, signal, eps):
     if eps > 0:
-        from .strategic import is_nash
         equilibria = [pr for pr in game.profiles()
                       if is_nash(game, pr, eps, signal).is_nash]
     else:
@@ -736,32 +730,11 @@ def _run_nash(cfg: ScenarioConfig) -> RunRecord:
                      (Table.of("profiles", cols, rows),))
 
 
-def _signal_schedule_fn(spec, game):
-    if spec is None:
-        return None
-    if isinstance(spec, dict):
-        sig = spec["constant"]
-        if sig not in game.payoffs:
-            raise SchemaError(f"signal {sig!r} has no payoff table",
-                              "learn.signal_schedule.constant")
-        return lambda t: sig
-    seq = list(spec)
-    for s in seq:
-        if s not in game.payoffs:
-            raise SchemaError(f"signal {s!r} has no payoff table",
-                              "learn.signal_schedule")
-    return lambda t: seq[(t - 1) % len(seq)]
-
-
-def _run_learn(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    game = _build_game(p["game"])
-    specs = [_build_learner(s) for s in p["learners"]]
-    trace = run_dynamics(game, specs, p["horizon"], seed=cfg.seed,
-                         signal_schedule=_signal_schedule_fn(
-                             p.get("signal_schedule"), game))
-    diag = diagnostics(game, trace, gap_stride=p.get("gap_stride", 1))
-    summary = {"horizon": p["horizon"],
+def _run_learn(cfg, game, specs, horizon, schedule, gap_stride):
+    trace = run_dynamics(game, specs, horizon, seed=cfg.seed,
+                         signal_schedule=schedule)
+    diag = diagnostics(game, trace, gap_stride=gap_stride)
+    summary = {"horizon": horizon,
                "final_profile": list(trace.action_labels[-1]),
                "external_regret": _py(diag.external_regret),
                "max_regret": float(diag.external_regret.max()),
@@ -780,32 +753,15 @@ def _run_learn(cfg: ScenarioConfig) -> RunRecord:
     return RunRecord("learn", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
-def _run_ttscale(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    game = _build_game(p["game"])
-    specs = [_build_learner(s) for s in p["learners"]]
-    coordinator = CoordinatorPolicy(kind=p["coordinator"]["kind"],
-                                    candidates=tuple(p["coordinator"]["candidates"]))
-    admissible = None
-    if "admissible" in p:
-        admissible = AdmissibleSetRule(
-            {sig: tuple(tuple(v) for v in rows)
-             for sig, rows in p["admissible"].items()})
-    incentives = None
-    if "incentives" in p:
-        incentives = IncentiveSchedule.zero(game)
-        for rec in p["incentives"]:
-            sig = game.resolve_signal(rec.get("signal"))
-            one = IncentiveSchedule.on_profile(game, tuple(rec["profile"]),
-                                               rec["values"], signal=sig)
-            incentives.transfers[sig] += one.transfers[sig]
+def _run_ttscale(cfg, game, specs, coordinator, outer_steps, epoch_length,
+                 admissible, incentives, initial_signal):
     result = run_two_timescale(
-        game, specs, coordinator, outer_steps=p["outer_steps"],
-        epoch_length=p["epoch_length"], seed=cfg.seed,
+        game, specs, coordinator, outer_steps=outer_steps,
+        epoch_length=epoch_length, seed=cfg.seed,
         admissible=admissible, incentives=incentives,
-        initial_signal=p.get("initial_signal"))
-    summary = {"outer_steps": p["outer_steps"],
-               "epoch_length": p["epoch_length"],
+        initial_signal=initial_signal)
+    summary = {"outer_steps": outer_steps,
+               "epoch_length": epoch_length,
                "final_signal": result.final_signal,
                "signal_sequence": [e.signal for e in result.epochs],
                "final_welfare": result.epochs[-1].digest.mean_welfare}
@@ -817,19 +773,8 @@ def _run_ttscale(cfg: ScenarioConfig) -> RunRecord:
     return RunRecord("ttscale", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
-def _run_stackelberg(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    game = _build_game(p["game"])
-    objective = None
-    if isinstance(p.get("leader_objective"), dict):
-        table = {}
-        for sig, rows in p["leader_objective"]["table"].items():
-            table[sig] = {tuple(k.split(" ")): v for k, v in rows.items()}
-
-        def objective(g, signal, profile):
-            return table[signal][tuple(profile)]
-
-    report = stackelberg_solve(game, tuple(p["candidates"]), mode=p["mode"],
+def _run_stackelberg(cfg, game, candidates, mode, objective):
+    report = stackelberg_solve(game, candidates, mode=mode,
                                leader_objective=objective)
     follower = None
     for out in report.outcomes:
@@ -839,7 +784,7 @@ def _run_stackelberg(cfg: ScenarioConfig) -> RunRecord:
                     follower = list(eq)
                     break
             break
-    summary = {"mode": p["mode"], "signal": report.best_candidate,
+    summary = {"mode": mode, "signal": report.best_candidate,
                "leader_value": report.leader_value,
                "follower_profile": follower,
                "skipped_signals": [o.candidate for o in report.outcomes
@@ -854,15 +799,10 @@ def _run_stackelberg(cfg: ScenarioConfig) -> RunRecord:
                                rows),))
 
 
-def _run_wardrop(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    edges = tuple(netmod.Edge(e["tail"], e["head"], e["a"], e["b"])
-                  for e in p["edges"])
-    net = netmod.CongestionNetwork(edges, p["origin"], p["destination"],
-                                   p["demand"])
-    eq = netmod.wardrop_equilibrium(net)
-    so = netmod.system_optimum(net)
-    poa = netmod.price_of_anarchy(net)
+def _run_wardrop(cfg, network, extra_edge, tolls):
+    eq = netmod.wardrop_equilibrium(network)
+    so = netmod.system_optimum(network)
+    poa = netmod.price_of_anarchy(network)
     summary = {"equilibrium_cost": eq.total_cost,
                "equilibrium_per_unit_cost": eq.per_unit_cost,
                "optimum_cost": so.total_cost,
@@ -879,40 +819,30 @@ def _run_wardrop(cfg: ScenarioConfig) -> RunRecord:
                        path_rows(eq)),
               Table.of("optimum_paths", ("path", "flow", "latency"),
                        path_rows(so))]
-    if "extra_edge" in p:
-        e = p["extra_edge"]
-        report = netmod.braess_delta(net, netmod.Edge(e["tail"], e["head"],
-                                                      e["a"], e["b"]))
+    if extra_edge is not None:
+        report = netmod.braess_delta(network, extra_edge)
         summary["augmented_per_unit_cost"] = report.augmented_per_unit_cost
         summary["braess_delta"] = report.delta
         summary["paradox"] = report.delta > 0
-    if p.get("tolls"):
-        toll = netmod.marginal_cost_tolls(net)
+    if tolls:
+        toll = netmod.marginal_cost_tolls(network)
         summary["tolled_latency_cost"] = toll.latency_cost
         summary["tolled_per_unit_cost"] = toll.latency_per_unit_cost
         summary["toll_flow_gap"] = toll.max_edge_flow_gap
         tables.append(Table.of("tolls", ("edge", "toll"),
-                               [(json.dumps([edges[j].tail, edges[j].head]),
-                                 float(toll.tolls[j]))
-                                for j in range(len(edges))]))
+                               [(json.dumps([e.tail, e.head]), float(t))
+                                for e, t in zip(network.edges, toll.tolls)]))
     return RunRecord("wardrop", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
-def _run_incentive(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    game = _build_game(p["game"])
-    budget = BudgetSpec(limit=p["budget"]["limit"], delta=p["budget"]["delta"],
-                        horizon=(None if p["budget"]["horizon"] == "infinite"
-                                 else p["budget"]["horizon"]))
-    signal = game.resolve_signal(p.get("signal"))
-    design = design_incentive(game, tuple(p["target"]),
-                              baseline=tuple(p["baseline"]), budget=budget,
+def _run_incentive(cfg, game, target, baseline, budget, signal):
+    design = design_incentive(game, target, baseline=baseline, budget=budget,
                               signal=signal)
     summary = {"status": design.status,
-               "target": list(p["target"]), "baseline": list(p["baseline"])}
+               "target": list(target), "baseline": list(baseline)}
     tables = []
     if design.status == "ok":
-        payments = design.schedule.per_agent(game, tuple(p["target"]), signal)
+        payments = design.schedule.per_agent(game, target, signal)
         summary["payments"] = _py(payments)
         summary["per_period_spend"] = design.per_period_spend
         summary["discounted_spend"] = design.discounted_spend
@@ -924,32 +854,14 @@ def _run_incentive(cfg: ScenarioConfig) -> RunRecord:
     return RunRecord("incentive", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
-def _run_resilience(cfg: ScenarioConfig) -> RunRecord:
-    p = cfg.payload
-    if isinstance(p["initial_values"], dict):
-        r = p["initial_values"]["random"]
-        rng = np.random.default_rng([cfg.seed, 0x1F])
-        initial = rng.uniform(r["low"], r["high"], size=r["n"])
-    else:
-        initial = np.asarray(p["initial_values"], dtype=float)
-    n = initial.shape[0]
-    trust = (TrustMatrix.uniform(n) if p["trust"] == "uniform"
-             else TrustMatrix.from_weights(np.asarray(p["trust"], dtype=float)))
-    defense = DefenseSpec(trim_f=p["defense"]["trim"],
-                          trust_eta=p["defense"].get("trust_eta"))
-    adversary = None
-    if "adversary" in p:
-        a = p["adversary"]
-        adversary = AdversaryModel(
-            compromised=tuple(a["agents"]), kind=a["kind"],
-            value=a.get("value", 0.0), lag=a.get("lag", 1),
-            drop_prob=a.get("drop_prob", 0.5),
-            window=tuple(a.get("window", (0, p["horizon"]))))
-    scenario = ConsensusScenario(initial_values=tuple(float(v) for v in initial),
+def _run_resilience(cfg, initial, trust, horizon, defense, adversary):
+    values = initial(cfg.seed)
+    n = len(values)
+    scenario = ConsensusScenario(initial_values=tuple(float(v) for v in values),
                                  trust=trust)
-    run = run_consensus_scenario(scenario, p["horizon"], defense,
+    run = run_consensus_scenario(scenario, horizon, defense,
                                  adversary=adversary, seed=cfg.seed)
-    summary = {"horizon": p["horizon"], "agents": n,
+    summary = {"horizon": horizon, "agents": n,
                "final_values": _py(run.values[-1]),
                "final_diameter": float(run.metrics.diameter_series[-1]),
                "max_honest_deviation": run.metrics.max_honest_deviation,
@@ -964,14 +876,44 @@ def _run_resilience(cfg: ScenarioConfig) -> RunRecord:
                      (Table.of("values", cols, rows),))
 
 
-_RUNNERS = {"coop": _run_coop, "match": _run_match, "nash": _run_nash,
-            "learn": _run_learn, "ttscale": _run_ttscale,
-            "stackelberg": _run_stackelberg, "wardrop": _run_wardrop,
-            "incentive": _run_incentive, "resilience": _run_resilience}
+# --- kind registry -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """One scenario kind.
+
+    `validate(node, path)` checks the kind's block and returns it normalized
+    together with the runner's keyword inputs; `run(cfg, **inputs)` calls
+    the kernels and shapes the RunRecord. A stochastic kind needs a seed.
+    """
+    validate: object
+    run: object
+    help: str
+    stochastic: bool = False
+
+
+REGISTRY = {
+    "coop": Kind(_v_coop, _run_coop, "coalition values: Shapley, core, nucleolus"),
+    "match": Kind(_v_match, _run_match, "two-sided matching via deferred acceptance"),
+    "nash": Kind(_v_nash, _run_nash, "pure equilibria, welfare and price of anarchy"),
+    "learn": Kind(_v_learn, _run_learn, "learning dynamics on a strategic game", True),
+    "ttscale": Kind(_v_ttscale, _run_ttscale,
+                    "slow coordinator over fast learning epochs", True),
+    "stackelberg": Kind(_v_stackelberg, _run_stackelberg,
+                        "leader signal choice against follower equilibria"),
+    "wardrop": Kind(_v_wardrop, _run_wardrop,
+                    "routing equilibrium, optimum, Braess delta, tolls"),
+    "incentive": Kind(_v_incentive, _run_incentive,
+                      "minimal transfers making a target profile stable"),
+    "resilience": Kind(_v_resilience, _run_resilience,
+                       "consensus under adversarial reports", True),
+}
+KINDS = tuple(REGISTRY)
+STOCHASTIC_KINDS = tuple(k for k, spec in REGISTRY.items() if spec.stochastic)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunRecord:
-    return _RUNNERS[cfg.kind](cfg)
+    return REGISTRY[cfg.kind].run(cfg, **cfg.payload)
 
 
 # --- export ----------------------------------------------------------------------
@@ -1001,7 +943,6 @@ def _json_value(value):
             return "NaN"
         if math.isinf(value):
             return "Infinity" if value > 0 else "-Infinity"
-        return float("%.17g" % value)
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
     if isinstance(value, dict):
@@ -1021,7 +962,7 @@ def record_to_csv(record: RunRecord) -> dict:
     """CSV texts keyed by file stem suffix: summary plus one per table.
 
     Comma delimiter, dot decimal, header row, LF endings; an empty table
-    yields a header-only file.
+    yields a header-only file. Floats carry 17 significant digits.
     """
     out = {}
     lines = ["key,value"]
@@ -1042,8 +983,9 @@ def record_to_jsonl(record: RunRecord) -> dict:
     """JSON-lines texts keyed by file stem suffix, one record per line.
 
     The summary file holds a single object; table files hold one object per
-    row keyed by column name. Floats carry 17 significant digits so parsing
-    them back reproduces the doubles exactly.
+    row keyed by column name. Floats are written as the shortest repr that
+    reads back to the same double (`0.1`, not 17 digits), so parsing them
+    back reproduces the doubles exactly.
     """
     out = {}
     header = {"kind": record.kind, "digest": record.digest,

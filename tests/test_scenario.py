@@ -61,6 +61,50 @@ def test_schema_error_paths_are_dotted():
         parse_scenario("kind: [unclosed")
     assert "syntax error" in err.value.message
 
+    def fixture(name):
+        return yaml.safe_load((FIXTURES / f"{name}.yaml").read_text())
+
+    nan_payoff = fixture("nash")
+    nan_payoff["nash"]["game"]["payoffs"][1]["values"][0] = float("nan")
+    inf_slope = fixture("wardrop")
+    inf_slope["wardrop"]["edges"][0]["b"] = float("inf")
+    nan_value = fixture("coop")
+    nan_value["coop"]["values"][0]["value"] = float("nan")
+    spaced = fixture("nash")
+    game = spaced["nash"]["game"]
+    game["actions"] = [["go left", "D"], ["go left", "D"]]
+    for entry in game["payoffs"]:
+        entry["profile"] = ["go left" if a == "C" else a for a in entry["profile"]]
+    incentive_label = fixture("ttscale")
+    incentive_label["ttscale"]["incentives"] = [
+        {"profile": ["zz", "a"], "values": [1, 1], "signal": "lo"}]
+    leader_profile = fixture("stackelberg")
+    leader_profile["stackelberg"].update(
+        game=fixture("nash")["nash"]["game"], candidates=["default"],
+        leader_objective={"table": {"default": [{"profile": ["zz"], "value": 1}]}})
+    trust = fixture("resilience")
+    trust["resilience"]["trust"] = [[0.5] * 6] * 6
+    nash_signal = fixture("nash")
+    nash_signal["nash"]["signal"] = "zz"
+    incentive_signal = fixture("incentive")
+    incentive_signal["incentive"]["signal"] = "zz"
+    for doc, path in ((nan_payoff, "nash.game.payoffs[1].values[0]"),
+                      (inf_slope, "wardrop.edges[0].b"),
+                      (nan_value, "coop.values[0].value"),
+                      (spaced, "nash.game.actions[0][0]"),
+                      (incentive_label, "ttscale.incentives[0].profile[0]"),
+                      (leader_profile,
+                       "stackelberg.leader_objective.table.default[0].profile"),
+                      (trust, "resilience.trust"),
+                      (nash_signal, "nash.signal"),
+                      (incentive_signal, "incentive.signal")):
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(yaml.safe_dump(doc))
+        assert err.value.path == path
+    with pytest.raises(SchemaError) as err:
+        load("learn", seed_override=-5)
+    assert err.value.path == "seed"
+
 
 def test_schema_checks_payoff_tables():
     doc = yaml.safe_load((FIXTURES / "nash.yaml").read_text())
