@@ -196,9 +196,7 @@ def parse_scenario(text: str, seed_override=None) -> ScenarioConfig:
 # digest, and the runner's keyword inputs.
 
 def _validate_profile_entries(entries, actions, path):
-    full = 1
-    for a in actions:
-        full *= len(a)
+    full = math.prod(len(a) for a in actions)
     table = {}
     for e_idx, entry in enumerate(_need_list(entries, path, min_len=1)):
         epath = f"{path}[{e_idx}]"
@@ -371,6 +369,8 @@ def _v_learn(node, path):
                    for i, s in enumerate(_need_list(sched, spath, 1))]
             block["signal_schedule"] = seq
             schedule = lambda t: seq[(t - 1) % len(seq)]
+    else:                            # only a one-signal game runs without one
+        _need_signal(None, f"{path}.signal_schedule", game)
     if "gap_stride" in node:
         block["gap_stride"] = _need_int(node["gap_stride"], f"{path}.gap_stride", 1)
     return block, {"game": game, "specs": specs, "horizon": horizon,
