@@ -81,11 +81,13 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    jobs = max(1, args.jobs)
     tasks = [(args.command, path, args.seed, args.out, args.format)
              for path in args.config]
+    # The pool forks every worker up front: never more than there are
+    # configs or CPUs.
+    jobs = max(1, min(args.jobs, len(tasks), os.cpu_count() or 1))
     try:
-        if jobs == 1 or len(tasks) == 1:
+        if jobs == 1:
             results = [_run_one(*t) for t in tasks]
         else:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,9 +1,23 @@
 """Dense two-phase simplex with Bland's anti-cycling rule.
 
-Small deterministic LP kernel backing core membership, nucleolus stages and
-transfer synthesis. Problems here are tiny (tens of rows), so the solver
-favors exactness and reproducibility over speed: dense numpy tableau, no
-scaling, no presolve, smallest-index pivoting throughout.
+Deterministic LP kernel backing core membership, nucleolus stages and
+transfer synthesis. It favors exactness and reproducibility over speed:
+dense numpy tableau, no scaling, no presolve, smallest-index pivoting
+throughout (Bland's rule for the entering column and for ties in the ratio
+test). The core LP of an n-agent game has 2^n - 1 rows, so the tableau
+reaches thousands of rows, but each pivot is sparse: a rank-one update of
+only the rows with a nonzero in the entering column and the columns with a
+nonzero in the pivot row (a median of 18 of 526 columns on an n = 8 core
+LP). It makes the same pivots, and gives the same bits, as updating every
+full row.
+
+Capacity: `solve_lp` raises CapacityError, before allocating, when the
+standard-form tableau would exceed MAX_TABLEAU_BYTES (512 MiB). The core
+LP fits up to n = 12 (4095 x 8214, 257 MiB) and fails at n = 13 (8191 x
+16408, 1025 MiB); the first nucleolus stage at the nucleolus cap n = 12 is
+4095 x 8215. Besides the tableau, a solve keeps a copy of its structural
+and slack columns for the duals, and briefly a second copy of the tableau
+when it drops redundant equality rows.
 
 Conventions:
   * variables default to x >= 0; bounds may open either side (use -inf/+inf),
@@ -15,15 +29,16 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationLimitError
+from .errors import CapacityError, IterationLimitError
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
 MAX_PIVOTS = 10_000
+MAX_TABLEAU_BYTES = 512 * 2 ** 20
 
 _SENSES = ("<=", ">=", "==")
 
@@ -81,15 +96,42 @@ class _Tableau:
         self.basis = basis  # basic column index per row
 
     def pivot(self, row, col):
-        piv = self.a[row, col]
-        self.a[row] /= piv
-        self.b[row] /= piv
-        for r in range(self.a.shape[0]):
-            if r != row and abs(self.a[r, col]) > 0.0:
-                f = self.a[r, col]
-                self.a[r] -= f * self.a[row]
-                self.b[r] -= f * self.b[row]
+        """Eliminate `col` from every other row with one rank-one update of
+        the block of rows with a nonzero in `col` and columns with a nonzero
+        in the pivot row; elsewhere the update would subtract a zero."""
+        a, b = self.a, self.b
+        piv = a[row, col]
+        a[row] /= piv
+        b[row] /= piv
+        f = a[:, col].copy()
+        f[row] = 0.0
+        rows = np.flatnonzero(np.abs(f) > 0.0)
+        if rows.size:
+            f = f[rows]
+            prow = a[row]
+            cols = np.flatnonzero(prow)
+            # Gathering whole columns and then rows is faster than one
+            # np.ix_ gather; the other rows are written back unchanged.
+            block = a[:, cols]
+            block[rows] -= np.multiply.outer(f, prow[cols])
+            a[:, cols] = block
+            b[rows] -= f * b[row]
         self.basis[row] = col
+
+    def _leaving_row(self, rows, ratios):
+        """Bland's ratio test over the rows with a positive pivot-column
+        entry, scanned in row order: a ratio lower by more than PIVOT_TOL
+        wins, and within PIVOT_TOL the smaller basic index wins."""
+        basic = self.basis[rows].tolist()
+        leave = -1
+        best = np.inf
+        for i, ratio in enumerate(ratios.tolist()):
+            if ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL
+                    and (leave < 0 or basic[i] < basic[leave])):
+                best = ratio
+                leave = i
+        return int(rows[leave])
 
     def run(self, cost, allowed, budget):
         """Bland simplex on `cost` restricted to `allowed` columns.
@@ -97,41 +139,28 @@ class _Tableau:
         Returns (status, pivots_used). status is "optimal" or "unbounded".
         """
         used = 0
-        m = self.a.shape[0]
         while True:
-            cb = cost[self.basis]
-            red = cost - cb @ self.a
-            enter = -1
-            for j in np.flatnonzero(allowed):
-                if red[j] < -PIVOT_TOL:
-                    enter = int(j)
-                    break
-            if enter < 0:
+            red = cost - cost[self.basis] @ self.a
+            entering = np.flatnonzero(allowed & (red < -PIVOT_TOL))
+            if not entering.size:
                 return "optimal", used
             if used >= budget:
                 raise IterationLimitError(
                     f"simplex exceeded {MAX_PIVOTS} pivots")
+            enter = int(entering[0])
             col = self.a[:, enter]
-            leave = -1
-            best = np.inf
-            for r in range(m):
-                if col[r] > PIVOT_TOL:
-                    ratio = self.b[r] / col[r]
-                    if ratio < best - PIVOT_TOL or (
-                            abs(ratio - best) <= PIVOT_TOL
-                            and (leave < 0 or self.basis[r] < self.basis[leave])):
-                        best = ratio
-                        leave = r
-            if leave < 0:
+            rows = np.flatnonzero(col > PIVOT_TOL)
+            if not rows.size:
                 return "unbounded", used
-            self.pivot(leave, enter)
+            self.pivot(self._leaving_row(rows, self.b[rows] / col[rows]), enter)
             used += 1
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve a small dense LP. Deterministic for identical inputs.
+    """Solve a dense LP. Deterministic for identical inputs.
 
-    Raises IterationLimitError past 10,000 pivots (phases combined) and
+    Raises IterationLimitError past 10,000 pivots (phases combined),
+    CapacityError when the tableau would exceed MAX_TABLEAU_BYTES, and
     ValueError on dimension mismatches.
     """
     c, a, senses, b, lo, hi = _validate(lp)
@@ -158,81 +187,62 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if s != 0.0:
             shift[j] = s
 
-    a_std = np.zeros((m, k))
-    c_std = np.zeros(k)
-    for idx, (j, _, d) in enumerate(cols):
-        a_std[:, idx] = d * a[:, j]
-        c_std[idx] = d * c[j]
+    # Finite two-sided bounds become explicit rows y_idx <= hi - lo.
+    boxed = [idx for idx, (j, _, d) in enumerate(cols)
+             if d > 0 and lo[j] > -np.inf and hi[j] < np.inf]
     b_std = b - a @ shift
-    row_sense = list(senses)
-    row_map = list(range(m))    # original row index, -1 for bound rows
+    if boxed:
+        b_std = np.concatenate(
+            [b_std, [hi[cols[idx][0]] - lo[cols[idx][0]] for idx in boxed]])
+    m_std = m + len(boxed)
+    row_sense = list(senses) + ["<="] * len(boxed)
+    row_map = list(range(m)) + [-1] * len(boxed)   # -1 for bound rows
 
-    # Finite two-sided bounds become explicit rows y_j <= hi - lo.
-    extra = []
-    for idx, (j, s, d) in enumerate(cols):
-        if d > 0 and lo[j] > -np.inf and hi[j] < np.inf:
-            row = np.zeros(k)
-            row[idx] = 1.0
-            extra.append((row, hi[j] - lo[j]))
-    if extra:
-        a_std = np.vstack([a_std] + [r for r, _ in extra])
-        b_std = np.concatenate([b_std, [v for _, v in extra]])
-        row_sense += ["<="] * len(extra)
-        row_map += [-1] * len(extra)
-    m_std = a_std.shape[0]
-
+    # Rows with a negative rhs are negated.
+    neg = np.flatnonzero(b_std < 0)
+    b_std[neg] = -b_std[neg]
     flip = np.ones(m_std)
-    for r in range(m_std):
-        if b_std[r] < 0:
-            a_std[r] = -a_std[r]
-            b_std[r] = -b_std[r]
-            flip[r] = -1.0
-            if row_sense[r] == "<=":
-                row_sense[r] = ">="
-            elif row_sense[r] == ">=":
-                row_sense[r] = "<="
+    flip[neg] = -1.0
+    for r in neg:
+        row_sense[r] = {"<=": ">=", ">=": "<=", "==": "=="}[row_sense[r]]
 
-    # Append slack/surplus then artificial columns; remember starting basis.
-    slack_cols = []
-    art_cols = []
-    blocks = [a_std]
-    width = k
-    for r in range(m_std):
-        if row_sense[r] == "<=":
-            col = np.zeros((m_std, 1)); col[r, 0] = 1.0
-            blocks.append(col)
-            slack_cols.append((r, width)); width += 1
-        elif row_sense[r] == ">=":
-            col = np.zeros((m_std, 1)); col[r, 0] = -1.0
-            blocks.append(col)
-            slack_cols.append((r, width)); width += 1
-    n_real = width
-    for r in range(m_std):
-        if row_sense[r] != "<=":
-            col = np.zeros((m_std, 1)); col[r, 0] = 1.0
-            blocks.append(col)
-            art_cols.append((r, width)); width += 1
-    full = np.hstack(blocks)
+    # Layout: k structural columns, one slack/surplus column per inequality
+    # row, one artificial column per row not of the form <=.
+    slack_rows = [r for r in range(m_std) if row_sense[r] != "=="]
+    art_rows = [r for r in range(m_std) if row_sense[r] != "<="]
+    n_real = k + len(slack_rows)
+    width = n_real + len(art_rows)
+    need = m_std * width * 8
+    if need > MAX_TABLEAU_BYTES:
+        raise CapacityError(
+            f"LP tableau of {m_std} x {width} needs {need / 2 ** 20:.0f} MiB, "
+            f"over the {MAX_TABLEAU_BYTES // 2 ** 20} MiB limit")
 
-    basis = np.full(m_std, -1, dtype=int)
-    for r, jcol in slack_cols:
-        if row_sense[r] == "<=":
-            basis[r] = jcol
-    for r, jcol in art_cols:
-        basis[r] = jcol
+    full = np.zeros((m_std, width))
+    cost2 = np.zeros(width)
+    for idx, (j, _, d) in enumerate(cols):
+        full[:m, idx] = d * a[:, j]
+        cost2[idx] = d * c[j]
+    full[m + np.arange(len(boxed)), boxed] = 1.0
+    full[neg, :k] = -full[neg, :k]
+    full[slack_rows, k + np.arange(len(slack_rows))] = [
+        1.0 if row_sense[r] == "<=" else -1.0 for r in slack_rows]
+    full[art_rows, n_real + np.arange(len(art_rows))] = 1.0
+
+    # A <= row starts with its slack basic, any other row its artificial.
+    basis = np.empty(m_std, dtype=int)
+    basis[slack_rows] = np.arange(k, n_real)
+    basis[art_rows] = np.arange(n_real, width)
 
     pristine = full[:, :n_real].copy()   # for dual recovery
-    cost2 = np.zeros(width)
-    cost2[:k] = c_std
 
-    tab = _Tableau(full.copy(), b_std.copy(), basis)
+    tab = _Tableau(full, b_std, basis)
     pivots = 0
 
     # Phase 1: price out artificials.
-    if art_cols:
+    if art_rows:
         cost1 = np.zeros(width)
-        for _, jcol in art_cols:
-            cost1[jcol] = 1.0
+        cost1[n_real:] = 1.0
         allowed = np.ones(width, dtype=bool)
         status, used = tab.run(cost1, allowed, MAX_PIVOTS)
         pivots += used
@@ -240,17 +250,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if phase1 > FEAS_TOL:
             return LpSolution("infeasible", None, None, pivots)
         # Drive leftover artificials out of the basis; drop redundant rows.
-        art_set = {jcol for _, jcol in art_cols}
         drop = []
         for r in range(m_std):
-            if tab.basis[r] in art_set:
-                piv_col = -1
-                for j in range(n_real):
-                    if abs(tab.a[r, j]) > PIVOT_TOL:
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    tab.pivot(r, piv_col)
+            if tab.basis[r] >= n_real:
+                nonzero = np.flatnonzero(np.abs(tab.a[r, :n_real]) > PIVOT_TOL)
+                if nonzero.size:
+                    tab.pivot(r, int(nonzero[0]))
                     pivots += 1
                 else:
                     drop.append(r)

@@ -160,10 +160,16 @@ class ScenarioConfig:
     digest: str
 
 
+# libyaml's parser where PyYAML was built with it. Both loaders share the
+# resolver and SafeConstructor, so they build equal documents; only the
+# wording of syntax errors differs.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_scenario(text: str, seed_override=None) -> ScenarioConfig:
     """Parse + validate a YAML scenario document (strict keys, typed values)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

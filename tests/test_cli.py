@@ -1,7 +1,11 @@
 """Exit codes, flag handling and file outputs of the stgames command."""
 
+import concurrent.futures
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +82,62 @@ def test_capacity_exit_code(tmp_path, capsys):
     big.write_text(f"kind: match\nmatch:\n  left:\n{rows}\n  right:\n{rows}\n")
     assert cli.main(["match", "--config", str(big), "--quiet"]) == cli.EXIT_CAPACITY
     assert "error:" in capsys.readouterr().err
+
+
+def test_lp_capacity_exits_before_allocating(tmp_path):
+    # 14 agents with every other coalition worth 0: the core LP would be a
+    # 16383 x 32794 tableau (4 GiB). The child may not map 2 GiB, so a
+    # guard that failed to fire shows as a MemoryError, not a swapping host.
+    resource = pytest.importorskip("resource")
+    big = tmp_path / "coop14.yaml"
+    big.write_text("kind: coop\ncoop:\n  agents: 14\n  compute: [core]\n"
+                   "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
+    paths = [str(pathlib.Path(cli.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "stgames.cli", "coop", "--config", str(big),
+         "--quiet"], env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=cap_memory)
+    assert proc.returncode == cli.EXIT_CAPACITY, proc.stderr
+    assert "error: LP tableau of 16383 x 32794" in proc.stderr
+
+
+def test_jobs_clamped_to_configs_and_cpus(monkeypatch):
+    started = []
+
+    class NoPool:
+        """Records the worker count and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    argv = ["coop", "--quiet", "--jobs", "500"]
+    for _ in range(3):
+        argv += ["--config", fx("coop")]
+    for cpus, workers in ((2, [2]), (64, [3]), (None, []), (1, [])):
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert started == workers
+    started.clear()
+    assert cli.main(argv + ["--jobs", "0"]) == cli.EXIT_OK
+    assert started == []
 
 
 def test_computation_exit_code(monkeypatch, capsys):

@@ -1,9 +1,12 @@
-"""LP kernel tests: hand problems, duality, degeneracy, validation."""
+"""LP kernel tests: hand problems, duality, degeneracy, validation, the
+sparse pivot against a row-by-row reference, and HiGHS as an oracle."""
 
 import numpy as np
 import pytest
 
-from stgames.lp import LinearProgram, LpSolution, solve_lp
+from stgames import coop, lp as lpmod
+from stgames.errors import CapacityError, IterationLimitError
+from stgames.lp import PIVOT_TOL, LinearProgram, LpSolution, solve_lp
 
 
 def _lp(c, a, senses, b, **kw):
@@ -152,3 +155,232 @@ def test_solution_reports_iterations():
     sol = solve_lp(_lp([-1, -2], [[1, 1]], ["<="], [4]))
     assert isinstance(sol, LpSolution)
     assert sol.iterations >= 1
+
+
+class _LoopTableau:
+    """The row-by-row kernel the sparse one replaced, kept as a reference:
+    each pivot updates every row in Python, and the entering column and the
+    ratio test are Python scans."""
+
+    def __init__(self, a, b, basis):
+        self.a = a
+        self.b = b
+        self.basis = basis
+
+    def pivot(self, row, col):
+        piv = self.a[row, col]
+        self.a[row] /= piv
+        self.b[row] /= piv
+        for r in range(self.a.shape[0]):
+            if r != row and abs(self.a[r, col]) > 0.0:
+                f = self.a[r, col]
+                self.a[r] -= f * self.a[row]
+                self.b[r] -= f * self.b[row]
+        self.basis[row] = col
+
+    def run(self, cost, allowed, budget):
+        used = 0
+        m = self.a.shape[0]
+        while True:
+            cb = cost[self.basis]
+            red = cost - cb @ self.a
+            enter = -1
+            for j in np.flatnonzero(allowed):
+                if red[j] < -PIVOT_TOL:
+                    enter = int(j)
+                    break
+            if enter < 0:
+                return "optimal", used
+            if used >= budget:
+                raise IterationLimitError("reference exceeded its pivots")
+            col = self.a[:, enter]
+            leave = -1
+            best = np.inf
+            for r in range(m):
+                if col[r] > PIVOT_TOL:
+                    ratio = self.b[r] / col[r]
+                    if ratio < best - PIVOT_TOL or (
+                            abs(ratio - best) <= PIVOT_TOL
+                            and (leave < 0 or self.basis[r] < self.basis[leave])):
+                        best = ratio
+                        leave = r
+            if leave < 0:
+                return "unbounded", used
+            self.pivot(leave, enter)
+            used += 1
+
+
+def _bits(sol):
+    """Everything solve_lp reports, as exact bytes."""
+    def raw(v):
+        return None if v is None else np.asarray(v, dtype=float).tobytes()
+    return sol.status, sol.iterations, raw(sol.x), raw(sol.objective), raw(sol.duals)
+
+
+def _assert_same_as_reference(lp, monkeypatch):
+    sparse = solve_lp(lp)
+    with monkeypatch.context() as patch:
+        patch.setattr(lpmod, "_Tableau", _LoopTableau)
+        loop = solve_lp(lp)
+    assert _bits(sparse) == _bits(loop)
+    return sparse.status
+
+
+def _random_lp(rng):
+    """A dense LP with mixed senses and free, one-sided and two-sided
+    bounds. Integer data and zero slack make many of them degenerate, and
+    an unrelated rhs makes many infeasible or unbounded."""
+    m = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 9))
+    a = rng.normal(size=(m, n))
+    a[rng.random((m, n)) < 0.3] = 0.0
+    if rng.random() < 0.3:
+        a = np.round(a)
+    senses = rng.choice(["<=", ">=", "=="], size=m)
+    lo = np.zeros(n)
+    hi = np.full(n, np.inf)
+    for j in range(n):
+        kind = rng.integers(0, 4)
+        if kind == 1:
+            lo[j] = -np.inf
+        elif kind == 2:
+            lo[j], hi[j] = -np.inf, rng.uniform(0.0, 3.0)
+        elif kind == 3:
+            lo[j] = rng.uniform(-2.0, 0.0)
+            hi[j] = lo[j] + rng.uniform(0.0, 3.0)
+    x0 = np.clip(rng.uniform(-1.0, 2.0, size=n), lo, hi)
+    gap = rng.uniform(0.0, 1.0, size=m) * (rng.random() < 0.7)
+    b = a @ x0 + np.select([senses == "<=", senses == ">="], [gap, -gap], 0.0)
+    if rng.random() < 0.2:
+        b = rng.normal(size=m)
+    return LinearProgram(rng.normal(size=n), a, tuple(senses), b, lower=lo,
+                         upper=hi, maximize=bool(rng.random() < 0.3))
+
+
+def test_capacity_guard_uses_the_tableau_shape(monkeypatch):
+    # The guard computes the tableau's shape before allocating it; at a
+    # limit of exactly that many bytes the solve runs, one byte less fails.
+    rng = np.random.default_rng(8)
+    tableau = lpmod._Tableau
+    for _ in range(20):
+        lp = _random_lp(rng)
+        shapes = []
+
+        def spy(a, b, basis):
+            shapes.append(a.shape)
+            return tableau(a, b, basis)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmod, "_Tableau", spy)
+            solve_lp(lp)
+        rows, cols = shapes[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmod, "MAX_TABLEAU_BYTES", rows * cols * 8)
+            solve_lp(lp)
+            patch.setattr(lpmod, "MAX_TABLEAU_BYTES", rows * cols * 8 - 1)
+            with pytest.raises(CapacityError, match=f"{rows} x {cols}"):
+                solve_lp(lp)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sparse_pivots_match_the_loop_kernel_bit_for_bit(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    statuses = [_assert_same_as_reference(_random_lp(rng), monkeypatch)
+                for _ in range(150)]
+    assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
+
+
+def test_degenerate_lps_match_the_loop_kernel_bit_for_bit(monkeypatch):
+    beale = _lp([-0.75, 150.0, -0.02, 6.0],
+                [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0],
+                 [0.0, 0.0, 1.0, 0.0]], ["<=", "<=", "<="], [0.0, 0.0, 1.0])
+    duplicate = _lp([1, 1], [[1, 1], [1, 1]], ["==", "=="], [2, 2])
+    # Many rows through the origin: every ratio ties at 0.
+    rng = np.random.default_rng(5)
+    fan = _lp(-np.ones(4), np.vstack([np.round(rng.normal(size=(12, 4))),
+                                      np.ones(4)]), ["<="] * 13, np.zeros(13))
+    for lp in (beale, duplicate, fan):
+        assert _assert_same_as_reference(lp, monkeypatch) == "optimal"
+
+
+def _coop_lps(rng, n, monkeypatch):
+    """The core LP and every nucleolus-stage LP of a random n-agent game."""
+    values = {m: float(rng.uniform(0.0, 1.0) * bin(m).count("1"))
+              for m in range(1, 1 << n)}
+    game = coop.CoalitionGame.from_dict(n, values)
+    seen = []
+
+    def record(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coop, "solve_lp", record)
+        coop.core_nonempty(game)
+        coop.nucleolus(game)
+    return seen
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_coalition_lps_match_the_loop_kernel_bit_for_bit(n, monkeypatch):
+    lps = _coop_lps(np.random.default_rng(40 + n), n, monkeypatch)
+    assert len(lps) >= 2
+    for lp in lps:
+        assert _assert_same_as_reference(lp, monkeypatch) == "optimal"
+
+
+def _highs_optimum(lp):
+    optimize = pytest.importorskip("scipy.optimize")
+    a = np.asarray(lp.lhs, dtype=float)
+    senses = np.asarray(lp.senses)
+    ineq = senses != "=="
+    sign = np.where(senses == ">=", -1.0, 1.0)[ineq]
+    n = a.shape[1]
+    lo = np.zeros(n) if lp.lower is None else lp.lower
+    hi = np.full(n, np.inf) if lp.upper is None else lp.upper
+    res = optimize.linprog(
+        -lp.objective if lp.maximize else lp.objective,
+        A_ub=sign[:, None] * a[ineq], b_ub=sign * lp.rhs[ineq],
+        A_eq=a[~ineq], b_eq=lp.rhs[~ineq],
+        bounds=[(None if np.isinf(l) else l, None if np.isinf(h) else h)
+                for l, h in zip(lo, hi)], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun if lp.maximize else res.fun
+
+
+def _bounded_lp(rng):
+    """Feasible by construction (b from a point inside the bounds), and
+    bounded because each variable's bound stops the direction its cost
+    rewards."""
+    m = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 7))
+    a = rng.normal(size=(m, n))
+    senses = rng.choice(["<=", ">=", "=="], size=m)
+    c = rng.normal(size=n)
+    lo = np.where(c >= 0, -rng.uniform(0.0, 2.0, size=n), -np.inf)
+    hi = np.where(c < 0, rng.uniform(0.0, 2.0, size=n), np.inf)
+    boxed = rng.random(n) < 0.3
+    lo[boxed] = -2.0
+    hi[boxed] = 2.0
+    x0 = np.clip(rng.uniform(-1.0, 1.0, size=n), lo, hi)
+    gap = rng.uniform(0.0, 1.0, size=m)
+    b = a @ x0 + np.select([senses == "<=", senses == ">="], [gap, -gap], 0.0)
+    return LinearProgram(c, a, tuple(senses), b, lower=lo, upper=hi)
+
+
+def test_optimum_matches_highs_on_random_lps():
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        lp = _bounded_lp(rng)
+        want = _highs_optimum(lp)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal", f"trial {trial}"
+        assert sol.objective == pytest.approx(want, rel=1e-9, abs=1e-9), f"trial {trial}"
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_core_optimum_matches_highs(n, monkeypatch):
+    lp = _coop_lps(np.random.default_rng(n), n, monkeypatch)[0]
+    assert lp.lhs.shape == ((1 << n) - 1, n)
+    sol = solve_lp(lp)
+    assert sol.objective == pytest.approx(_highs_optimum(lp), rel=1e-9, abs=1e-9)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 
 import pytest
 import yaml
@@ -60,6 +61,12 @@ def test_schema_error_paths_are_dotted():
     with pytest.raises(SchemaError) as err:
         parse_scenario("kind: [unclosed")
     assert "syntax error" in err.value.message
+    # libyaml and the pure-Python loader word errors differently (and place
+    # an unclosed flow sequence on different lines) but both give a line.
+    assert re.match(r"syntax error at line \d+: ", err.value.message)
+    with pytest.raises(SchemaError) as err:
+        parse_scenario("kind: coop\ncoop:\n  agents: 3\n    values: []\n")
+    assert err.value.message.startswith("syntax error at line 4: ")
 
     def fixture(name):
         return yaml.safe_load((FIXTURES / f"{name}.yaml").read_text())
