@@ -3,7 +3,9 @@
 One subcommand per scenario kind; every subcommand takes YAML config files
 and shared output options. Exit codes: 0 success, 1 usage or schema problems,
 2 a computation that failed to converge or had no solution, 3 a capacity
-limit (problem too large for the implemented methods).
+limit (problem too large for the implemented methods). Each config reports
+its own outcome, a summary line on stdout or an error line on stderr, and
+the exit code is the largest over the configs.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(kind, path, seed, out_dir, fmt):
-    """Worker body; returns (path, summary dict, written paths)."""
+def _run_config(kind, path, seed, out_dir, fmt):
+    """Parse, run and export one config; returns (summary dict, written paths)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -72,7 +74,39 @@ def _run_one(kind, path, seed, out_dir, fmt):
     if out_dir is not None:
         stem = os.path.splitext(os.path.basename(path))[0]
         written = write_outputs(record, out_dir, stem, fmt=fmt)
-    return path, record.summary, written
+    return record.summary, written
+
+
+def _run_one(kind, path, seed, out_dir, fmt):
+    """Worker body; returns (path, exit code, (summary, written) or message).
+
+    Errors are returned, not raised, so one bad config never hides the
+    results of the others."""
+    try:
+        return path, EXIT_OK, _run_config(kind, path, seed, out_dir, fmt)
+    except CapacityError as exc:
+        return path, EXIT_CAPACITY, str(exc)
+    except ComputationError as exc:
+        return path, EXIT_COMPUTATION, str(exc)
+    except (SchemaError, ValueError, KeyError, OSError) as exc:
+        return path, EXIT_USAGE, str(exc)
+
+
+def _report(results, quiet) -> int:
+    """Print each config's outcome in order; returns the largest exit code."""
+    worst = EXIT_OK
+    for path, code, outcome in results:
+        worst = max(worst, code)
+        if code != EXIT_OK:
+            # The line starts with "error: " and the config goes last, so
+            # a schema error still reads "error: <dotted.path>: ...".
+            print(f"error: {outcome} ({path})", file=sys.stderr)
+        elif not quiet:
+            summary, written = outcome
+            print(f"{path}: {json.dumps(summary, sort_keys=True, default=str)}")
+            for w in written:
+                print(f"  wrote {w}")
+    return worst
 
 
 def main(argv=None) -> int:
@@ -86,31 +120,10 @@ def main(argv=None) -> int:
     # The pool forks every worker up front: never more than there are
     # configs or CPUs.
     jobs = max(1, min(args.jobs, len(tasks), os.cpu_count() or 1))
-    try:
-        if jobs == 1:
-            results = [_run_one(*t) for t in tasks]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run_one, *zip(*tasks)))
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for path, summary, written in results:
-        if not args.quiet:
-            print(f"{path}: {json.dumps(summary, sort_keys=True, default=str)}")
-        for w in written:
-            if not args.quiet:
-                print(f"  wrote {w}")
-    return EXIT_OK
+    if jobs == 1:
+        return _report(map(_run_one, *zip(*tasks)), args.quiet)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return _report(pool.map(_run_one, *zip(*tasks)), args.quiet)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .lp import LinearProgram, solve_lp
 
 MAX_AGENTS = 20
 MAX_NUCLEOLUS_AGENTS = 12
+MAX_PAIR_CHECK_AGENTS = 14   # superadditive/convex scan 4^n coalition pairs
 TOL = 1e-9
 
 
@@ -68,9 +69,17 @@ def _value_array(game: CoalitionGame) -> np.ndarray:
     return np.asarray(game.values, dtype=float)
 
 
+def _pair_check_values(game: CoalitionGame, check: str) -> np.ndarray:
+    """The value array, once the 4^n pair scan of `check` is known to fit."""
+    if game.n > MAX_PAIR_CHECK_AGENTS:
+        raise CapacityError(f"{check} check capped at {MAX_PAIR_CHECK_AGENTS} "
+                            f"agents (4^n coalition pairs), got {game.n}")
+    return _value_array(game)
+
+
 def is_superadditive(game: CoalitionGame) -> bool:
     """v(S) + v(T) <= v(S | T) for every disjoint S, T (tolerance 1e-9)."""
-    v = _value_array(game)
+    v = _pair_check_values(game, "superadditive")
     masks = np.arange(1 << game.n)
     for s in range(1, game.full + 1):
         t = masks[(masks & s) == 0]
@@ -81,7 +90,7 @@ def is_superadditive(game: CoalitionGame) -> bool:
 
 def is_convex(game: CoalitionGame) -> bool:
     """v(S) + v(T) <= v(S | T) + v(S & T) for all S, T (supermodularity)."""
-    v = _value_array(game)
+    v = _pair_check_values(game, "convex")
     masks = np.arange(1 << game.n)
     for s in range(1, game.full + 1):
         if np.any(v[s] + v[masks] > v[s | masks] + v[s & masks] + TOL):

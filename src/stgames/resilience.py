@@ -3,9 +3,15 @@
 Adversaries are Byzantine in what they send, never in what they do: a
 compromised agent runs the same update rule as everyone else, but messages
 it emits inside the activation window are replaced per the attack kind.
-Defense is trimmed trust-weighted averaging (drop the f largest and f
-smallest incoming values) plus optional multiplicative-exponential trust
-reweighting on residuals.
+Defense is trimmed trust-weighted averaging, the MSR-type update of
+LeBlanc, Zhang, Koutsoukos & Sundaram (IEEE JSAC, 2013): drop the f largest
+and f smallest incoming values. Optional multiplicative-exponential trust
+reweighting on residuals comes on top.
+
+A consensus round runs on three arrays: the value vector, the `sent` vector
+after corruption, and one mask `received = trust.adjacency & delivered` of
+the messages that reach each agent. The trajectory array is the replay
+history.
 
 With no adversary, trimming disabled and fixed uniform trust, the pipeline
 reproduces plain averaging bit-identically; attack randomness (channel
@@ -36,6 +42,8 @@ class AdversaryModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}; valid: {KINDS}")
+        if len(set(self.compromised)) != len(self.compromised):
+            raise ValueError(f"repeated compromised ids in {list(self.compromised)}")
         if self.kind == "replay" and self.lag < 1:
             raise ValueError("replay lag must be >= 1")
         if self.kind == "channel-drop" and not 0.0 <= self.drop_prob <= 1.0:
@@ -49,31 +57,29 @@ class AdversaryModel:
         return self.window[0] <= t < self.window[1]
 
 
-def corrupt_reports(adversary: AdversaryModel | None, reports: dict,
-                    history: list, t: int, rng) -> dict:
-    """Apply the attack to messages sent by compromised agents at step t.
+def corrupt_reports(adversary: AdversaryModel | None, values: np.ndarray,
+                    history: np.ndarray, t: int, rng) -> tuple:
+    """Apply the attack to the values broadcast at step t.
 
-    `reports` maps sender -> value (broadcast). `history[s]` is the honest
-    report dict at step s, for replay. Channel drops delete the message.
-    Honest senders always pass through untouched.
+    `values` holds each agent's value at step t and `history[s]` the values
+    at step s <= t, for replay. Returns `(sent, delivered)`: the broadcast
+    vector after corruption and a mask of senders whose message arrives
+    (channel drops clear it). Honest senders always pass through untouched.
     """
+    sent = np.array(values, dtype=float)
+    delivered = np.ones(len(sent), dtype=bool)
     if adversary is None or not adversary.active_at(t):
-        return dict(reports)
-    out = dict(reports)
-    for sender in adversary.compromised:
-        if sender not in out:
-            continue
-        if adversary.kind == "constant-injection":
-            out[sender] = adversary.value
-        elif adversary.kind == "sign-flip":
-            out[sender] = -out[sender]
-        elif adversary.kind == "replay":
-            back = max(0, t - adversary.lag)
-            out[sender] = history[back][sender]
-        else:                        # channel-drop
-            if rng.random() < adversary.drop_prob:
-                del out[sender]
-    return out
+        return sent, delivered
+    bad = list(adversary.compromised)
+    if adversary.kind == "constant-injection":
+        sent[bad] = adversary.value
+    elif adversary.kind == "sign-flip":
+        sent[bad] = -sent[bad]
+    elif adversary.kind == "replay":
+        sent[bad] = history[max(0, t - adversary.lag), bad]
+    else:                            # channel-drop, one draw per sender in order
+        delivered[bad] = rng.random(len(bad)) >= adversary.drop_prob
+    return sent, delivered
 
 
 @dataclass(frozen=True)
@@ -127,51 +133,46 @@ def update_trust(trust: TrustMatrix, residuals: np.ndarray, eta: float) -> Trust
     w = trust.weights * np.exp(-eta * res)
     w[~trust.adjacency] = 0.0
     sums = w.sum(axis=1, keepdims=True)
-    for i in range(w.shape[0]):                 # a starved row falls back to uniform
-        if sums[i, 0] <= 0:
-            w[i, trust.adjacency[i]] = 1.0 / trust.adjacency[i].sum()
-        else:
-            w[i] = w[i] / sums[i, 0]
-    return TrustMatrix(w, trust.adjacency)
+    # a starved row falls back to uniform over its neighbor set
+    uniform = trust.adjacency / trust.adjacency.sum(axis=1, keepdims=True)
+    return TrustMatrix(np.divide(w, sums, out=uniform, where=~(sums <= 0)),
+                       trust.adjacency)
 
 
-def trimmed_consensus_step(reports_for: dict, trust: TrustMatrix, trim_f: int,
-                           agents) -> dict:
-    """One trimmed trust-weighted averaging round.
+def trimmed_consensus_step(sent: np.ndarray, received: np.ndarray,
+                           trust: TrustMatrix, trim_f: int) -> np.ndarray:
+    """One trimmed trust-weighted averaging round; returns the new values.
 
-    `reports_for[i]` maps sender -> value as agent i received them. Each
-    agent drops the trim_f largest and trim_f smallest incoming values
-    (ties broken by sender id) and averages the survivors under its trust
-    weights renormalized to them. Fewer than 2 * trim_f + 1 reports is a
-    domain error.
+    `sent[j]` is sender j's broadcast value and `received[i, j]` marks that
+    it reached agent i (inside i's neighbor set). Each agent drops the
+    trim_f largest and trim_f smallest values it received (ties broken by
+    sender id) and averages the survivors under its trust weights
+    renormalized to them. Fewer than 2 * trim_f + 1 reports is a domain
+    error.
     """
     if trim_f < 0:
         raise ValueError("trim_f must be >= 0")
-    n = trust.weights.shape[0]
-    new_values = {}
-    for i in agents:
-        inbox = [(j, v) for j, v in sorted(reports_for[i].items())
-                 if trust.adjacency[i, j]]
-        if len(inbox) < 2 * trim_f + 1:
-            raise ValueError(
-                f"agent {i}: {len(inbox)} reports cannot survive 2*{trim_f} discards")
+    counts = received.sum(axis=1)
+    short = np.flatnonzero(counts < 2 * trim_f + 1)
+    if short.size:
+        i = short[0]
+        raise ValueError(
+            f"agent {i}: {counts[i]} reports cannot survive 2*{trim_f} discards")
+    full = trust.adjacency.sum(axis=1)
+    new_values = np.empty(len(sent))
+    for i, row in enumerate(received):
+        keep = np.flatnonzero(row)
         if trim_f:
-            order = sorted(inbox, key=lambda jv: (jv[1], jv[0]))
-            cut = {j for j, _ in order[:trim_f]} | {j for j, _ in order[-trim_f:]}
-            survivors = [(j, v) for j, v in inbox if j not in cut]
-        else:
-            survivors = inbox
-        weights = np.asarray([trust.weights[i, j] for j, _ in survivors])
-        values = np.asarray([v for _, v in survivors])
+            ranked = keep[np.lexsort((keep, sent[keep]))]
+            keep = np.sort(ranked[trim_f:-trim_f])
+        weights = trust.weights[i, keep]
         # Full neighbor row intact: use the row as-is so plain averaging is
         # reproduced bit for bit; renormalize only after drops or trimming.
-        if len(survivors) != int(trust.adjacency[i].sum()):
+        if keep.size != full[i]:
             total = weights.sum()
-            if total <= 0:
-                weights = np.full(len(survivors), 1.0 / len(survivors))
-            else:
-                weights = weights / total
-        new_values[i] = float(weights @ values)
+            weights = (np.full(keep.size, 1.0 / keep.size) if total <= 0
+                       else weights / total)
+        new_values[i] = weights @ sent[keep]
     return new_values
 
 
@@ -189,7 +190,7 @@ class ConsensusScenario:
 
 @dataclass(frozen=True)
 class ResilienceMetrics:
-    max_honest_deviation: float | None   # vs the adversary-free run
+    max_honest_deviation: float          # vs the adversary-free run
     diameter_series: tuple               # honest max-min per step (incl. t=0)
     recovery_time: int | None            # steps past window end until the honest
                                          # diameter drops below 1e-3 of its initial value
@@ -202,10 +203,27 @@ class ConsensusRun:
     metrics: ResilienceMetrics
 
 
+def _trajectory(scenario: ConsensusScenario, horizon: int, defense: DefenseSpec,
+                adversary: AdversaryModel | None, seed) -> np.ndarray:
+    """The (horizon + 1) x n value array; row t also serves as replay history."""
+    trust = scenario.trust
+    out = np.empty((horizon + 1, len(scenario.initial_values)))
+    out[0] = scenario.initial_values
+    attack_rng = np.random.default_rng([0 if seed is None else seed, 0xAD])
+    for t in range(horizon):
+        sent, delivered = corrupt_reports(adversary, out[t], out, t, attack_rng)
+        received = trust.adjacency & delivered
+        out[t + 1] = trimmed_consensus_step(sent, received, trust, defense.trim_f)
+        if defense.trust_eta is not None:
+            residuals = np.where(received, sent - out[t + 1][:, None], 0.0)
+            trust = update_trust(trust, residuals, defense.trust_eta)
+    return out
+
+
 def run_consensus_scenario(scenario: ConsensusScenario, horizon: int,
                            defense: DefenseSpec,
                            adversary: AdversaryModel | None = None,
-                           seed=None, compare_nominal: bool = True) -> ConsensusRun:
+                           seed=None) -> ConsensusRun:
     """Trimmed trust-weighted consensus under attack, with recovery metrics.
 
     Every agent broadcasts, messages from compromised agents are corrupted in
@@ -215,8 +233,7 @@ def run_consensus_scenario(scenario: ConsensusScenario, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    vals = np.asarray(scenario.initial_values, dtype=float)
-    n = len(vals)
+    n = len(scenario.initial_values)
     if scenario.trust.weights.shape != (n, n):
         raise ValueError("trust matrix size must match the value vector")
     compromised = tuple(adversary.compromised) if adversary is not None else ()
@@ -226,41 +243,14 @@ def run_consensus_scenario(scenario: ConsensusScenario, horizon: int,
     honest = tuple(i for i in range(n) if i not in compromised)
     if not honest:
         raise ValueError("at least one honest agent required")
-    attack_rng = np.random.default_rng([0 if seed is None else seed, 0xAD])
-
-    trust = scenario.trust
-    agents = tuple(range(n))
-    out = np.zeros((horizon + 1, n))
-    out[0] = vals
-    honest_history = []
-    current = {j: float(vals[j]) for j in agents}
-    for t in range(horizon):
-        honest_history.append(dict(current))
-        sent = corrupt_reports(adversary, current, honest_history, t, attack_rng)
-        reports_for = {i: {j: sent[j] for j in agents
-                           if trust.adjacency[i, j] and j in sent}
-                       for i in agents}
-        new_values = trimmed_consensus_step(reports_for, trust,
-                                            defense.trim_f, agents)
-        if defense.trust_eta is not None:
-            res = np.zeros((n, n))
-            for i in agents:
-                for j in agents:
-                    if trust.adjacency[i, j] and j in reports_for[i]:
-                        res[i, j] = reports_for[i][j] - new_values[i]
-            trust = update_trust(trust, res, defense.trust_eta)
-        current = new_values
-        out[t + 1] = [current[j] for j in agents]
+    out = _trajectory(scenario, horizon, defense, adversary, seed)
 
     hv = out[:, list(honest)]
     diameters = tuple(float(v) for v in hv.max(axis=1) - hv.min(axis=1))
-    max_dev = None
-    if adversary is not None and compare_nominal:
-        nominal = run_consensus_scenario(scenario, horizon, defense, None,
-                                         seed, compare_nominal=False)
-        max_dev = float(np.max(np.abs(hv - nominal.values[:, list(honest)])))
-    elif adversary is None:
-        max_dev = 0.0
+    max_dev = 0.0
+    if adversary is not None:
+        nominal = _trajectory(scenario, horizon, defense, None, seed)
+        max_dev = float(np.max(np.abs(hv - nominal[:, list(honest)])))
     recovery = None
     if adversary is not None and adversary.window is not None:
         end = adversary.window[1]

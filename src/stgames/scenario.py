@@ -40,7 +40,7 @@ from .resilience import KINDS as ADVERSARY_KINDS
 from .resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
                          TrustMatrix, run_consensus_scenario)
 from .strategic import (DEFAULT_SIGNAL, StrategicGame, enumerate_pure_nash,
-                        is_nash, welfare_and_poa)
+                        welfare_and_poa)
 
 
 # --- strict-schema helpers ----------------------------------------------------
@@ -478,7 +478,11 @@ def _v_stackelberg(node, path):
                 for sig, rows in table.items()}}
 
             def objective(g, signal, profile):
-                return table[signal][tuple(profile)]
+                try:
+                    return table[signal][tuple(profile)]
+                except KeyError:
+                    _fail(f"{lpath}.table.{signal}",
+                          f"no value for follower equilibrium {list(profile)}")
 
     return block, {"game": game, "candidates": tuple(candidates),
                    "mode": block["mode"], "objective": objective}
@@ -707,11 +711,7 @@ def _run_match(cfg, market, proposing, stable_set):
 
 
 def _run_nash(cfg, game, signal, eps):
-    if eps > 0:
-        equilibria = [pr for pr in game.profiles()
-                      if is_nash(game, pr, eps, signal).is_nash]
-    else:
-        equilibria = enumerate_pure_nash(game, signal=signal)
+    equilibria = enumerate_pure_nash(game, signal=signal, eps=eps)
     welfare = welfare_and_poa(game, signal=signal)
     summary = {"signal": signal, "eps": eps,
                "equilibria": [list(e) for e in equilibria],

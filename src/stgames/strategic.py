@@ -186,10 +186,10 @@ def is_nash(game: StrategicGame, profile, eps: float = 0.0,
     return NashCheck(True)
 
 
-def enumerate_pure_nash(game: StrategicGame, signal=None):
-    """Pure equilibria in lexicographic profile order."""
+def enumerate_pure_nash(game: StrategicGame, signal=None, eps: float = 0.0):
+    """Pure (eps-)equilibria in lexicographic profile order."""
     sig = game.resolve_signal(signal)
-    return [p for p in game.profiles() if is_nash(game, p, 0.0, sig).is_nash]
+    return [p for p in game.profiles() if is_nash(game, p, eps, sig).is_nash]
 
 
 def welfare_and_poa(game: StrategicGame, signal=None) -> WelfareReport:

@@ -185,3 +185,52 @@ def test_seeded_rerun_writes_identical_files(tmp_path, capsys):
         if name.endswith("meta.json"):
             continue                 # wall-clock facts live here by design
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:.*coalition values missing")
+def test_each_config_reports_its_own_outcome(tmp_path, capsys):
+    nan = tmp_path / "nan.yaml"
+    nan.write_text((FIXTURES / "coop.yaml").read_text().replace(
+        "value: 1.0", "value: .nan"))
+    big = tmp_path / "big.yaml"
+    big.write_text("kind: coop\ncoop:\n  agents: 16\n  compute: [convex]\n"
+                   "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
+    for jobs in ("1", "2"):
+        rc = cli.main(["coop", "--config", fx("coop"), "--config", str(nan),
+                       "--jobs", jobs])
+        assert rc == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out.startswith(fx("coop") + ": {")
+        assert "shapley" in out.out
+        [line] = out.err.splitlines()
+        assert line.startswith("error: coop.values[6].value: expected a finite")
+        assert line.endswith(f"({nan})")
+        # the largest code wins: capacity (3) over schema (1)
+        rc = cli.main(["coop", "--config", str(nan), "--config", str(big),
+                       "--config", fx("coop"), "--jobs", jobs, "--quiet"])
+        assert rc == cli.EXIT_CAPACITY
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert [ln.rsplit(" (", 1)[1] for ln in out.err.splitlines()] == [
+            f"{nan})", f"{big})"]
+
+
+def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    rc = cli.main(["nash", "--config", fx("nash"), "--out", str(blocker / "out")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: writing ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:.*coalition values missing")
+@pytest.mark.parametrize("agents", [15, 20])
+@pytest.mark.parametrize("step", ["superadditive", "convex"])
+def test_coalition_pair_checks_exit_3_at_once(tmp_path, capsys, agents, step):
+    doc = tmp_path / "coop.yaml"
+    doc.write_text(f"kind: coop\ncoop:\n  agents: {agents}\n  compute: [{step}]\n"
+                   "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
+    assert cli.main(["coop", "--config", str(doc), "--quiet"]) == cli.EXIT_CAPACITY
+    assert f"{step} check capped at 14 agents" in capsys.readouterr().err

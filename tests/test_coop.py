@@ -280,6 +280,17 @@ def test_nucleolus_capacity():
         nucleolus(CoalitionGame(13, tuple([0.0] * (1 << 13))))
 
 
+def test_pair_checks_capped_before_the_scan():
+    # n = 14 still runs; from 15 agents up both raise before any 4^n work
+    tiny = CoalitionGame(14, tuple([0.0] * (1 << 14)))
+    assert is_superadditive(tiny)
+    for n in (15, 20):
+        game = CoalitionGame(n, tuple([0.0] * (1 << n)))
+        for check in (is_superadditive, is_convex):
+            with pytest.raises(CapacityError, match="capped at 14 agents"):
+                check(game)
+
+
 def test_core_verdicts_match_grid():
     assert core_nonempty(WORKED).nonempty
     assert core_feasible_by_grid(WORKED)

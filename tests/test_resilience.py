@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stgames.learning import LearnerSpec, run_dynamics
-from stgames.resilience import (AdversaryModel, ConsensusScenario,
+from stgames.resilience import (KINDS, AdversaryModel, ConsensusScenario,
                                 DefenseSpec, TrustMatrix, corrupt_reports,
                                 corrupted_observer, run_adversarial_dynamics,
                                 run_consensus_scenario, trimmed_consensus_step,
@@ -38,37 +38,39 @@ def test_adversary_model_validation():
         AdversaryModel((0,), "channel-drop", drop_prob=1.5)
     with pytest.raises(ValueError):
         AdversaryModel((0,), "sign-flip", window=(5, 2))
+    with pytest.raises(ValueError, match="repeated"):
+        AdversaryModel((5, 5), "sign-flip")
 
 
 def test_corrupt_reports_kinds():
-    reports = {0: 1.0, 1: -2.0, 2: 3.0}
+    values = np.array([1.0, -2.0, 3.0])
+    everyone = [True, True, True]
     rng = np.random.default_rng(0)
 
-    out = corrupt_reports(AdversaryModel((1,), "constant-injection", value=9.0),
-                          reports, [], 0, rng)
-    assert out == {0: 1.0, 1: 9.0, 2: 3.0}
+    def check(adversary, history, t, want_sent, want_delivered=everyone):
+        sent, delivered = corrupt_reports(adversary, values, history, t, rng)
+        assert sent.tolist() == want_sent
+        assert delivered.tolist() == want_delivered
 
-    out = corrupt_reports(AdversaryModel((1, 2), "sign-flip"),
-                          reports, [], 0, rng)
-    assert out == {0: 1.0, 1: 2.0, 2: -3.0}
+    check(AdversaryModel((1,), "constant-injection", value=9.0), None, 0,
+          [1.0, 9.0, 3.0])
+    check(AdversaryModel((1, 2), "sign-flip"), None, 0, [1.0, 2.0, -3.0])
 
-    history = [{0: 0.5, 1: 0.6, 2: 0.7}, {0: 1.5, 1: 1.6, 2: 1.7}]
-    out = corrupt_reports(AdversaryModel((1,), "replay", lag=2),
-                          reports, history, 2, rng)
-    assert out == {0: 1.0, 1: 0.6, 2: 3.0}
+    history = np.array([[0.5, 0.6, 0.7], [1.5, 1.6, 1.7], values])
+    check(AdversaryModel((1,), "replay", lag=2), history, 2, [1.0, 0.6, 3.0])
 
-    out = corrupt_reports(AdversaryModel((1,), "channel-drop", drop_prob=1.0),
-                          reports, [], 0, rng)
-    assert out == {0: 1.0, 2: 3.0}
-    out = corrupt_reports(AdversaryModel((1,), "channel-drop", drop_prob=0.0),
-                          reports, [], 0, rng)
-    assert out == reports
+    check(AdversaryModel((1,), "channel-drop", drop_prob=1.0), None, 0,
+          [1.0, -2.0, 3.0], [True, False, True])
+    check(AdversaryModel((1,), "channel-drop", drop_prob=0.0), None, 0,
+          [1.0, -2.0, 3.0])
 
     # outside the window the message passes untouched
     adv = AdversaryModel((1,), "sign-flip", window=(5, 9))
-    assert corrupt_reports(adv, reports, [], 4, rng) == reports
-    assert corrupt_reports(adv, reports, [], 9, rng) == reports
-    assert corrupt_reports(None, reports, [], 0, rng) == reports
+    check(adv, None, 4, [1.0, -2.0, 3.0])
+    check(adv, None, 9, [1.0, -2.0, 3.0])
+    check(None, None, 0, [1.0, -2.0, 3.0])
+    # the input vector is never written
+    assert values.tolist() == [1.0, -2.0, 3.0]
 
 
 def test_trust_matrix_validation():
@@ -117,21 +119,21 @@ def test_update_trust():
 
 def test_trimmed_step_drops_extremes():
     trust = TrustMatrix.uniform(3)
-    reports = {i: {0: 0.0, 1: 10.0, 2: 5.0} for i in range(3)}
-    out = trimmed_consensus_step(reports, trust, 1, range(3))
-    assert out == {0: 5.0, 1: 5.0, 2: 5.0}
+    everyone = np.ones((3, 3), dtype=bool)
+    out = trimmed_consensus_step(np.array([0.0, 10.0, 5.0]), everyone, trust, 1)
+    assert out.tolist() == [5.0, 5.0, 5.0]
 
     # trim ties cut by (value, sender): senders 0 low and 4 high survive 1,2,3
-    trust5 = TrustMatrix.uniform(5)
-    tied = {i: {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 2.0} for i in range(5)}
-    out = trimmed_consensus_step(tied, trust5, 1, range(5))
+    tied = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
+    out = trimmed_consensus_step(tied, np.ones((5, 5), dtype=bool),
+                                 TrustMatrix.uniform(5), 1)
     assert out[0] == pytest.approx(1.0)
 
     with pytest.raises(ValueError):
-        trimmed_consensus_step({0: {0: 1.0, 1: 2.0}, 1: {0: 1.0, 1: 2.0}},
-                               TrustMatrix.uniform(2), 1, range(2))
+        trimmed_consensus_step(np.array([1.0, 2.0]), np.ones((2, 2), dtype=bool),
+                               TrustMatrix.uniform(2), 1)
     with pytest.raises(ValueError):
-        trimmed_consensus_step(reports, trust, -1, range(3))
+        trimmed_consensus_step(np.array([0.0, 10.0, 5.0]), everyone, trust, -1)
 
 
 def test_untrimmed_full_row_is_plain_averaging():
@@ -273,3 +275,180 @@ def test_injection_poisons_estimates_not_payoffs():
     # realized payoffs follow true play, mutual defection worth 1 each
     assert trace.payoffs[-1] == pytest.approx([1.0, 1.0])
     assert trace.payoffs[-1][0] == PD.payoff(trace.action_labels[-1])[0]
+
+
+# --- the dict-based kernel of earlier releases, kept as a reference -------------
+
+def _dict_corrupt_reports(adversary, reports, history, t, rng):
+    if adversary is None or not adversary.active_at(t):
+        return dict(reports)
+    out = dict(reports)
+    for sender in adversary.compromised:
+        if sender not in out:
+            continue
+        if adversary.kind == "constant-injection":
+            out[sender] = adversary.value
+        elif adversary.kind == "sign-flip":
+            out[sender] = -out[sender]
+        elif adversary.kind == "replay":
+            back = max(0, t - adversary.lag)
+            out[sender] = history[back][sender]
+        else:                        # channel-drop
+            if rng.random() < adversary.drop_prob:
+                del out[sender]
+    return out
+
+
+def _dict_update_trust(trust, residuals, eta):
+    res = np.abs(np.asarray(residuals, dtype=float))
+    w = trust.weights * np.exp(-eta * res)
+    w[~trust.adjacency] = 0.0
+    sums = w.sum(axis=1, keepdims=True)
+    for i in range(w.shape[0]):
+        if sums[i, 0] <= 0:
+            w[i, trust.adjacency[i]] = 1.0 / trust.adjacency[i].sum()
+        else:
+            w[i] = w[i] / sums[i, 0]
+    return TrustMatrix(w, trust.adjacency)
+
+
+def _dict_trimmed_step(reports_for, trust, trim_f, agents):
+    new_values = {}
+    for i in agents:
+        inbox = [(j, v) for j, v in sorted(reports_for[i].items())
+                 if trust.adjacency[i, j]]
+        if len(inbox) < 2 * trim_f + 1:
+            raise ValueError(
+                f"agent {i}: {len(inbox)} reports cannot survive 2*{trim_f} discards")
+        if trim_f:
+            order = sorted(inbox, key=lambda jv: (jv[1], jv[0]))
+            cut = {j for j, _ in order[:trim_f]} | {j for j, _ in order[-trim_f:]}
+            survivors = [(j, v) for j, v in inbox if j not in cut]
+        else:
+            survivors = inbox
+        weights = np.asarray([trust.weights[i, j] for j, _ in survivors])
+        values = np.asarray([v for _, v in survivors])
+        if len(survivors) != int(trust.adjacency[i].sum()):
+            total = weights.sum()
+            if total <= 0:
+                weights = np.full(len(survivors), 1.0 / len(survivors))
+            else:
+                weights = weights / total
+        new_values[i] = float(weights @ values)
+    return new_values
+
+
+def _dict_trajectory(scenario, horizon, defense, adversary, seed):
+    vals = np.asarray(scenario.initial_values, dtype=float)
+    n = len(vals)
+    attack_rng = np.random.default_rng([0 if seed is None else seed, 0xAD])
+    trust = scenario.trust
+    agents = tuple(range(n))
+    out = np.zeros((horizon + 1, n))
+    out[0] = vals
+    honest_history = []
+    current = {j: float(vals[j]) for j in agents}
+    for t in range(horizon):
+        honest_history.append(dict(current))
+        sent = _dict_corrupt_reports(adversary, current, honest_history, t, attack_rng)
+        reports_for = {i: {j: sent[j] for j in agents
+                           if trust.adjacency[i, j] and j in sent}
+                       for i in agents}
+        new_values = _dict_trimmed_step(reports_for, trust, defense.trim_f, agents)
+        if defense.trust_eta is not None:
+            res = np.zeros((n, n))
+            for i in agents:
+                for j in agents:
+                    if trust.adjacency[i, j] and j in reports_for[i]:
+                        res[i, j] = reports_for[i][j] - new_values[i]
+            trust = _dict_update_trust(trust, res, defense.trust_eta)
+        current = new_values
+        out[t + 1] = [current[j] for j in agents]
+    return out
+
+
+def _dict_run(scenario, horizon, defense, adversary, seed):
+    """(values, max deviation, diameters, recovery) as the dict kernel gave them."""
+    out = _dict_trajectory(scenario, horizon, defense, adversary, seed)
+    n = out.shape[1]
+    honest = [i for i in range(n)
+              if adversary is None or i not in adversary.compromised]
+    hv = out[:, honest]
+    diameters = tuple(float(v) for v in hv.max(axis=1) - hv.min(axis=1))
+    max_dev = 0.0
+    if adversary is not None:
+        nominal = _dict_trajectory(scenario, horizon, defense, None, seed)
+        max_dev = float(np.max(np.abs(hv - nominal[:, honest])))
+    recovery = None
+    if adversary is not None and adversary.window is not None:
+        end = adversary.window[1]
+        if end <= horizon:
+            for t in range(end, horizon + 1):
+                if diameters[t] < 1e-3 * diameters[0]:
+                    recovery = t - end
+                    break
+    return out, max_dev, diameters, recovery
+
+
+def _random_case(rng):
+    """One seeded consensus scenario: size, trust rows, defense, attack."""
+    n = int(rng.integers(3, 10))
+    trim = int(rng.integers(0, 3))
+    if rng.random() < 0.5:
+        trust = TrustMatrix.uniform(n, self_loops=bool(rng.random() < 0.7))
+    else:                            # sparse rows, some too thin for the trim
+        w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.7)
+        np.fill_diagonal(w, rng.uniform(0.1, 1.0, n))
+        trust = TrustMatrix.from_weights(w / w.sum(axis=1, keepdims=True))
+    eta = None if rng.random() < 0.4 else float(rng.choice([0.3, 2.0, 50.0]))
+    adversary = None
+    if rng.random() < 0.85:
+        kind = KINDS[int(rng.integers(len(KINDS)))]
+        count = int(rng.integers(1, max(2, n // 2)))
+        start = int(rng.integers(0, 10))
+        window = (None if rng.random() < 0.4
+                  else (start, start + int(rng.integers(0, 30))))
+        adversary = AdversaryModel(
+            tuple(int(c) for c in rng.choice(n, size=count, replace=False)), kind,
+            value=float(rng.choice([-40.0, 0.0, 7.5, 1e3])),
+            lag=int(rng.integers(1, 6)), drop_prob=float(rng.choice([0.2, 0.6, 1.0])),
+            window=window)
+    values = tuple(float(v) for v in rng.normal(0.0, 5.0, n))
+    horizon = int(rng.integers(1, 31))
+    return (ConsensusScenario(values, trust), horizon, DefenseSpec(trim, eta),
+            adversary, int(rng.integers(0, 2 ** 31)))
+
+
+def test_array_kernel_matches_dict_kernel():
+    rng = np.random.default_rng(2013)
+    seen = {"ok": 0, "refused": 0, "kinds": set(), "trims": set()}
+    for _ in range(400):
+        sc, horizon, defense, adversary, seed = _random_case(rng)
+        try:
+            want = _dict_run(sc, horizon, defense, adversary, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                run_consensus_scenario(sc, horizon, defense, adversary, seed)
+            assert str(got.value) == str(exc)
+            seen["refused"] += 1
+            continue
+        run = run_consensus_scenario(sc, horizon, defense, adversary, seed)
+        assert run.values.tobytes() == want[0].tobytes()
+        m = run.metrics
+        assert (m.max_honest_deviation, m.diameter_series, m.recovery_time) == want[1:]
+        seen["ok"] += 1
+        seen["trims"].add(defense.trim_f)
+        if adversary is not None:
+            seen["kinds"].add(adversary.kind)
+    # the corpus exercises every attack kind and trim level, and some thin
+    # rows that neither kernel can trim
+    assert seen["kinds"] == set(KINDS)
+    assert seen["trims"] == {0, 1, 2}
+    assert seen["ok"] >= 200 and seen["refused"] >= 10
+
+    # trust updates alone, with rows starved by huge residuals
+    for n in range(2, 9):
+        trust = TrustMatrix.from_weights(rng.dirichlet(np.ones(n), size=n))
+        res = rng.exponential(1.0, (n, n)) * rng.choice([1.0, 1e4], (n, 1))
+        want = _dict_update_trust(trust, res, 0.8).weights
+        assert update_trust(trust, res, 0.8).weights.tobytes() == want.tobytes()

@@ -95,6 +95,8 @@ def test_schema_error_paths_are_dotted():
     nash_signal["nash"]["signal"] = "zz"
     incentive_signal = fixture("incentive")
     incentive_signal["incentive"]["signal"] = "zz"
+    repeated = fixture("resilience")
+    repeated["resilience"]["adversary"] = {"agents": [5, 5], "kind": "sign-flip"}
     for doc, path in ((nan_payoff, "nash.game.payoffs[1].values[0]"),
                       (inf_slope, "wardrop.edges[0].b"),
                       (nan_value, "coop.values[0].value"),
@@ -104,7 +106,8 @@ def test_schema_error_paths_are_dotted():
                        "stackelberg.leader_objective.table.default[0].profile"),
                       (trust, "resilience.trust"),
                       (nash_signal, "nash.signal"),
-                      (incentive_signal, "incentive.signal")):
+                      (incentive_signal, "incentive.signal"),
+                      (repeated, "resilience.adversary")):
         with pytest.raises(SchemaError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert err.value.path == path
@@ -223,6 +226,15 @@ def test_nash_runner():
     assert sum(flags.values()) == 1
 
 
+def test_nash_eps_lists_eps_equilibria():
+    doc = yaml.safe_load((FIXTURES / "nash.yaml").read_text())
+    doc["nash"]["eps"] = 1.5
+    rec = run_scenario(parse_scenario(yaml.safe_dump(doc)))
+    assert rec.summary["equilibria"] == [["C", "D"], ["D", "C"], ["D", "D"]]
+    flags = [r[-1] for r in rec.table("profiles").rows]
+    assert flags == [False, True, True, True]
+
+
 def test_learn_runner():
     rec = run_scenario(load("learn"))
     assert rec.summary["horizon"] == 200
@@ -246,6 +258,20 @@ def test_stackelberg_runner():
     assert s["leader_value"] == 5.0
     assert s["follower_profile"] == ["x", "x"]
     assert s["skipped_signals"] == []
+
+
+def test_stackelberg_table_missing_an_equilibrium_has_a_path():
+    doc = yaml.safe_load((FIXTURES / "stackelberg.yaml").read_text())
+    doc["stackelberg"].update(
+        game=yaml.safe_load((FIXTURES / "nash.yaml").read_text())["nash"]["game"],
+        candidates=["default"],
+        leader_objective={"table": {"default": [{"profile": ["C", "C"],
+                                                 "value": 1}]}})
+    cfg = parse_scenario(yaml.safe_dump(doc))
+    with pytest.raises(SchemaError) as err:
+        run_scenario(cfg)
+    assert err.value.path == "stackelberg.leader_objective.table.default"
+    assert "['D', 'D']" in err.value.message
 
 
 def test_wardrop_runner():
