@@ -31,9 +31,8 @@ from .incentives import (BudgetSpec, GroupPartition, HierarchicalIncentive,
                          design_incentive, is_pareto_improving,
                          modified_payoff)
 from .coordination import (AdmissibleSetRule, CoordinatorPolicy, DynamicGame,
-                           EpochDigest, InformationMechanism, RolloutPolicy,
-                           StackelbergReport, apply_admissible_sets,
-                           coordinator_update, generate_information,
+                           EpochDigest, RolloutPolicy, StackelbergReport,
+                           apply_admissible_sets, coordinator_update,
                            rollout_dynamic_game, run_merge_split,
                            run_two_timescale, stackelberg_solve)
 from .resilience import (AdversaryModel, ConsensusRun, ConsensusScenario,

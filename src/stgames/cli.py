@@ -11,7 +11,6 @@ the exit code is the largest over the configs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -122,6 +121,8 @@ def main(argv=None) -> int:
     jobs = max(1, min(args.jobs, len(tasks), os.cpu_count() or 1))
     if jobs == 1:
         return _report(map(_run_one, *zip(*tasks)), args.quiet)
+    # Imported here so that one-worker runs do not pay for it at start-up.
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return _report(pool.map(_run_one, *zip(*tasks)), args.quiet)
 

@@ -1,19 +1,18 @@
-"""Coordination layer: information design, signal selection, slow/fast loops.
+"""Coordination layer: signal selection, action restriction, slow/fast loops.
 
 A coordinator picks a signal c on a slow clock; agents learn on a fast clock
-under that signal. The pieces here are the information mechanism (what each
-agent gets to see), admissible-set restriction (what each agent may play),
-coordinator update rules, the two-timescale driver, Stackelberg signal
-selection against enumerated pure equilibria, Monte-Carlo rollouts of a
-finite-state dynamic game, and greedy merge-split dynamics on coalition
-structures.
+under that signal. The pieces here are admissible-set restriction (what each
+agent may play), coordinator update rules, the two-timescale driver,
+Stackelberg signal selection against enumerated pure equilibria, Monte-Carlo
+rollouts of a finite-state dynamic game, and greedy merge-split dynamics on
+coalition structures.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,65 +24,6 @@ from .strategic import (StrategicGame, _profile_index, enumerate_pure_nash,
 
 COORDINATOR_KINDS = ("constant", "round-robin", "greedy")
 STACKELBERG_MODES = ("optimistic", "pessimistic")
-
-# --- information mechanisms -------------------------------------------------
-
-_FIELDS = ("state", "actions", "signal")
-
-
-@dataclass(frozen=True)
-class InformationMechanism:
-    """Which observables go on the public channel, which go per-agent.
-
-    Public fields arrive identically for everyone; private fields arrive
-    per-agent ("actions" privately means own action only). `noise_sigma`
-    adds Gaussian noise to each agent's private numeric view of the state.
-    """
-
-    public_fields: tuple = _FIELDS
-    private_fields: tuple = ()
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        for f in self.public_fields + self.private_fields:
-            if f not in _FIELDS:
-                raise ValueError(f"unknown information field {f!r}; valid: {_FIELDS}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-
-
-@dataclass(frozen=True)
-class InfoRecord:
-    public: dict
-    private: dict
-    noisy: dict
-
-
-def generate_information(mechanism: InformationMechanism, n_agents: int,
-                         state, profile, signal, rng) -> list:
-    """One InfoRecord per agent for the current (state, actions, signal)."""
-    public = {}
-    if "state" in mechanism.public_fields:
-        public["state"] = state
-    if "actions" in mechanism.public_fields:
-        public["actions"] = tuple(profile)
-    if "signal" in mechanism.public_fields:
-        public["signal"] = signal
-    records = []
-    for i in range(n_agents):
-        private = {}
-        if "state" in mechanism.private_fields:
-            private["state"] = state
-        if "actions" in mechanism.private_fields:
-            private["own_action"] = profile[i]
-        if "signal" in mechanism.private_fields:
-            private["signal"] = signal
-        noisy = {}
-        if mechanism.noise_sigma > 0:
-            noisy["state"] = float(state) + mechanism.noise_sigma * rng.standard_normal()
-        records.append(InfoRecord(public, private, noisy))
-    return records
-
 
 # --- admissible action sets --------------------------------------------------
 

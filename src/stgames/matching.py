@@ -8,7 +8,6 @@ index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -150,14 +149,44 @@ def is_stable(market: MatchingMarket, matching: Matching) -> bool:
 
 
 def enumerate_stable(market: MatchingMarket):
-    """All stable matchings by full permutation enumeration (n <= 8).
+    """All stable matchings, by pruned depth-first search (n <= 8).
 
-    Returned in lexicographic order of the left-to-right assignment vector.
+    Left agents are placed in order 0..n-1, each trying right partners in
+    ascending index, so the matchings come out in lexicographic order of the
+    left-to-right assignment vector. Placing left i with right j checks only
+    the pairs it completes, (i, cur[k]) and (k, j) for every placed k < i,
+    and prunes the branch at the first blocking pair. Each pair is so checked
+    once, when the later of its two agents is placed. So the search does at
+    most an O(i) check per node of the n! permutation tree, never more than
+    an O(n^2) stability scan of every assignment; at n = 8 a market takes
+    milliseconds.
     """
+    left_rank, right_rank = _rank_tables(market)
     n = market.n
+    cur = [0] * n                      # cur[k]: partner of placed left k
+    taken = [False] * n
     out = []
-    for perm in itertools.permutations(range(n)):
-        m = Matching(tuple((i, perm[i]) for i in range(n)))
-        if is_stable(market, m):
-            out.append(m)
+
+    def place(i):
+        if i == n:
+            out.append(Matching(tuple(enumerate(cur))))
+            return
+        rank_i = left_rank[i]
+        for j in range(n):
+            if taken[j]:
+                continue
+            rank_j = right_rank[j]
+            for k in range(i):
+                c = cur[k]
+                if ((rank_i[c] < rank_i[j] and right_rank[c][i] < right_rank[c][k])
+                        or (left_rank[k][j] < left_rank[k][c]
+                            and rank_j[k] < rank_j[i])):
+                    break
+            else:
+                cur[i] = j
+                taken[j] = True
+                place(i + 1)
+                taken[j] = False
+
+    place(0)
     return out

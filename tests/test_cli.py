@@ -19,6 +19,14 @@ def fx(name):
     return str(FIXTURES / f"{name}.yaml")
 
 
+def child_env():
+    """Environment for a child interpreter that imports this checkout."""
+    paths = [str(pathlib.Path(cli.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def test_quiet_run_is_silent(capsys):
     assert cli.main(["nash", "--config", fx("nash"), "--quiet"]) == cli.EXIT_OK
     out = capsys.readouterr()
@@ -92,20 +100,26 @@ def test_lp_capacity_exits_before_allocating(tmp_path):
     big = tmp_path / "coop14.yaml"
     big.write_text("kind: coop\ncoop:\n  agents: 14\n  compute: [core]\n"
                    "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
-    paths = [str(pathlib.Path(cli.__file__).parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
 
     proc = subprocess.run(
         [sys.executable, "-m", "stgames.cli", "coop", "--config", str(big),
-         "--quiet"], env=env, capture_output=True, text=True, timeout=60,
-        preexec_fn=cap_memory)
+         "--quiet"], env=child_env(), capture_output=True, text=True,
+        timeout=60, preexec_fn=cap_memory)
     assert proc.returncode == cli.EXIT_CAPACITY, proc.stderr
     assert "error: LP tableau of 16383 x 32794" in proc.stderr
+
+
+def test_one_worker_run_skips_pool_import():
+    script = ("import sys; from stgames import cli; "
+              f"rc = cli.main(['match', '--config', {fx('match')!r}, "
+              "'--jobs', '1', '--quiet']); "
+              "print(rc, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_jobs_clamped_to_configs_and_cpus(monkeypatch):

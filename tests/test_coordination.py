@@ -6,12 +6,11 @@ import pytest
 
 from stgames.coop import CoalitionGame
 from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
-                                  DynamicGame, EpochDigest,
-                                  InformationMechanism, RolloutPolicy,
+                                  DynamicGame, EpochDigest, RolloutPolicy,
                                   apply_admissible_sets, coordinator_update,
-                                  evolve_coalitions, generate_information,
-                                  rollout_dynamic_game, run_merge_split,
-                                  run_two_timescale, stackelberg_solve)
+                                  evolve_coalitions, rollout_dynamic_game,
+                                  run_merge_split, run_two_timescale,
+                                  stackelberg_solve)
 from stgames.incentives import IncentiveSchedule
 from stgames.learning import LearnerSpec, run_dynamics
 from stgames.strategic import StrategicGame
@@ -36,27 +35,6 @@ def leader_fixture():
               ("y", "x"): (0, 1.5), ("y", "y"): (0, 0)},
     }
     return StrategicGame.from_tables((("x", "y"), ("x", "y")), tables)
-
-
-def test_information_mechanism_fields():
-    mech = InformationMechanism(public_fields=("state", "signal"),
-                                private_fields=("actions",))
-    rng = np.random.default_rng(0)
-    recs = generate_information(mech, 2, 1.25, ("C", "D"), "lo", rng)
-    assert len(recs) == 2
-    assert recs[0].public == {"state": 1.25, "signal": "lo"}
-    assert recs[0].private == {"own_action": "C"}
-    assert recs[1].private == {"own_action": "D"}
-    assert recs[0].noisy == {}
-
-    noisy = InformationMechanism(noise_sigma=0.5)
-    recs = generate_information(noisy, 2, 1.0, ("C", "C"), "lo", rng)
-    assert recs[0].noisy["state"] != recs[1].noisy["state"]
-
-    with pytest.raises(ValueError):
-        InformationMechanism(public_fields=("prices",))
-    with pytest.raises(ValueError):
-        InformationMechanism(noise_sigma=-1.0)
 
 
 def test_admissible_subgame():
