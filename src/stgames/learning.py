@@ -42,6 +42,7 @@ from .strategic import (StrategicGame, contract_others, mixed_gap,
 KINDS = ("best-response", "smoothed-best-response", "fictitious-play",
          "replicator", "payoff-estimation")
 SCHEDULES = ("constant", "harmonic")
+GAP_BLOCK_BYTES = 8 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -372,15 +373,19 @@ def diagnostics(game: StrategicGame, trace: Trace, gap_stride: int = 1) -> Diagn
         times.append(horizon)
     # step s falls in sampling segment s // gap_stride (the tail joins the
     # last one); per-segment action counts, accumulated, give the running
-    # counts at every sampled step
+    # counts and so the frequencies at every sampled step
     segment = np.minimum(np.arange(horizon) // gap_stride, len(times) - 1)
+    taus = np.asarray(times)[:, None]
     running = []
     for i in range(n):
         k = len(game.actions[i])
         per_segment = np.bincount(segment * k + trace.actions[:, i],
                                   minlength=len(times) * k)
-        running.append(per_segment.reshape(-1, k).cumsum(axis=0))
+        running.append(per_segment.reshape(-1, k).cumsum(axis=0) / taus)
     main_signal = max(by_signal, key=lambda s: len(by_signal[s]))
-    gaps = [mixed_gap(game, [running[i][s] / tau for i in range(n)], main_signal)
-            for s, tau in enumerate(times)]
-    return Diagnostics(regrets, freqs, tuple(times), np.asarray(gaps))
+    # batches of samples whose contraction temporaries stay near
+    # GAP_BLOCK_BYTES, so memory does not grow with samples times grid
+    block = max(1, GAP_BLOCK_BYTES // (8 * game.payoffs[main_signal][0].size))
+    gaps = [mixed_gap(game, [r[s:s + block] for r in running], main_signal)
+            for s in range(0, len(times), block)]
+    return Diagnostics(regrets, freqs, tuple(times), np.concatenate(gaps))

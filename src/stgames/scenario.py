@@ -43,6 +43,11 @@ from .strategic import (DEFAULT_SIGNAL, StrategicGame, enumerate_pure_nash,
                         welfare_and_poa)
 
 
+# learning steps one `learn` horizon, or one `ttscale` run over all its
+# epochs, may take
+MAX_LEARN_STEPS = 10 ** 6
+
+
 # --- strict-schema helpers ----------------------------------------------------
 
 def _fail(path, message):
@@ -359,7 +364,7 @@ def _v_learn(node, path):
     _need_map(node, path, required=("game", "horizon", "learners"),
               optional=("signal_schedule", "gap_stride"))
     game_block, game = _validate_game(node["game"], f"{path}.game")
-    horizon = _need_int(node["horizon"], f"{path}.horizon", 1, 10 ** 6)
+    horizon = _need_int(node["horizon"], f"{path}.horizon", 1, MAX_LEARN_STEPS)
     blocks, specs = _validate_learners(node["learners"], f"{path}.learners", game)
     block = {"game": game_block, "horizon": horizon, "learners": blocks}
     schedule = None
@@ -400,6 +405,10 @@ def _v_ttscale(node, path):
              "outer_steps": _need_int(node["outer_steps"], f"{path}.outer_steps", 1, 10 ** 4),
              "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1, 10 ** 6),
              "coordinator": coordinator}
+    steps = block["outer_steps"] * block["epoch_length"]
+    if steps > MAX_LEARN_STEPS:                # every epoch's trace is kept
+        raise CapacityError(f"{path}: {steps} learning steps (outer_steps x "
+                            f"epoch_length) exceed {MAX_LEARN_STEPS}")
     inputs = {"game": game, "specs": specs,
               "coordinator": CoordinatorPolicy(coordinator["kind"],
                                                tuple(coordinator["candidates"])),
@@ -526,7 +535,7 @@ def _v_incentive(node, path):
                        required=("limit", "delta"), optional=("horizon",))
     horizon = budget.get("horizon", "infinite")
     if horizon != "infinite":
-        horizon = _need_int(horizon, f"{path}.budget.horizon", 1)
+        horizon = _need_int(horizon, f"{path}.budget.horizon", 1, 10 ** 6)
     block = {"game": game_block,
              "target": _need_profile(node["target"], f"{path}.target", game.actions),
              "baseline": _need_profile(node["baseline"], f"{path}.baseline", game.actions),

@@ -100,12 +100,7 @@ class StrategicGame:
         return signal
 
     def action_index(self, agent: int, label) -> int:
-        try:
-            return self.actions[agent].index(label)
-        except ValueError:
-            raise ValueError(
-                f"agent {agent}: unknown action {label!r}; "
-                f"valid: {list(self.actions[agent])}") from None
+        return _label_index(self.actions, agent, label)
 
     def profiles(self):
         """All profiles in lexicographic action-index order."""
@@ -118,19 +113,20 @@ class StrategicGame:
         return self.payoffs[sig][(slice(None),) + idx].copy()
 
 
+def _label_index(actions, agent: int, label) -> int:
+    try:
+        return actions[agent].index(label)
+    except ValueError:
+        raise ValueError(
+            f"agent {agent}: unknown action {label!r}; "
+            f"valid: {list(actions[agent])}") from None
+
+
 def _profile_index(actions, profile):
     if len(profile) != len(actions):
         raise ValueError(
             f"profile length {len(profile)} != agent count {len(actions)}")
-    idx = []
-    for i, label in enumerate(profile):
-        try:
-            idx.append(actions[i].index(label))
-        except ValueError:
-            raise ValueError(
-                f"agent {i}: unknown action {label!r}; "
-                f"valid: {list(actions[i])}") from None
-    return tuple(idx)
+    return tuple(_label_index(actions, i, label) for i, label in enumerate(profile))
 
 
 @dataclass(frozen=True)
@@ -218,59 +214,57 @@ def welfare_and_poa(game: StrategicGame, signal=None) -> WelfareReport:
 
 
 def expected_payoffs(game: StrategicGame, mixed, signal=None) -> np.ndarray:
-    """Per-agent expected payoffs under a product distribution.
-
-    `mixed` is one probability vector per agent over that agent's actions.
-    """
+    """Per-agent expected payoffs under a product distribution. `mixed` is
+    one probability vector per agent over that agent's actions, or one
+    (S, k) batch of S of them per agent, giving (n, S) payoffs."""
     sig = game.resolve_signal(signal)
-    out = np.zeros(game.n_agents)
-    for i in range(game.n_agents):
-        cur = game.payoffs[sig][i]
-        for ax in range(game.n_agents - 1, -1, -1):
-            cur = np.tensordot(cur, np.asarray(mixed[ax], dtype=float),
-                               axes=([ax], [0]))
-        out[i] = cur
-    return out
+    mixed = [np.asarray(m, dtype=float) for m in mixed]
+    return np.array([contract_others(table, None, mixed)
+                     for table in game.payoffs[sig]])
 
 
-def expected_counterfactuals(game: StrategicGame, agent: int, mixed,
-                             signal=None) -> np.ndarray:
-    """Expected payoff of each of `agent`'s actions vs the others' mixtures."""
-    sig = game.resolve_signal(signal)
-    return contract_others(game.payoffs[sig][agent], agent,
-                           [np.asarray(m, dtype=float) for m in mixed])
-
-
-def contract_others(table: np.ndarray, agent: int, mixed) -> np.ndarray:
+def contract_others(table: np.ndarray, agent: int | None, mixed) -> np.ndarray:
     """Expectation of `table` (one axis per agent) over every agent's
-    mixture but `agent`'s, leaving a vector over `agent`'s actions.
+    mixture but `agent`'s, leaving a vector over `agent`'s actions, or
+    over every mixture when `agent` is None, leaving a scalar.
 
     The other agents' axes are contracted last to first, each as one
     matrix-vector product over that axis moved last with the rest in order
-    (the layout `np.tensordot` uses). Once the axes after `agent` are gone,
-    the next one sits just before the agent's own axis, so moving it last
-    is a swap of the last two axes. The float results depend on this order
-    and layout, so keep both.
+    (the layout of a tensor dot over that axis). Once the axes after `agent`
+    are gone, the next one sits just before the agent's own axis, so moving
+    it last is a swap of the last two axes. The float results depend on
+    this order and layout, so keep both. Mixtures given as (S, k) batches
+    (all or none) add a leading axis of S to the result, each row from its
+    own matrix-vector product in a stacked matmul: its own call's bits.
     """
     g = table
+    lead = ()                        # (S,) once g carries the batch axis
     for j in range(len(mixed) - 1, -1, -1):
         if j == agent:
             continue
-        if j < agent:
+        if agent is not None and j < agent:
             g = g.swapaxes(-1, -2)
-        if g.ndim == 2:              # the reshapes below are no-ops here
-            g = g.dot(mixed[j])
+        x = mixed[j]
+        if getattr(x, "ndim", 1) == 2:
+            g = np.matmul(g.reshape(lead + (-1, x.shape[1])), x[:, :, None]) \
+                .reshape(x.shape[:1] + g.shape[len(lead):-1])
+            lead = x.shape[:1]
+        elif g.ndim <= 2:            # the reshapes below are no-ops here
+            g = g.dot(x)
         else:
-            g = g.reshape(-1, len(mixed[j])).dot(mixed[j]).reshape(g.shape[:-1])
+            g = g.reshape(-1, len(x)).dot(x).reshape(g.shape[:-1])
     return g
 
 
-def mixed_gap(game: StrategicGame, mixed, signal=None) -> float:
-    """Largest unilateral expected gain at a product profile (0 at a Nash)."""
+def mixed_gap(game: StrategicGame, mixed, signal=None) -> float | np.ndarray:
+    """Largest unilateral expected gain at a product profile (0 at a Nash),
+    or an array of S gaps for (S, k) batches; NaN gains are skipped, as by
+    Python's `max`."""
     sig = game.resolve_signal(signal)
+    mixed = [np.asarray(m, dtype=float) for m in mixed]
     base = expected_payoffs(game, mixed, sig)
     gap = 0.0
-    for i in range(game.n_agents):
-        vec = expected_counterfactuals(game, i, mixed, sig)
-        gap = max(gap, float(vec.max() - base[i]))
-    return gap
+    for i, table in enumerate(game.payoffs[sig]):
+        d = contract_others(table, i, mixed).max(axis=-1) - base[i]
+        gap = np.where(d > gap, d, gap)
+    return gap if gap.ndim else float(gap)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from stgames import cli
 from stgames.errors import ComputationError
@@ -90,6 +91,21 @@ def test_capacity_exit_code(tmp_path, capsys):
     big.write_text(f"kind: match\nmatch:\n  left:\n{rows}\n  right:\n{rows}\n")
     assert cli.main(["match", "--config", str(big), "--quiet"]) == cli.EXIT_CAPACITY
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, update, code, message", [
+    ("ttscale", {"outer_steps": 10 ** 4, "epoch_length": 10 ** 6},
+     cli.EXIT_CAPACITY, "10000000000 learning steps"),
+    ("incentive", {"budget": {"limit": 100.0, "delta": 0.5, "horizon": 10 ** 9}},
+     cli.EXIT_USAGE, "incentive.budget.horizon: must be <= 1000000"),
+], ids=["ttscale", "incentive"])
+def test_step_caps_exit_before_running(tmp_path, capsys, kind, update, code, message):
+    doc = yaml.safe_load(pathlib.Path(fx(kind)).read_text())
+    doc[kind].update(update)
+    path = tmp_path / f"{kind}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main([kind, "--config", str(path), "--quiet"]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_lp_capacity_exits_before_allocating(tmp_path):

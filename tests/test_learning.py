@@ -8,6 +8,8 @@ arithmetic. Remaining tests cover schedules, invariants, and diagnostics.
 
 import hashlib
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +356,37 @@ def test_fictitious_play_on_pennies_short():
         assert diag.empirical_frequencies[i] == pytest.approx(
             [0.5, 0.5], abs=0.05)
         assert diag.external_regret[i] < 0.05
+
+
+def test_gap_series_at_stride_one_within_budget():
+    # 10**5 gap samples by batched contractions; one mixed_gap call per
+    # sample took about 6 s
+    g = pennies()
+    trace = run_dynamics(g, [LearnerSpec("fictitious-play")] * 2, 10 ** 5, seed=0)
+    start = time.perf_counter()
+    diag = diagnostics(g, trace, gap_stride=1)
+    assert time.perf_counter() - start < 2.0
+    assert len(diag.gap_series) == 10 ** 5
+
+
+def test_gap_series_memory_does_not_grow_with_samples_times_grid():
+    # 3 * 10**4 samples of a 1000-profile grid: blocks of samples peak near
+    # 18 MiB, one batch of all samples near 42 MiB, and one mixed_gap call
+    # per sample took over a minute
+    labels = tuple(str(j) for j in range(10))
+    rng = np.random.default_rng(4)
+    g = StrategicGame((labels,) * 3, {"default": rng.normal(size=(3, 10, 10, 10))})
+    trace = run_dynamics(g, [LearnerSpec("best-response")] * 3, 3 * 10 ** 4, seed=0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        diagnostics(g, trace, gap_stride=1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert elapsed < 5.0
 
 
 # -------------------------------------------------------- behaviour lock --

@@ -10,7 +10,7 @@ import re
 import pytest
 import yaml
 
-from stgames.errors import SchemaError
+from stgames.errors import CapacityError, SchemaError
 from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table,
                               parse_scenario, record_to_csv, record_to_jsonl,
                               run_scenario, write_outputs)
@@ -95,6 +95,8 @@ def test_schema_error_paths_are_dotted():
     nash_signal["nash"]["signal"] = "zz"
     incentive_signal = fixture("incentive")
     incentive_signal["incentive"]["signal"] = "zz"
+    long_budget = fixture("incentive")
+    long_budget["incentive"]["budget"]["horizon"] = 10 ** 6 + 1
     repeated = fixture("resilience")
     repeated["resilience"]["adversary"] = {"agents": [5, 5], "kind": "sign-flip"}
     for doc, path in ((nan_payoff, "nash.game.payoffs[1].values[0]"),
@@ -107,6 +109,7 @@ def test_schema_error_paths_are_dotted():
                       (trust, "resilience.trust"),
                       (nash_signal, "nash.signal"),
                       (incentive_signal, "incentive.signal"),
+                      (long_budget, "incentive.budget.horizon"),
                       (repeated, "resilience.adversary")):
         with pytest.raises(SchemaError) as err:
             parse_scenario(yaml.safe_dump(doc))
@@ -143,6 +146,17 @@ def test_schema_checks_payoff_tables():
     with pytest.raises(SchemaError) as err:
         parse_scenario(yaml.safe_dump(wide))
     assert err.value.path == "nash.game.payoffs[0].values"
+
+
+def test_ttscale_learning_steps_capped():
+    # every epoch's trace is kept, so outer_steps x epoch_length is capped
+    # like a learn horizon; the cap is checked before anything runs
+    doc = yaml.safe_load((FIXTURES / "ttscale.yaml").read_text())
+    doc["ttscale"].update(outer_steps=10, epoch_length=10 ** 5)
+    assert parse_scenario(yaml.safe_dump(doc)).payload["epoch_length"] == 10 ** 5
+    doc["ttscale"]["epoch_length"] = 10 ** 5 + 1
+    with pytest.raises(CapacityError, match="1000010 learning steps"):
+        parse_scenario(yaml.safe_dump(doc))
 
 
 def test_digest_ignores_formatting_not_content():

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from stgames import learning
 from stgames.errors import CapacityError
+from stgames.learning import LearnerSpec, RateSchedule, diagnostics, run_dynamics
 from stgames.strategic import (StrategicGame, best_responses,
                                contract_others, counterfactual_payoffs,
                                enumerate_pure_nash, expected_payoffs, is_nash,
@@ -171,6 +173,111 @@ def test_contract_others_matches_tensordot_chain():
                 contract_others(table, agent, [m.tolist() for m in mixed]), want)
 
 
+# ------------------------------------------------------ reference kernels --
+#
+# The per-sample kernels that `expected_payoffs`, `mixed_gap` and the gap
+# series of `diagnostics` ran before they moved onto one batched
+# `contract_others`: an `np.tensordot` chain per agent and one gap per
+# sampled step. They share no code with the library, and the library must
+# reproduce their bytes.
+
+def _tensordot_chain(table, mixed, keep=None):
+    """Contract every axis of `table` but `keep`, last to first."""
+    for ax in range(len(mixed) - 1, -1, -1):
+        if ax != keep:
+            table = np.tensordot(table, np.asarray(mixed[ax], dtype=float),
+                                 axes=([ax], [0]))
+    return table
+
+
+def expected_payoffs_reference(game, mixed, signal=None):
+    sig = game.resolve_signal(signal)
+    out = np.zeros(game.n_agents)
+    for i in range(game.n_agents):
+        out[i] = _tensordot_chain(game.payoffs[sig][i], mixed)
+    return out
+
+
+def mixed_gap_reference(game, mixed, signal=None):
+    sig = game.resolve_signal(signal)
+    base = expected_payoffs_reference(game, mixed, sig)
+    gap = 0.0
+    for i in range(game.n_agents):
+        vec = _tensordot_chain(game.payoffs[sig][i], mixed, keep=i)
+        gap = max(gap, float(vec.max() - base[i]))
+    return gap
+
+
+def gap_series_reference(game, trace, stride):
+    """One `mixed_gap_reference` per sampled step, on frequencies counted
+    from the trace's actions up to that step, under the most frequent
+    signal (the first to appear on ties)."""
+    horizon, n = trace.actions.shape
+    times = list(range(stride, horizon + 1, stride))
+    if not times or times[-1] != horizon:
+        times.append(horizon)
+    signals = list(dict.fromkeys(trace.signals))
+    main = max(signals, key=trace.signals.count)
+    gaps = []
+    for tau in times:
+        mixed = [np.bincount(trace.actions[:tau, i],
+                             minlength=len(game.actions[i])) / tau
+                 for i in range(n)]
+        gaps.append(mixed_gap_reference(game, mixed, main))
+    return np.asarray(gaps), times, main
+
+
+def _reference_corpus():
+    """(game, trace) pairs: seeded random games of 2-4 agents with 2-5
+    actions each, every learner kind, and one two-signal game whose most
+    frequent signal is not the first to appear."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 2, 3, 3, 3, 4, 4, 4):
+        ks = tuple(int(rng.integers(2, 6)) for _ in range(n))
+        actions = tuple(tuple(f"a{j}" for j in range(k)) for k in ks)
+        game = StrategicGame(actions, {"default": rng.normal(size=(n,) + ks)})
+        for kind in learning.KINDS:
+            specs = [LearnerSpec(kind, RateSchedule("constant", 0.4),
+                                 RateSchedule("harmonic", 1.0), temperature=0.5)
+                     for _ in range(n)]
+            yield game, run_dynamics(game, specs, 140,
+                                     seed=int(rng.integers(1 << 30)))
+    actions = (("a", "b", "c"), ("x", "y"))
+    game = StrategicGame(actions, {"lo": rng.normal(size=(2, 3, 2)),
+                                   "hi": rng.normal(size=(2, 3, 2))})
+    specs = [LearnerSpec("fictitious-play"),
+             LearnerSpec("smoothed-best-response", temperature=0.3)]
+    yield game, run_dynamics(game, specs, 140, seed=5,
+                             signal_schedule=lambda t: ("hi", "lo", "hi")[t % 3])
+
+
+def test_batched_kernels_match_per_sample_reference(monkeypatch):
+    default_block = learning.GAP_BLOCK_BYTES
+    for game, trace in _reference_corpus():
+        series = {}
+        for stride in (1, 7, 40):            # 40 does not divide 140
+            want, times, main = gap_series_reference(game, trace, stride)
+            series[stride] = want
+            # the default blocks, and blocks of one to six samples
+            for block_bytes in (default_block, 200):
+                monkeypatch.setattr(learning, "GAP_BLOCK_BYTES", block_bytes)
+                diag = diagnostics(game, trace, gap_stride=stride)
+                assert diag.gap_times == tuple(times)
+                assert diag.gap_series.tobytes() == want.tobytes()
+        # every step's frequencies, as one (steps, k) batch per agent
+        steps = np.arange(1, len(trace.actions) + 1)[:, None]
+        batch = [np.cumsum(np.eye(len(labels))[trace.actions[:, i]], axis=0)
+                 / steps for i, labels in enumerate(game.actions)]
+        assert mixed_gap(game, batch, main).tobytes() == series[1].tobytes()
+        want = np.array([expected_payoffs_reference(game, [b[s] for b in batch], main)
+                         for s in range(0, len(steps), 3)])
+        got = np.array([expected_payoffs(game, [b[s] for b in batch], main)
+                        for s in range(0, len(steps), 3)])
+        assert got.tobytes() == want.tobytes()
+        assert expected_payoffs(game, [b[::3] for b in batch], main).T.tobytes() \
+            == want.tobytes()
+
+
 def test_mixed_gap_vanishes_at_mixed_equilibrium():
     g = pennies()
     assert mixed_gap(g, [np.array([0.5, 0.5])] * 2) == pytest.approx(0.0, abs=1e-12)
@@ -178,6 +285,18 @@ def test_mixed_gap_vanishes_at_mixed_equilibrium():
     assert mixed_gap(g, [np.array([0.9, 0.1]), np.array([0.5, 0.5])]) \
         == pytest.approx(0.8, abs=1e-12)
     assert mixed_gap(g, [np.array([0.9, 0.1]), np.array([0.6, 0.4])]) > 0.01
+
+
+def test_mixed_gap_skips_nan_gains():
+    # agent 0's NaN payoff makes its gain NaN; like Python's max, the gap
+    # skips it and reports agent 1's gain, row by row in a batch
+    g = pennies()
+    g.payoffs["default"][0, 1, 1] = np.nan
+    batch = [np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([[0.5, 0.5], [0.5, 0.5]])]
+    want = [mixed_gap_reference(g, [b[s] for b in batch]) for s in range(2)]
+    assert want == [0.8, pytest.approx(0.6)]
+    assert mixed_gap(g, batch).tobytes() == np.asarray(want).tobytes()
+    assert mixed_gap(g, [b[0] for b in batch]) == want[0]
 
 
 def test_signal_tables():
