@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, _tableau_width, solve_lp
 
 MAX_AGENTS = 20
 MAX_NUCLEOLUS_AGENTS = 12
@@ -63,6 +63,21 @@ def members(mask: int):
         mask >>= 1
         i += 1
     return out
+
+
+def _membership(n: int) -> np.ndarray:
+    """(2^n, n) 0/1 matrix whose row S marks the members of coalition S."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+
+
+def _subset_sums(x) -> np.ndarray:
+    """x(S) for every mask S, by doubling. Each sum adds S's members in
+    ascending order starting from 0, as `sum(x[i] for i in members(S))`
+    does, so every bit matches that loop."""
+    s = np.zeros(1 << len(x))
+    for i, xi in enumerate(x):
+        s[1 << i:2 << i] = s[:1 << i] + xi
+    return s
 
 
 def _value_array(game: CoalitionGame) -> np.ndarray:
@@ -121,7 +136,7 @@ def in_core(game: CoalitionGame, allocation) -> bool:
         raise ValueError(f"allocation must have length {game.n}")
     if abs(float(r.sum()) - game.value(game.full)) > TOL:
         return False
-    return all(excess(game, s, r) <= TOL for s in range(1, game.full + 1))
+    return bool(np.all(_value_array(game)[1:] - _subset_sums(r)[1:] <= TOL))
 
 
 @dataclass(frozen=True)
@@ -137,20 +152,17 @@ def core_nonempty(game: CoalitionGame) -> CoreReport:
     The core is nonempty iff the optimum is <= v(full) + 1e-9; the optimal
     allocation (padded up to efficiency) is returned as a certificate.
     """
-    n = game.n
-    rows = []
-    rhs = []
-    for s in range(1, game.full + 1):
-        row = np.zeros(n)
-        for i in members(s):
-            row[i] = 1.0
-        rows.append(row)
-        rhs.append(game.value(s))
+    n, m = game.n, game.full
+    v = _value_array(game)
+    # Refuse an oversized tableau before building any row: each free
+    # variable splits in two, and a >= row with a negative rhs is negated
+    # into a <= row, which needs no artificial column.
+    _tableau_width(m, 2 * n, m, int(np.count_nonzero(v[1:] >= 0)))
     lp = LinearProgram(
         objective=np.ones(n),
-        lhs=np.asarray(rows),
-        senses=(">=",) * len(rows),
-        rhs=np.asarray(rhs),
+        lhs=_membership(n)[1:],
+        senses=(">=",) * m,
+        rhs=v[1:],
         lower=np.full(n, -np.inf),
     )
     sol = solve_lp(lp)
@@ -172,9 +184,7 @@ def shapley(game: CoalitionGame) -> np.ndarray:
     """
     n = game.n
     v = _value_array(game)
-    size = np.zeros(1 << n, dtype=np.int64)
-    for m in range(1, 1 << n):
-        size[m] = size[m >> 1] + (m & 1)
+    size = _subset_sums(np.ones(n)).astype(np.int64)
     fact = [1] * (n + 1)
     for k in range(1, n + 1):
         fact[k] = fact[k - 1] * k
@@ -214,60 +224,40 @@ def nucleolus(game: CoalitionGame) -> NucleolusReport:
     if n == 1:
         return NucleolusReport(np.asarray([game.value(1)]), 0, ())
 
-    proper = [s for s in range(1, game.full)]
-    fixed = {}                       # mask -> excess level
+    member = _membership(n)
+    v = _value_array(game)
+    tied = np.asarray([game.full])   # efficiency, then masks in fixing order
+    tied_rhs = v[tied]               # v(S) less the level S was fixed at
+    obj = np.zeros(n + 1)            # variables r_0..r_{n-1}, eps; all free
+    obj[n] = 1.0
     levels = []
     stage = 0
     while True:
         stage += 1
         if stage > (1 << n):
             raise CapacityError("nucleolus stage count exceeded 2^n")
-        unfixed = [s for s in proper if s not in fixed]
-        # Variables: r_0..r_{n-1}, eps; all free.
-        rows, senses, rhs = [], [], []
-        eff = np.zeros(n + 1)
-        eff[:n] = 1.0
-        rows.append(eff); senses.append("=="); rhs.append(game.value(game.full))
-        for s, level in fixed.items():
-            row = np.zeros(n + 1)
-            for i in members(s):
-                row[i] = 1.0
-            rows.append(row); senses.append("=="); rhs.append(game.value(s) - level)
-        first_unfixed = len(rows)
-        for s in unfixed:
-            row = np.zeros(n + 1)
-            for i in members(s):
-                row[i] = 1.0
-            row[n] = 1.0              # sum_S r + eps >= v(S), i.e. excess <= eps
-            rows.append(row); senses.append(">="); rhs.append(game.value(s))
-        obj = np.zeros(n + 1)
-        obj[n] = 1.0
-        lp = LinearProgram(obj, np.asarray(rows), tuple(senses),
-                           np.asarray(rhs), lower=np.full(n + 1, -np.inf))
-        sol = solve_lp(lp)
+        unfixed = np.setdiff1d(np.arange(1, game.full), tied)
+        # Rows: the tied ones as equalities, then r(S) + eps >= v(S)
+        # (excess <= eps) for every unfixed S.
+        k = tied.size
+        lhs = np.zeros((k + unfixed.size, n + 1))
+        lhs[:, :n] = member[np.concatenate((tied, unfixed))]
+        lhs[k:, n] = 1.0
+        sol = solve_lp(LinearProgram(
+            obj, lhs, ("==",) * k + (">=",) * unfixed.size,
+            np.concatenate((tied_rhs, v[unfixed])), lower=np.full(n + 1, -np.inf)))
         if sol.status != "optimal":
             raise CapacityError(f"nucleolus stage LP ended {sol.status}")
         eps = float(sol.x[n])
-        r = sol.x[:n]
         levels.append(eps)
 
-        newly = [s for k, s in enumerate(unfixed)
-                 if abs(sol.duals[first_unfixed + k]) > TOL]
-        if not newly:
-            newly = [s for s in unfixed
-                     if abs(excess(game, s, r) - eps) <= 10 * TOL]
-        for s in newly:
-            fixed[s] = eps
-
-        mat = [np.ones(n)]
-        tgt = [game.value(game.full)]
-        for s, level in fixed.items():
-            row = np.zeros(n)
-            for i in members(s):
-                row[i] = 1.0
-            mat.append(row)
-            tgt.append(game.value(s) - level)
-        mat = np.asarray(mat)
-        if np.linalg.matrix_rank(mat, tol=1e-8) == n or len(fixed) == len(proper):
-            final = np.linalg.lstsq(mat, np.asarray(tgt), rcond=None)[0]
+        newly = np.flatnonzero(np.abs(sol.duals[k:]) > TOL)
+        if not newly.size:
+            exc = v[unfixed] - _subset_sums(sol.x[:n])[unfixed]
+            newly = np.flatnonzero(np.abs(exc - eps) <= 10 * TOL)
+        tied = np.concatenate((tied, unfixed[newly]))
+        tied_rhs = np.concatenate((tied_rhs, v[unfixed[newly]] - eps))
+        mat = member[tied]
+        if np.linalg.matrix_rank(mat, tol=1e-8) == n or tied.size == game.full:
+            final = np.linalg.lstsq(mat, tied_rhs, rcond=None)[0]
             return NucleolusReport(final, stage, tuple(levels))

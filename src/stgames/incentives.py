@@ -156,10 +156,12 @@ def budget_check(budget: BudgetSpec, game: StrategicGame,
     if len(profiles) != budget.horizon:
         raise ValueError(
             f"trajectory length {len(profiles)} != horizon {budget.horizon}")
+    price = {}                                # one transfer total per profile
     spent = 0.0
-    for t, profile in enumerate(profiles):
-        spent += (budget.delta ** t) * float(
-            schedule.per_agent(game, profile, sig).sum())
+    for t, profile in enumerate(map(tuple, profiles)):
+        if profile not in price:
+            price[profile] = float(schedule.per_agent(game, profile, sig).sum())
+        spent += (budget.delta ** t) * price[profile]
     return BudgetReport(spent, spent <= budget.limit + TOL, "finite")
 
 

@@ -12,7 +12,8 @@ LP). It makes the same pivots, and gives the same bits, as updating every
 full row.
 
 Capacity: `solve_lp` raises CapacityError, before allocating, when the
-standard-form tableau would exceed MAX_TABLEAU_BYTES (512 MiB). The core
+standard-form tableau would exceed MAX_TABLEAU_BYTES (512 MiB), and
+`coop.core_nonempty` checks the same bound before it builds a row. The core
 LP fits up to n = 12 (4095 x 8214, 257 MiB) and fails at n = 13 (8191 x
 16408, 1025 MiB); the first nucleolus stage at the nucleolus cap n = 12 is
 4095 x 8215. Besides the tableau, a solve keeps a copy of its structural
@@ -156,6 +157,20 @@ class _Tableau:
             used += 1
 
 
+def _tableau_width(rows, k, slack, art):
+    """Width of a standard-form tableau of `rows` rows with k structural,
+    `slack` slack/surplus and `art` artificial columns. Raises CapacityError
+    when the tableau would exceed MAX_TABLEAU_BYTES, so a caller can refuse
+    an LP before building it."""
+    width = k + slack + art
+    need = rows * width * 8
+    if need > MAX_TABLEAU_BYTES:
+        raise CapacityError(
+            f"LP tableau of {rows} x {width} needs {need / 2 ** 20:.0f} MiB, "
+            f"over the {MAX_TABLEAU_BYTES // 2 ** 20} MiB limit")
+    return width
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a dense LP. Deterministic for identical inputs.
 
@@ -211,12 +226,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     slack_rows = [r for r in range(m_std) if row_sense[r] != "=="]
     art_rows = [r for r in range(m_std) if row_sense[r] != "<="]
     n_real = k + len(slack_rows)
-    width = n_real + len(art_rows)
-    need = m_std * width * 8
-    if need > MAX_TABLEAU_BYTES:
-        raise CapacityError(
-            f"LP tableau of {m_std} x {width} needs {need / 2 ** 20:.0f} MiB, "
-            f"over the {MAX_TABLEAU_BYTES // 2 ** 20} MiB limit")
+    width = _tableau_width(m_std, k, len(slack_rows), len(art_rows))
 
     full = np.zeros((m_std, width))
     cost2 = np.zeros(width)

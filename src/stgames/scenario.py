@@ -427,10 +427,14 @@ def _v_ttscale(node, path):
             sig = _need_signal(str(sig), apath, game)
             if len(_need_list(per_agent, apath)) != game.n_agents:
                 _fail(apath, "needs one action list per agent")
-            allowed[sig] = tuple(
-                tuple(_need_label(lab, f"{apath}[{i}][{k}]", game.actions[i])
-                      for k, lab in enumerate(_need_list(labels, f"{apath}[{i}]", 1)))
-                for i, labels in enumerate(per_agent))
+            sets = []
+            for i, labels in enumerate(per_agent):
+                labels = tuple(_need_label(lab, f"{apath}[{i}][{k}]", game.actions[i])
+                               for k, lab in enumerate(_need_list(labels, f"{apath}[{i}]", 1)))
+                if len(set(labels)) != len(labels):
+                    _fail(f"{apath}[{i}]", "duplicate action labels")
+                sets.append(labels)
+            allowed[sig] = tuple(sets)
         block["admissible"] = allowed
         inputs["admissible"] = AdmissibleSetRule(allowed)
     if "incentives" in node:
@@ -481,6 +485,8 @@ def _v_stackelberg(node, path):
                     _need_map(entry, epath, required=("profile", "value"))
                     profile = _need_profile(entry["profile"], f"{epath}.profile",
                                             game.actions)
+                    if profile in rows:
+                        _fail(epath, f"duplicate profile {profile}")
                     rows[profile] = _need_number(entry["value"], f"{epath}.value")
             block["leader_objective"] = {"table": {
                 sig: {" ".join(p): v for p, v in rows.items()}

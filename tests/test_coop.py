@@ -8,14 +8,18 @@ deliberately independent of the library internals.
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stgames import coop as coopmod
 from stgames.coop import (CoalitionGame, cooperative_surplus, core_nonempty,
                           excess, in_core, is_convex, is_superadditive,
                           members, nucleolus, shapley)
 from stgames.errors import CapacityError
+from stgames.lp import LinearProgram
 
 # three agents, no solo value, pairs worth 1/2, grand coalition worth 1
 WORKED = CoalitionGame.from_dict(
@@ -315,3 +319,215 @@ def test_core_verdicts_match_grid():
             assert in_core(g, rep.certificate)
         seen[rep.nonempty] += 1
     assert seen[True] >= 10 and seen[False] >= 10
+
+
+def test_core_capacity_refused_before_any_row():
+    # 2^20 - 1 rows: building them took about 25 s and a 600 MiB peak before
+    # the LP kernel's tableau guard fired
+    game = CoalitionGame(20, tuple([0.0] * (1 << 20)))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="LP tableau of 1048575 x "):
+            core_nonempty(game)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 32 * 2 ** 20
+
+
+# ------------------------------------------------------ reference kernels --
+#
+# The per-coalition loops that the membership matrix and the subset-sum pass
+# replaced. The library must give the same bits on every game. The LP is
+# solved through `coopmod.solve_lp`, so one patch reaches both kernels.
+
+def core_nonempty_by_rows(game):
+    n = game.n
+    rows, rhs = [], []
+    for s in range(1, game.full + 1):
+        row = np.zeros(n)
+        for i in members(s):
+            row[i] = 1.0
+        rows.append(row)
+        rhs.append(game.value(s))
+    sol = coopmod.solve_lp(LinearProgram(
+        np.ones(n), np.asarray(rows), (">=",) * len(rows), np.asarray(rhs),
+        lower=np.full(n, -np.inf)))
+    vfull = game.value(game.full)
+    if sol.objective > vfull + 1e-9:
+        return coopmod.CoreReport(False, None, sol.objective)
+    cert = sol.x.copy()
+    cert[0] += vfull - cert.sum()
+    return coopmod.CoreReport(True, cert, sol.objective)
+
+
+def in_core_by_excess(game, allocation):
+    r = np.asarray(allocation, dtype=float)
+    if abs(float(r.sum()) - game.value(game.full)) > 1e-9:
+        return False
+    return all(excess(game, s, r) <= 1e-9 for s in range(1, game.full + 1))
+
+
+def shapley_by_popcount(game):
+    n = game.n
+    v = np.asarray(game.values, dtype=float)
+    size = np.zeros(1 << n, dtype=np.int64)
+    for m in range(1, 1 << n):
+        size[m] = size[m >> 1] + (m & 1)
+    weight = np.asarray([math.factorial(s) * math.factorial(n - s - 1)
+                         / math.factorial(n) for s in range(n)])
+    masks = np.arange(1 << n)
+    phi = np.zeros(n)
+    for i in range(n):
+        without = masks[(masks & (1 << i)) == 0]
+        phi[i] = float(weight[size[without]] @ (v[without | (1 << i)] - v[without]))
+    return phi
+
+
+def nucleolus_by_rows(game, fallbacks):
+    """Successive-LP nucleolus with one row per coalition; appends the stage
+    number to `fallbacks` each time the tight-row fallback fixes rows."""
+    n, tol = game.n, 1e-9
+    if n == 1:
+        return coopmod.NucleolusReport(np.asarray([game.value(1)]), 0, ())
+    proper = list(range(1, game.full))
+    fixed, levels, stage = {}, [], 0
+    while True:
+        stage += 1
+        if stage > (1 << n):
+            raise CapacityError("nucleolus stage count exceeded 2^n")
+        unfixed = [s for s in proper if s not in fixed]
+        rows, senses, rhs = [], [], []
+        eff = np.zeros(n + 1)
+        eff[:n] = 1.0
+        rows.append(eff); senses.append("=="); rhs.append(game.value(game.full))
+        for s, level in fixed.items():
+            row = np.zeros(n + 1)
+            for i in members(s):
+                row[i] = 1.0
+            rows.append(row); senses.append("=="); rhs.append(game.value(s) - level)
+        first_unfixed = len(rows)
+        for s in unfixed:
+            row = np.zeros(n + 1)
+            for i in members(s):
+                row[i] = 1.0
+            row[n] = 1.0
+            rows.append(row); senses.append(">="); rhs.append(game.value(s))
+        obj = np.zeros(n + 1)
+        obj[n] = 1.0
+        sol = coopmod.solve_lp(LinearProgram(
+            obj, np.asarray(rows), tuple(senses), np.asarray(rhs),
+            lower=np.full(n + 1, -np.inf)))
+        eps = float(sol.x[n])
+        r = sol.x[:n]
+        levels.append(eps)
+        newly = [s for k, s in enumerate(unfixed)
+                 if abs(sol.duals[first_unfixed + k]) > tol]
+        if not newly:
+            fallbacks.append(stage)
+            newly = [s for s in unfixed
+                     if abs(excess(game, s, r) - eps) <= 10 * tol]
+        for s in newly:
+            fixed[s] = eps
+        mat = [np.ones(n)]
+        tgt = [game.value(game.full)]
+        for s, level in fixed.items():
+            row = np.zeros(n)
+            for i in members(s):
+                row[i] = 1.0
+            mat.append(row)
+            tgt.append(game.value(s) - level)
+        mat = np.asarray(mat)
+        if np.linalg.matrix_rank(mat, tol=1e-8) == n or len(fixed) == len(proper):
+            final = np.linalg.lstsq(mat, np.asarray(tgt), rcond=None)[0]
+            return coopmod.NucleolusReport(final, stage, tuple(levels))
+
+
+def benchmark_shaped(rng, n, core_empty):
+    """Random small coalitions under one symmetric layer of (n-1)-coalitions,
+    the value shape of the coop benchmark documents."""
+    grand = n * rng.uniform(1.0, 2.0)
+    share = rng.uniform(1.03, 1.1) if core_empty else rng.uniform(0.9, 0.97)
+    vals = {}
+    for mask in range(1, 1 << n):
+        k = len(members(mask))
+        if k == n:
+            vals[mask] = grand
+        elif k == n - 1:
+            vals[mask] = share * grand * (n - 1) / n
+        else:
+            vals[mask] = (rng.uniform(0.3, 0.8) * k / n
+                          - max(0.0, 1.0 - share)) * grand
+        vals[mask] = round(vals[mask], 6)
+    return CoalitionGame.from_dict(n, vals)
+
+
+def kernel_corpus():
+    rng = np.random.default_rng(8128)
+    for n in range(2, 9):
+        for _ in range(3 if n < 7 else 1):
+            yield random_game(rng, n)
+            yield CoalitionGame.from_dict(n, {m: float(rng.integers(-2, 5))
+                                              for m in range(1, 1 << n)})
+            by_size = rng.uniform(0.0, 3.0, size=n + 1)
+            yield CoalitionGame.from_dict(
+                n, {m: float(by_size[len(members(m))]) for m in range(1, 1 << n)})
+    for n in (3, 4, 7, 8):
+        for empty in (False, True):
+            yield benchmark_shaped(rng, n, empty)
+
+
+def as_bytes(got):
+    """Bytes of every array and float a kernel returns."""
+    if isinstance(got, np.ndarray):
+        return got.tobytes()
+    if isinstance(got, coopmod.CoreReport):
+        cert = None if got.certificate is None else got.certificate.tobytes()
+        return got.nonempty, cert, np.float64(got.lp_optimum).tobytes()
+    return (got.allocation.tobytes(), got.stages,
+            np.asarray(got.levels).tobytes())
+
+
+def assert_kernels_agree(games, fallbacks):
+    for g in games:
+        phi = shapley(g)
+        assert as_bytes(phi) == as_bytes(shapley_by_popcount(g))
+        core = core_nonempty(g)
+        assert as_bytes(core) == as_bytes(core_nonempty_by_rows(g))
+        nuc = nucleolus(g)
+        assert as_bytes(nuc) == as_bytes(nucleolus_by_rows(g, fallbacks))
+        allocations = [phi, nuc.allocation,
+                       np.random.default_rng(g.n).uniform(-1, 2, g.n)]
+        if core.nonempty:
+            allocations.append(core.certificate)
+        for r in allocations:
+            r = r.copy()
+            r[0] += g.value(g.full) - r.sum()
+            assert in_core(g, r) is in_core_by_excess(g, r)
+
+
+def test_coalition_sums_match_reference_kernels():
+    x = np.random.default_rng(3).normal(size=10)
+    want = [float(sum(x[i] for i in members(s))) for s in range(1 << 10)]
+    assert coopmod._subset_sums(x).tobytes() == np.asarray(want).tobytes()
+    fallbacks = []
+    assert_kernels_agree(kernel_corpus(), fallbacks)
+    assert not fallbacks      # at an optimum the unfixed duals sum to 1
+
+
+def test_degenerate_stage_fallback_matches_reference(monkeypatch):
+    solve = coopmod.solve_lp
+
+    def without_duals(lp):
+        sol = solve(lp)
+        sol.duals = np.zeros_like(sol.duals)
+        return sol
+
+    monkeypatch.setattr(coopmod, "solve_lp", without_duals)
+    fallbacks = []
+    games = [g for g in kernel_corpus() if g.n <= 6]
+    assert_kernels_agree(games, fallbacks)
+    assert fallbacks.count(1) == len(games)       # every first stage

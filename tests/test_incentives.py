@@ -7,6 +7,7 @@ dilemma numbers.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,27 @@ def test_budget_closed_form_and_finite():
     with pytest.raises(ValueError):
         budget_check(BudgetSpec(2.0, 0.5, horizon=2), g, sched,
                      [("C", "C")])
+
+
+def test_budget_check_prices_each_profile_once():
+    g = pd_game()
+    sched = IncentiveSchedule.on_profile(g, ("C", "C"), (0.5, 0.25))
+    sched.transfers["default"][:, 1, 1] = (0.125, 0.3)
+    rng = np.random.default_rng(6)
+    traj = [("C", "C"), ("D", "D"), ("C", "D")]
+    traj = [traj[k] for k in rng.integers(0, 3, size=500)]
+    budget = BudgetSpec(10.0, 0.99, horizon=500)
+    want = 0.0              # one schedule lookup per step, the old loop
+    for t, profile in enumerate(traj):
+        want += 0.99 ** t * float(sched.per_agent(g, profile).sum())
+    assert budget_check(budget, g, sched, traj).spent == want
+
+    # 10**6 steps of one profile took about 4 s with a lookup per step
+    start = time.perf_counter()
+    rep = budget_check(BudgetSpec(10.0, 0.5, horizon=10 ** 6), g, sched,
+                       [("C", "C")] * 10 ** 6)
+    assert time.perf_counter() - start < 1.5
+    assert rep.spent == pytest.approx(1.5)
 
 
 def test_budget_spec_validation():

@@ -99,6 +99,11 @@ def test_schema_error_paths_are_dotted():
     long_budget["incentive"]["budget"]["horizon"] = 10 ** 6 + 1
     repeated = fixture("resilience")
     repeated["resilience"]["adversary"] = {"agents": [5, 5], "kind": "sign-flip"}
+    leader_twice = fixture("stackelberg")
+    leader_twice["stackelberg"]["leader_objective"] = {"table": {"A": [
+        {"profile": ["x", "x"], "value": 1}, {"profile": ["x", "x"], "value": 7}]}}
+    admissible_twice = fixture("ttscale")
+    admissible_twice["ttscale"]["admissible"] = {"lo": [["a", "a"], ["a", "b"]]}
     for doc, path in ((nan_payoff, "nash.game.payoffs[1].values[0]"),
                       (inf_slope, "wardrop.edges[0].b"),
                       (nan_value, "coop.values[0].value"),
@@ -110,7 +115,9 @@ def test_schema_error_paths_are_dotted():
                       (nash_signal, "nash.signal"),
                       (incentive_signal, "incentive.signal"),
                       (long_budget, "incentive.budget.horizon"),
-                      (repeated, "resilience.adversary")):
+                      (repeated, "resilience.adversary"),
+                      (leader_twice, "stackelberg.leader_objective.table.A[1]"),
+                      (admissible_twice, "ttscale.admissible.lo[0]")):
         with pytest.raises(SchemaError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert err.value.path == path
