@@ -4,8 +4,8 @@ One subcommand per scenario kind; every subcommand takes YAML config files
 and shared output options. Exit codes: 0 success, 1 usage or schema problems,
 2 a computation that failed to converge or had no solution, 3 a capacity
 limit (problem too large for the implemented methods). Each config reports
-its own outcome, a summary line on stdout or an error line on stderr, and
-the exit code is the largest over the configs.
+its own warnings and outcome (a summary line on stdout or an error line on
+stderr), and the exit code is the largest over the configs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .errors import CapacityError, ComputationError, SchemaError
 from .scenario import REGISTRY, parse_scenario, run_scenario, write_outputs
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes when running several configs")
         p.add_argument("--quiet", action="store_true",
-                       help="suppress the summary line per config")
+                       help="suppress summary lines (warnings and errors still print)")
     return parser
 
 
@@ -77,25 +78,30 @@ def _run_config(kind, path, seed, out_dir, fmt):
 
 
 def _run_one(kind, path, seed, out_dir, fmt):
-    """Worker body; returns (path, exit code, (summary, written) or message).
-
-    Errors are returned, not raised, so one bad config never hides the
-    results of the others."""
-    try:
-        return path, EXIT_OK, _run_config(kind, path, seed, out_dir, fmt)
-    except CapacityError as exc:
-        return path, EXIT_CAPACITY, str(exc)
-    except ComputationError as exc:
-        return path, EXIT_COMPUTATION, str(exc)
-    except (SchemaError, ValueError, KeyError, OSError) as exc:
-        return path, EXIT_USAGE, str(exc)
+    """Worker body; returns (path, exit code, (summary, written) or message,
+    warnings). Errors are returned, not raised, and every warning is kept,
+    so one config never hides the results of the others."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, outcome = EXIT_OK, _run_config(kind, path, seed, out_dir, fmt)
+        except CapacityError as exc:
+            code, outcome = EXIT_CAPACITY, str(exc)
+        except ComputationError as exc:
+            code, outcome = EXIT_COMPUTATION, str(exc)
+        except (SchemaError, ValueError, KeyError, OSError) as exc:
+            code, outcome = EXIT_USAGE, str(exc)
+    return path, code, outcome, [str(w.message) for w in caught]
 
 
 def _report(results, quiet) -> int:
-    """Print each config's outcome in order; returns the largest exit code."""
+    """Print each config's warnings and outcome in order; returns the
+    largest exit code."""
     worst = EXIT_OK
-    for path, code, outcome in results:
+    for path, code, outcome, warned in results:
         worst = max(worst, code)
+        for message in warned:
+            print(f"warning: {message} ({path})", file=sys.stderr)
         if code != EXIT_OK:
             # The line starts with "error: " and the config goes last, so
             # a schema error still reads "error: <dotted.path>: ...".

@@ -10,7 +10,6 @@ coalition structures.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -19,8 +18,7 @@ import numpy as np
 from .coop import CoalitionGame, members
 from .incentives import IncentiveSchedule, modified_payoff
 from .learning import LearningState, Trace, run_dynamics
-from .strategic import (StrategicGame, _profile_index, enumerate_pure_nash,
-                        expected_payoffs)
+from .strategic import StrategicGame, enumerate_pure_nash, expected_payoffs
 
 COORDINATOR_KINDS = ("constant", "round-robin", "greedy")
 STACKELBERG_MODES = ("optimistic", "pessimistic")
@@ -37,34 +35,32 @@ class AdmissibleSetRule:
     allowed: dict
 
     def for_signal(self, game: StrategicGame, signal):
-        if signal not in self.allowed:
-            return tuple(game.actions)
-        per_agent = self.allowed[signal]
-        if len(per_agent) != game.n_agents:
-            raise ValueError(f"rule at {signal!r} must cover all agents")
-        out = []
-        for i, labels in enumerate(per_agent):
-            labels = tuple(labels)
-            if not labels:
-                raise ValueError(f"agent {i}: admissible set empty at {signal!r}")
-            for lab in labels:
-                game.action_index(i, lab)
-            out.append(labels)
-        return tuple(out)
+        return _restrict(game, self, signal)[0].actions
+
+
+def _restrict(game: StrategicGame, rule: AdmissibleSetRule | None, signal):
+    """The subgame held to `rule`'s admissible sets at `signal` (`game` if
+    it keeps every action in order) and the index arrays of the kept actions."""
+    if rule is None or signal not in rule.allowed:
+        return game, [np.arange(len(a)) for a in game.actions]
+    allowed = tuple(tuple(labels) for labels in rule.allowed[signal])
+    if len(allowed) != game.n_agents:
+        raise ValueError(f"rule at {signal!r} must cover all agents")
+    keep = []
+    for i, labels in enumerate(allowed):
+        if not labels:
+            raise ValueError(f"agent {i}: admissible set empty at {signal!r}")
+        keep.append(np.asarray([game.action_index(i, lab) for lab in labels]))
+    if allowed == tuple(game.actions):
+        return game, keep
+    sel = np.ix_(np.arange(game.n_agents), *keep)
+    return StrategicGame(allowed, {s: tab[sel] for s, tab in game.payoffs.items()}), keep
 
 
 def apply_admissible_sets(game: StrategicGame, rule: AdmissibleSetRule,
                           signal) -> StrategicGame:
     """The subgame where each agent is held to its admissible actions."""
-    sig = game.resolve_signal(signal)
-    allowed = rule.for_signal(game, sig)
-    keep = [np.asarray([game.action_index(i, lab) for lab in allowed[i]])
-            for i in range(game.n_agents)]
-    tables = {}
-    for s, tab in game.payoffs.items():
-        sel = np.ix_(np.arange(game.n_agents), *keep)
-        tables[s] = tab[sel].copy()
-    return StrategicGame(allowed, tables)
+    return _restrict(game, rule, game.resolve_signal(signal))[0]
 
 
 # --- coordinator updates -----------------------------------------------------
@@ -135,22 +131,18 @@ class TwoTimescaleResult:
     final_state: LearningState
 
 
-def _project_state(state: LearningState, game: StrategicGame, allowed):
-    """Restrict policies/estimates to the admissible index sets."""
-    sub_policies, sub_estimates, sub_counts, keep = [], [], [], []
-    for i, labels in enumerate(allowed):
-        idx = np.asarray([game.action_index(i, lab) for lab in labels])
-        keep.append(idx)
-        if len(idx) == len(state.policies[i]):
-            pi = state.policies[i].copy()      # unrestricted: bit-exact
-        else:
-            pi = state.policies[i][idx]
-            mass = pi.sum()
-            pi = pi / mass if mass > 0 else np.full(len(idx), 1.0 / len(idx))
-        sub_policies.append(pi)
-        sub_estimates.append(state.estimates[i][idx].copy())
-        sub_counts.append(state.counts[i][idx].copy())
-    return LearningState(sub_policies, sub_estimates, sub_counts, state.t), keep
+def _project_state(state: LearningState, keep):
+    """Restrict policies/estimates to the admissible index sets `keep`."""
+    policies = []
+    for pi, idx in zip(state.policies, keep):
+        sub = pi[idx]
+        if len(idx) < len(pi):
+            mass = sub.sum()
+            sub = sub / mass if mass > 0 else np.full(len(idx), 1.0 / len(idx))
+        policies.append(sub)
+    return LearningState(policies,
+                         [q[idx] for q, idx in zip(state.estimates, keep)],
+                         [c[idx] for c, idx in zip(state.counts, keep)], state.t)
 
 
 def _embed_state(state: LearningState, sub: LearningState, keep):
@@ -187,26 +179,16 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
     for k in range(outer_steps):
         if k > 0:
             signal = coordinator_update(coordinator, played, signal, digest)
-        if admissible is not None:
-            allowed = admissible.for_signal(played, signal)
-        else:
-            allowed = tuple(played.actions)
-        restricted = (played if allowed == tuple(played.actions)
-                      else apply_admissible_sets(played, AdmissibleSetRule({signal: allowed}), signal))
-        sub, keep = _project_state(state, played, allowed)
+        before = [c.copy() for c in state.counts]
+        restricted, keep = _restrict(played, admissible, signal)
         trace = run_dynamics(restricted, specs, epoch_length, rng=rng,
                              signal_schedule=lambda t: signal,
-                             initial_state=sub)
+                             initial_state=_project_state(state, keep))
         _embed_state(state, trace.final_state, keep)
-        freqs = []
-        for i in range(game.n_agents):
-            full = np.zeros(len(game.actions[i]))
-            counts = np.bincount(trace.actions[:, i],
-                                 minlength=len(allowed[i])).astype(float)
-            full[keep[i]] = counts / epoch_length
-            freqs.append(tuple(full))
+        freqs = tuple(tuple((c - b) / epoch_length)
+                      for c, b in zip(state.counts, before))
         mean_pay = trace.payoffs.mean(axis=0)
-        digest = EpochDigest(signal, tuple(freqs), float(mean_pay.sum()),
+        digest = EpochDigest(signal, freqs, float(mean_pay.sum()),
                              tuple(float(v) for v in mean_pay))
         epochs.append(EpochRecord(k, signal, digest))
         traces.append(trace)
@@ -253,8 +235,7 @@ def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
     best, best_val = None, None
     for cand in candidates:
         game.resolve_signal(cand)
-        sub = (apply_admissible_sets(game, admissible, cand)
-               if admissible is not None else game)
+        sub = _restrict(game, admissible, cand)[0]
         eqs = tuple(enumerate_pure_nash(sub, cand))
         if not eqs:
             warnings.warn(f"candidate {cand!r} has no pure equilibrium; skipped")
@@ -288,9 +269,9 @@ class DynamicGame:
         for key, nxt in self.transitions.items():
             if isinstance(nxt, str):
                 continue
-            total = sum(p for _, p in nxt)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"transition at {key} sums to {total}, not 1")
+            probs = [p for _, p in nxt]
+            if not (min(probs, default=-1.0) >= 0 and abs(sum(probs) - 1.0) <= 1e-9):
+                raise ValueError(f"transition at {key} is not a distribution: {probs}")
 
     @property
     def n_agents(self) -> int:
@@ -332,12 +313,46 @@ class RolloutReport:
     rollouts: int
 
 
+def _index_chain(dyn: DynamicGame, policies, horizon: int):
+    """Per (plan step, state) pair, with the plan step t capped at the
+    longest plan, numbered in the order rollouts can reach them within the
+    horizon along transitions of positive probability: the payoff row, the
+    successor numbers and the next-state CDF, normalized by its last entry
+    as `Generator.choice` does and padded with inf."""
+    last = min(horizon, max([1] + [len(pol.plan) for pol in policies if pol.plan])) - 1
+    number = {(0, dyn.initial_state): 0}
+    rows, succs, cdfs = [], [], []
+    queue = [(0, 0, dyn.initial_state)]
+    for t, p, state in queue:
+        # pairs are built in the order they are numbered, so a number below
+        # len(rows) is built already
+        if t == horizon or number[p, state] < len(rows):
+            continue
+        profile = tuple(pol.action(p, state, dyn.initial_state) for pol in policies)
+        moves = dyn.transitions.get((state, profile), state)
+        if isinstance(moves, str):
+            moves = ((moves, 1.0),)
+        moves = [((min(p + 1, last), lab), prob) for lab, prob in moves if prob > 0]
+        rows.append(dyn.stage_games[state].payoff(profile))
+        succs.append([number.setdefault(pair, len(number)) for pair, _ in moves])
+        cdfs.append(np.cumsum([prob for _, prob in moves]))
+        queue += [(t + 1,) + pair for pair, _ in moves]
+    width = max(map(len, succs))
+    return (np.array(rows), np.array([s + [0] * (width - len(s)) for s in succs]),
+            np.array([list(c / c[-1]) + [np.inf] * (width - len(c)) for c in cdfs]))
+
+
 def rollout_dynamic_game(dyn: DynamicGame, policies, beta: float,
                          rollouts: int, seed=None) -> RolloutReport:
     """Average discounted payoffs over seeded rollouts.
 
     The horizon is the smallest H with beta^H < 1e-6; the report carries the
     tail bound beta^H * max|stage payoff| / (1 - beta).
+
+    Draw order: all rollouts step together. Step t draws
+    `rng.random(rollouts)`, one uniform u per rollout in rollout order, and
+    moves each rollout to the successor at the count of its CDF entries
+    <= u, so a run consumes exactly H * rollouts doubles.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -355,22 +370,14 @@ def rollout_dynamic_game(dyn: DynamicGame, policies, beta: float,
                   for g in dyn.stage_games.values() for sig in g.payoffs)
     bound = (beta ** horizon) * max_abs / (1.0 - beta)
 
+    pay, succ, cdf = _index_chain(dyn, policies, horizon)
     totals = np.zeros((rollouts, dyn.n_agents))
-    for r in range(rollouts):
-        state = dyn.initial_state
-        disc = 1.0
-        for t in range(horizon):
-            stage = dyn.stage_games[state]
-            profile = tuple(policies[i].action(t, state, dyn.initial_state)
-                            for i in range(dyn.n_agents))
-            totals[r] += disc * stage.payoff(profile)
-            nxt = dyn.transitions.get((state, profile), state)
-            if not isinstance(nxt, str):
-                labels = [s for s, _ in nxt]
-                probs = np.asarray([p for _, p in nxt])
-                nxt = labels[int(rng.choice(len(labels), p=probs))]
-            state = nxt
-            disc *= beta
+    at = np.zeros(rollouts, dtype=np.intp)
+    disc = 1.0
+    for _ in range(horizon):
+        totals += disc * pay[at]
+        at = succ[at, (cdf[at] <= rng.random(rollouts)[:, None]).sum(axis=1)]
+        disc *= beta
     mean = totals.mean(axis=0)
     if rollouts > 1:
         stderr = totals.std(axis=0, ddof=1) / np.sqrt(rollouts)

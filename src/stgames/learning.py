@@ -21,10 +21,10 @@ Observation model: agents see their own realized payoff and the opponents'
 realized actions (reported actions; a corruption hook may tamper with them).
 Identical (game, specs, horizon, seed) reproduce traces bit-identically.
 
-Inside `run_dynamics` actions are integer indices into the game's payoff
-tables and each agent's vectors are plain float lists, which the update
-helpers below take (arrays work too) and return; labels appear only at the
-boundary (`Trace.action_labels`, the `observe` hook, the signal schedule).
+Inside `run_dynamics`, the `observe` hook included, actions are integer
+indices into the payoff tables and each agent's vectors are plain float
+lists, which the helpers below take (arrays work too) and return; labels
+appear only at the boundary (`Trace.action_labels`, the signal schedule).
 The helpers do the float operations of the formulas above in the same
 order, so a trace does not depend on this representation.
 """
@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .strategic import (StrategicGame, contract_others, mixed_gap,
-                        _profile_index)
+from .strategic import StrategicGame, contract_others, mixed_gap
 
 KINDS = ("best-response", "smoothed-best-response", "fictitious-play",
          "replicator", "payoff-estimation")
@@ -241,9 +240,9 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
 
     `signal_schedule(t)` picks the signal per step (default: the game's only
     signal). `observe(t, observer, profile) -> profile` lets a corruption
-    layer tamper with reported opponent actions; payoff realization always
-    follows the true profile. Exactly one of seed/rng is used; passing rng
-    continues an existing stream.
+    layer tamper with reported opponent actions (tuples of action indices);
+    payoff realization always follows the true profile. Exactly one of
+    seed/rng is used; passing rng continues an existing stream.
 
     Draw order: step t uses the next n uniforms of the stream, one per
     agent in agent order, and nothing else draws from it, so a run consumes
@@ -297,11 +296,8 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
         if fictitious:
             freqs = [_frequencies(tally, total)
                      for tally, total in zip(counts, totals)]
-        if observe is not None:
-            profile = tuple(game.actions[i][idx[i]] for i in range(n))
         for i, spec, payoff_rate, policy_rate, est, pol in learners:
-            seen = idx if observe is None else \
-                _profile_index(game.actions, tuple(observe(t, i, profile)))
+            seen = idx if observe is None else tuple(observe(t, i, idx))
             q = step_payoff_estimate(
                 estimates[i],
                 estimation_target(spec, i, table[i], estimates[i], idx, seen, freqs),

@@ -270,16 +270,17 @@ def corrupted_observer(game: StrategicGame, adversary: AdversaryModel | None,
                        seed=None):
     """An `observe` hook for run_dynamics that tampers with reported actions.
 
-    Messages here are the actions opponents report having played:
-    constant-injection pins a compromised agent's reported action to index
-    round(value); sign-flip reports the index-reversed action; replay reports
-    the action from `lag` steps back; channel-drop withholds the report, so
-    observers hold the last value they saw. Draws come from a dedicated
-    generator, leaving the learning stream untouched.
+    Messages here are the actions opponents report having played, as
+    action indices: constant-injection pins a compromised agent's reported
+    action to index round(value); sign-flip reports the index-reversed
+    action k - 1 - a; replay reports the action from `lag` steps back;
+    channel-drop withholds the report, so observers hold the last index they
+    saw. Draws come from a dedicated generator, leaving the learning stream
+    untouched.
     """
     attack_rng = np.random.default_rng([0 if seed is None else seed, 0xAD])
     history = []                     # true profiles per step
-    last_seen = {}                   # (observer, sender) -> last reported label
+    last_seen = {}                   # (observer, sender) -> last reported index
     state = {"t": None, "dropped": None}
 
     def observe(t, observer, profile):
@@ -297,20 +298,15 @@ def corrupted_observer(game: StrategicGame, adversary: AdversaryModel | None,
             if s == observer:
                 continue
             k = len(game.actions[s])
-            true_label = profile[s]
             if adversary.kind == "constant-injection":
-                idx = min(max(int(round(adversary.value)), 0), k - 1)
-                seen[s] = game.actions[s][idx]
+                seen[s] = min(max(int(round(adversary.value)), 0), k - 1)
             elif adversary.kind == "sign-flip":
-                idx = k - 1 - game.action_index(s, true_label)
-                seen[s] = game.actions[s][idx]
+                seen[s] = k - 1 - profile[s]
             elif adversary.kind == "replay":
-                back = max(0, t - 1 - adversary.lag)
-                seen[s] = history[back][s]
-            else:                    # channel-drop
-                if state["dropped"].get(s, False):
-                    seen[s] = last_seen.get((observer, s), true_label)
-                    continue
+                seen[s] = history[max(0, t - 1 - adversary.lag)][s]
+            elif state["dropped"].get(s, False):     # channel-drop
+                seen[s] = last_seen.get((observer, s), profile[s])
+                continue
             last_seen[(observer, s)] = seen[s]
         return tuple(seen)
 

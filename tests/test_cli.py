@@ -217,7 +217,6 @@ def test_seeded_rerun_writes_identical_files(tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:.*coalition values missing")
 def test_each_config_reports_its_own_outcome(tmp_path, capsys):
     nan = tmp_path / "nan.yaml"
     nan.write_text((FIXTURES / "coop.yaml").read_text().replace(
@@ -241,8 +240,43 @@ def test_each_config_reports_its_own_outcome(tmp_path, capsys):
         assert rc == cli.EXIT_CAPACITY
         out = capsys.readouterr()
         assert out.out == ""
-        assert [ln.rsplit(" (", 1)[1] for ln in out.err.splitlines()] == [
-            f"{nan})", f"{big})"]
+        assert [(ln.split(":", 1)[0], ln.rsplit(" (", 1)[1])
+                for ln in out.err.splitlines()] == [
+            ("error", f"{nan})"), ("warning", f"{big})"), ("error", f"{big})")]
+
+
+def test_each_config_prints_its_own_warnings(tmp_path, capsys):
+    # two documents raising the same warning from the same source line
+    docs = []
+    for name in ("a", "b"):
+        doc = tmp_path / f"{name}.yaml"
+        doc.write_text("kind: coop\ncoop:\n  agents: 3\n  compute: [shapley]\n"
+                       "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
+        docs += ["--config", str(doc)]
+    # candidate B becomes matching pennies, which has no pure equilibrium
+    skip = tmp_path / "skip.yaml"
+    skip.write_text((FIXTURES / "stackelberg.yaml").read_text().replace(
+        "B:\n        - {profile: [x, x], values: [1.5, 1.5]}\n"
+        "        - {profile: [x, y], values: [1.5, 0]}\n"
+        "        - {profile: [y, x], values: [0, 1.5]}\n"
+        "        - {profile: [y, y], values: [0, 0]}",
+        "B:\n        - {profile: [x, x], values: [1, -1]}\n"
+        "        - {profile: [x, y], values: [-1, 1]}\n"
+        "        - {profile: [y, x], values: [-1, 1]}\n"
+        "        - {profile: [y, y], values: [1, -1]}"))
+    for jobs in ("1", "2"):
+        assert cli.main(["coop", *docs, "--jobs", jobs, "--quiet"]) == cli.EXIT_OK
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"warning: 6 coalition values missing; defaulting to 0 ({doc})"
+            for doc in docs[1::2]]
+        assert cli.main(["stackelberg", "--config", str(skip),
+                         "--jobs", jobs]) == cli.EXIT_OK
+        out = capsys.readouterr()
+        assert '"skipped_signals": ["B"]' in out.out
+        assert out.err.splitlines() == [
+            f"warning: candidate 'B' has no pure equilibrium; skipped ({skip})"]
 
 
 def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
@@ -255,7 +289,6 @@ def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:.*coalition values missing")
 @pytest.mark.parametrize("agents", [15, 20])
 @pytest.mark.parametrize("step", ["superadditive", "convex"])
 def test_coalition_pair_checks_exit_3_at_once(tmp_path, capsys, agents, step):

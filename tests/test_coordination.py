@@ -1,6 +1,9 @@
 """Slow-coordinator / fast-learner loop, leader-follower choice, rollouts,
 and greedy coalition-structure dynamics."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
                                   run_merge_split, run_two_timescale,
                                   stackelberg_solve)
 from stgames.incentives import IncentiveSchedule
-from stgames.learning import LearnerSpec, run_dynamics
+from stgames.learning import LearnerSpec, RateSchedule, run_dynamics
 from stgames.strategic import StrategicGame
 
 PD = {("C", "D"): (0, 5), ("D", "C"): (5, 0),
@@ -146,6 +149,39 @@ def test_two_timescale_validation():
                           outer_steps=1, epoch_length=5)
 
 
+def test_admissible_reordering_keeps_policies_on_their_actions():
+    # a set listing every action in another order permutes the policy along
+    # with the estimates, so a frozen policy keeps playing the same action
+    g = two_signal_pd()
+    frozen = LearnerSpec("best-response", initial_policy=(1.0, 0.0),
+                         policy_rate=RateSchedule("constant", 0.0))
+    rule = AdmissibleSetRule({"lo": (("D", "C"), ("D", "C"))})
+    result = run_two_timescale(
+        g, [frozen] * 2, CoordinatorPolicy("constant", ("lo",)),
+        outer_steps=2, epoch_length=10, seed=3, admissible=rule)
+    for epoch in result.epochs:
+        assert epoch.digest.frequencies == ((1.0, 0.0), (1.0, 0.0))
+    assert result.final_state.policies[0].tolist() == [1.0, 0.0]
+
+
+def test_admissible_labels_resolved_once_per_epoch(monkeypatch):
+    calls = []
+    resolve = StrategicGame.action_index
+
+    def counted(self, agent, label):
+        calls.append(label)
+        return resolve(self, agent, label)
+
+    monkeypatch.setattr(StrategicGame, "action_index", counted)
+    rule = AdmissibleSetRule({"hi": (("C",), ("C", "D"))})
+    run_two_timescale(two_signal_pd(), [LearnerSpec("best-response")] * 2,
+                      CoordinatorPolicy("round-robin", ("lo", "hi")),
+                      outer_steps=4, epoch_length=3, seed=0, admissible=rule,
+                      initial_signal="lo")
+    # epochs 1 and 3 run under "hi", whose sets hold three labels
+    assert calls == ["C", "C", "D"] * 2
+
+
 def test_leader_prefers_optimism_on_multiplicity():
     g = leader_fixture()
     opt = stackelberg_solve(g, ("A", "B"), "optimistic")
@@ -249,6 +285,10 @@ def test_rollout_feedback_vs_open_loop():
                     {("calm", ("a", "a")): (("calm", 0.6), ("calm", 0.2))},
                     "calm")
     with pytest.raises(ValueError):
+        DynamicGame({"calm": calm, "storm": storm},
+                    {("calm", ("a", "a")): (("calm", 1.5), ("storm", -0.5))},
+                    "calm")
+    with pytest.raises(ValueError):
         RolloutPolicy("feedback")
     with pytest.raises(ValueError):
         RolloutPolicy("closed-loop", table={})
@@ -321,3 +361,131 @@ def test_merge_split_prefers_splitting_bad_blocks():
         evolve_coalitions(g, (0b01,))          # does not cover agent 1
     with pytest.raises(ValueError):
         evolve_coalitions(g, (0b11, 0b10))     # overlap
+
+
+# --- the per-rollout loop of earlier releases, kept as a reference ------------
+
+def _reference_rollouts(dyn, policies, beta, rollouts, seed):
+    """One rollout at a time: a label lookup, `payoff`, a dict transition
+    and one `rng.choice` per stochastic step; returns (mean, stderr)."""
+    rng = np.random.default_rng(seed)
+    horizon = 1
+    acc = beta
+    while acc >= 1e-6:
+        acc *= beta
+        horizon += 1
+    totals = np.zeros((rollouts, dyn.n_agents))
+    for r in range(rollouts):
+        state = dyn.initial_state
+        disc = 1.0
+        for t in range(horizon):
+            stage = dyn.stage_games[state]
+            profile = tuple(policies[i].action(t, state, dyn.initial_state)
+                            for i in range(dyn.n_agents))
+            totals[r] += disc * stage.payoff(profile)
+            nxt = dyn.transitions.get((state, profile), state)
+            if not isinstance(nxt, str):
+                labels = [s for s, _ in nxt]
+                probs = np.asarray([p for _, p in nxt])
+                nxt = labels[int(rng.choice(len(labels), p=probs))]
+            state = nxt
+            disc *= beta
+    stderr = (totals.std(axis=0, ddof=1) / np.sqrt(rollouts) if rollouts > 1
+              else np.zeros(dyn.n_agents))
+    return totals.mean(axis=0), stderr
+
+
+def _random_dynamic_game(rng, stochastic):
+    """Two to four reachable states plus "orphan", which no transition
+    enters and no feedback table lists; some transitions are left out (the
+    chain stays put), and policies mix feedback tables, open-loop tables
+    and open-loop plans of one to four steps."""
+    n = int(rng.integers(2, 4))
+    actions = tuple(tuple(f"a{k}" for k in range(int(rng.integers(1, 4))))
+                    for _ in range(n))
+    states = [f"s{k}" for k in range(int(rng.integers(2, 5)))]
+    profiles = list(itertools.product(*actions))
+    stage_games = {
+        s: StrategicGame.single(actions, {p: rng.normal(size=n) for p in profiles})
+        for s in states + ["orphan"]}
+    transitions = {}
+    for s in states:
+        for p in profiles:
+            if rng.random() < 0.2:
+                continue                             # no entry: stay put
+            if not stochastic:
+                transitions[s, p] = states[int(rng.integers(len(states)))]
+                continue
+            picks = rng.choice(len(states), size=int(rng.integers(1, 4)))
+            w = rng.random(len(picks))
+            w[rng.random(len(picks)) < 0.2] = 0.0    # zero-probability entries
+            w[0] += 0.1
+            transitions[s, p] = tuple((states[k], float(x))
+                                      for k, x in zip(picks, w / w.sum()))
+    policies = []
+    for i in range(n):
+        table = {s: actions[i][int(rng.integers(len(actions[i])))] for s in states}
+        kind = int(rng.integers(3))
+        if kind == 0:
+            policies.append(RolloutPolicy("feedback", table=table))
+        elif kind == 1:
+            policies.append(RolloutPolicy("open-loop", table=table))
+        else:
+            plan = tuple(actions[i][int(rng.integers(len(actions[i])))]
+                         for _ in range(int(rng.integers(1, 5))))
+            policies.append(RolloutPolicy("open-loop", plan=plan))
+    return DynamicGame(stage_games, transitions, states[0]), policies
+
+
+def test_deterministic_rollouts_match_reference_bit_for_bit():
+    rng = np.random.default_rng(909)
+    for trial in range(120):
+        dyn, policies = _random_dynamic_game(rng, stochastic=False)
+        beta = float(rng.choice([0.3, 0.5, 0.8]))
+        rollouts = int(rng.integers(1, 6))
+        rep = rollout_dynamic_game(dyn, policies, beta, rollouts, seed=trial)
+        mean, stderr = _reference_rollouts(dyn, policies, beta, rollouts, trial)
+        assert rep.mean.tobytes() == mean.tobytes(), trial
+        assert rep.stderr.tobytes() == stderr.tobytes(), trial
+
+
+def test_rollout_needs_no_entry_for_states_past_the_horizon():
+    # a chain s0 -> s1 -> ... whose state H is entered only after the last
+    # step: like the reference loop, the rollout never looks it up
+    acts = (("go",), ("go",))
+    horizon = rollout_dynamic_game(
+        DynamicGame({"s": StrategicGame.single(acts, {("go", "go"): (1, 1)})},
+                    {}, "s"),
+        [RolloutPolicy("feedback", table={"s": "go"})] * 2, 0.2, 1).horizon
+    stage_games = {f"s{k}": StrategicGame.single(acts, {("go", "go"): (k, -k)})
+                   for k in range(horizon)}
+    transitions = {(f"s{k}", ("go", "go")): f"s{k + 1}" for k in range(horizon)}
+    dyn = DynamicGame(stage_games, transitions, "s0")
+    policies = [RolloutPolicy("feedback", table={s: "go" for s in stage_games})] * 2
+    rep = rollout_dynamic_game(dyn, policies, 0.2, 3, seed=0)
+    mean, stderr = _reference_rollouts(dyn, policies, 0.2, 3, 0)
+    assert rep.mean.tobytes() == mean.tobytes()
+    assert rep.stderr.tobytes() == stderr.tobytes()
+
+
+def test_stochastic_rollouts_agree_with_reference_in_mean():
+    rng = np.random.default_rng(910)
+    for trial in range(20):
+        dyn, policies = _random_dynamic_game(rng, stochastic=True)
+        rep = rollout_dynamic_game(dyn, policies, 0.5, 200, seed=trial)
+        mean, stderr = _reference_rollouts(dyn, policies, 0.5, 200, trial)
+        tol = 4.0 * np.sqrt(rep.stderr ** 2 + stderr ** 2) + 1e-12
+        assert np.all(np.abs(rep.mean - mean) <= tol), trial
+
+
+def test_rollout_draw_order_is_pinned():
+    # step-major: step t takes rng.random(rollouts), one uniform per rollout.
+    # This game (a feedback table, an open-loop table, a three-step plan, 41
+    # transitions) draws at many steps, so the rollout-major order of the
+    # reference loop gives other bytes.
+    dyn, policies = _random_dynamic_game(np.random.default_rng(940),
+                                         stochastic=True)
+    rep = rollout_dynamic_game(dyn, policies, 0.7, 50, seed=5)
+    digest = hashlib.sha256(rep.mean.tobytes() + rep.stderr.tobytes())
+    assert digest.hexdigest() == (
+        "aedacdcbbf21aeee95b5750352d7010d994af356f9522b6348fa118630b054fe")

@@ -280,8 +280,9 @@ def test_observation_hook_feeds_estimates_not_payoffs():
              LearnerSpec("best-response",
                          initial_policy=(1.0, 0.0))]
 
+    # profiles reach the hook as action indices: 0 is "C", 1 is "D"
     def observe(t, i, profile):
-        return ("C", "C") if i == 0 else profile
+        return (0, 0) if i == 0 else profile
 
     trace = run_dynamics(g, specs, horizon=1, seed=0, observe=observe)
     assert trace.action_labels[0] == ("C", "C")
@@ -290,7 +291,7 @@ def test_observation_hook_feeds_estimates_not_payoffs():
     assert trace.final_state.estimates[0] == pytest.approx([3.0, 5.0])
 
     def lie(t, i, profile):
-        return ("C", "D") if i == 0 else profile
+        return (0, 1) if i == 0 else profile
 
     trace = run_dynamics(g, specs, horizon=1, seed=0, observe=lie)
     assert trace.payoffs[0] == pytest.approx([3.0, 3.0])    # truth pays

@@ -225,25 +225,26 @@ def test_channel_drop_consensus_still_converges():
 
 
 def test_observer_corruption_kinds():
+    # profiles are action indices: 0 is "C", 1 is "D"
     pin = corrupted_observer(PD, AdversaryModel((1,), "constant-injection",
                                                 value=0.0), seed=0)
-    assert pin(1, 0, ("D", "D")) == ("D", "C")
+    assert pin(1, 0, (1, 1)) == (1, 0)
     # the compromised agent still sees its own action truthfully
-    assert pin(2, 1, ("D", "D")) == ("D", "D")
+    assert pin(2, 1, (1, 1)) == (1, 1)
 
     flip = corrupted_observer(PD, AdversaryModel((0,), "sign-flip"), seed=0)
-    assert flip(1, 1, ("C", "D")) == ("D", "D")
-    assert flip(2, 1, ("D", "C")) == ("C", "C")
+    assert flip(1, 1, (0, 1)) == (1, 1)
+    assert flip(2, 1, (1, 0)) == (0, 0)
 
     echo = corrupted_observer(PD, AdversaryModel((1,), "replay", lag=1), seed=0)
-    assert echo(1, 0, ("C", "D")) == ("C", "D")     # nothing older to echo
-    assert echo(2, 0, ("D", "C")) == ("D", "D")     # reports last step's action
+    assert echo(1, 0, (0, 1)) == (0, 1)     # nothing older to echo
+    assert echo(2, 0, (1, 0)) == (1, 1)     # reports last step's action
 
     # seed 2's attack stream draws (0.81, 0.04): transmit, then drop
     stale = corrupted_observer(PD, AdversaryModel((1,), "channel-drop",
                                                   drop_prob=0.5), seed=2)
-    assert stale(1, 0, ("C", "D")) == ("C", "D")    # delivered and recorded
-    assert stale(2, 0, ("C", "C")) == ("C", "D")    # dropped: holds stale "D"
+    assert stale(1, 0, (0, 1)) == (0, 1)    # delivered and recorded
+    assert stale(2, 0, (0, 0)) == (0, 1)    # dropped: holds stale "D"
 
 
 def test_zero_adversary_is_bit_identical():
