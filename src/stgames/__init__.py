@@ -26,9 +26,8 @@ from .congestion import (BraessReport, CongestionNetwork, Edge,
                          wardrop_equilibrium)
 from .learning import (Diagnostics, LearnerSpec, LearningState, RateSchedule,
                        Trace, diagnostics, run_dynamics)
-from .incentives import (BudgetSpec, GroupPartition, HierarchicalIncentive,
-                         IncentiveDesign, IncentiveSchedule, budget_check,
-                         design_incentive, is_pareto_improving,
+from .incentives import (BudgetSpec, IncentiveDesign, IncentiveSchedule,
+                         budget_check, design_incentive, is_pareto_improving,
                          modified_payoff)
 from .coordination import (AdmissibleSetRule, CoordinatorPolicy, DynamicGame,
                            EpochDigest, RolloutPolicy, StackelbergReport,

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .lp import LinearProgram, _tableau_width, solve_lp
+from .errors import CapacityError, ComputationError
+from .lp import LinearProgram, solve_lp
 
 MAX_AGENTS = 20
-MAX_NUCLEOLUS_AGENTS = 12
 MAX_PAIR_CHECK_AGENTS = 14   # superadditive/convex scan 4^n coalition pairs
 TOL = 1e-9
 
@@ -65,9 +64,9 @@ def members(mask: int):
     return out
 
 
-def _membership(n: int) -> np.ndarray:
-    """(2^n, n) 0/1 matrix whose row S marks the members of coalition S."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+def _incidence(masks, n: int) -> np.ndarray:
+    """0/1 rows, one per coalition in `masks`, marking its members."""
+    return (np.asarray(masks)[:, None] >> np.arange(n) & 1).astype(float)
 
 
 def _subset_sums(x) -> np.ndarray:
@@ -76,7 +75,7 @@ def _subset_sums(x) -> np.ndarray:
     does, so every bit matches that loop."""
     s = np.zeros(1 << len(x))
     for i, xi in enumerate(x):
-        s[1 << i:2 << i] = s[:1 << i] + xi
+        np.add(s[:1 << i], xi, out=s[1 << i:2 << i])
     return s
 
 
@@ -146,34 +145,68 @@ class CoreReport:
     lp_optimum: float                  # min total payout covering every coalition
 
 
+def _outside_span(rows) -> np.ndarray:
+    """Mask over all 2^n coalitions: True where the incidence row is not in
+    the row space of `rows` (singular values above 1e-8). A coalition is
+    outside it iff its row has a component along some basis vector q of the
+    complement, and the sums x(S) @ q for every S take one subset-sum pass."""
+    _, sing, vt = np.linalg.svd(rows)
+    out = np.zeros(1 << rows.shape[1], dtype=bool)
+    for q in vt[int(np.count_nonzero(sing > 1e-8)):]:
+        out |= np.abs(_subset_sums(q)) > 1e-8
+    return out
+
+
+def _most_violated(gap, limit: int) -> np.ndarray:
+    """Up to `limit` masks whose gap exceeds TOL, the largest gaps."""
+    hit = np.flatnonzero(gap > TOL)
+    if hit.size > limit:
+        hit = hit[np.argpartition(-gap[hit], limit - 1)[:limit]]
+    return hit
+
+
 def core_nonempty(game: CoalitionGame) -> CoreReport:
     """LP check: minimize total payout subject to coalition rationality.
 
     The core is nonempty iff the optimum is <= v(full) + 1e-9; the optimal
     allocation (padded up to efficiency) is returned as a certificate.
+    The LP is solved by row generation: starting from the singletons and
+    the grand coalition, each round adds up to n of the coalitions that the
+    last optimum underpays most, until none is underpaid by more than 1e-9.
     """
-    n, m = game.n, game.full
+    n = game.n
     v = _value_array(game)
-    # Refuse an oversized tableau before building any row: each free
-    # variable splits in two, and a >= row with a negative rhs is negated
-    # into a <= row, which needs no artificial column.
-    _tableau_width(m, 2 * n, m, int(np.count_nonzero(v[1:] >= 0)))
-    lp = LinearProgram(
-        objective=np.ones(n),
-        lhs=_membership(n)[1:],
-        senses=(">=",) * m,
-        rhs=v[1:],
-        lower=np.full(n, -np.inf),
-    )
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise CapacityError(f"core LP ended {sol.status}")
+    work = np.union1d(1 << np.arange(n), [game.full])
+    while True:
+        # Solving for x - shift puts the starting point x = shift strictly
+        # inside every row, so the LP needs no phase 1. Columns run from
+        # agent n-1 down to agent 0: Bland's rule lowers the first column
+        # first, and in this order the certificate of the three-agent
+        # fixture is the one the full (2^n - 1)-row LP gave.
+        lhs = _incidence(work, n)[:, ::-1]
+        shift = 1.0 + max(0.0, float(v[work].max()))
+        sol = solve_lp(LinearProgram(
+            objective=np.ones(n),
+            lhs=lhs,
+            senses=(">=",) * work.size,
+            rhs=v[work] - shift * lhs.sum(axis=1),
+            lower=np.full(n, -np.inf),
+        ))
+        if sol.status != "optimal":
+            raise CapacityError(f"core LP ended {sol.status}")
+        x = sol.x[::-1] + shift
+        gap = v - _subset_sums(x)
+        gap[work] = -np.inf
+        new = _most_violated(gap, n)
+        if not new.size:
+            break
+        work = np.union1d(work, new)
     vfull = game.value(game.full)
-    if sol.objective > vfull + TOL:
-        return CoreReport(False, None, sol.objective)
-    cert = sol.x.copy()
-    cert[0] += vfull - cert.sum()      # pad to efficiency; only raises sums
-    return CoreReport(True, cert, sol.objective)
+    total = float(x.sum())
+    if total > vfull + TOL:
+        return CoreReport(False, None, total)
+    x[0] += vfull - total      # pad to efficiency; only raises sums
+    return CoreReport(True, x, total)
 
 
 def shapley(game: CoalitionGame) -> np.ndarray:
@@ -208,56 +241,76 @@ class NucleolusReport:
 
 
 def nucleolus(game: CoalitionGame) -> NucleolusReport:
-    """Successive-LP nucleolus.
+    """Successive-LP nucleolus (Maschler, Peleg and Shapley, 1979).
 
-    Each stage minimizes the maximum excess over coalitions not yet fixed,
-    subject to efficiency and previously fixed excess levels. Coalitions
-    whose row dual is nonzero at the stage optimum are fixed there (nonzero
-    dual certifies the row binds in every optimal solution); if the stage is
-    so degenerate that no dual is nonzero, all tight rows are fixed instead.
-    Stages stop once efficiency plus the fixed rows pin the allocation.
+    Each stage minimizes the maximum excess eps over the free coalitions,
+    subject to efficiency and the excess levels fixed so far. A coalition
+    whose row dual is nonzero at the stage optimum binds in every optimum,
+    so it is fixed at eps. A coalition whose incidence row lies in the span
+    of the fixed rows has the same excess at every allocation left, so it
+    is no longer free. Each stage therefore raises the rank of the fixed
+    rows, and at most n - 1 stages pin the allocation.
+
+    Each stage LP is solved by row generation. It starts from the free
+    singletons, which with the fixed rows bound eps below, and the rows of
+    the last stage's working set that are still free. Each round adds up to
+    n of the free coalitions whose excess exceeds eps most, until none
+    exceeds it by more than 1e-9. Rows never added have zero dual, so the
+    duals are those of the full stage LP.
     """
     n = game.n
-    if n > MAX_NUCLEOLUS_AGENTS:
-        raise CapacityError(
-            f"nucleolus capped at {MAX_NUCLEOLUS_AGENTS} agents, got {n}")
     if n == 1:
         return NucleolusReport(np.asarray([game.value(1)]), 0, ())
 
-    member = _membership(n)
     v = _value_array(game)
+    singletons = 1 << np.arange(n)
     tied = np.asarray([game.full])   # efficiency, then masks in fixing order
     tied_rhs = v[tied]               # v(S) less the level S was fixed at
-    obj = np.zeros(n + 1)            # variables r_0..r_{n-1}, eps; all free
+    free = np.ones(1 << n, dtype=bool)   # proper, not fixed, not spanned
+    free[[0, game.full]] = False
+    obj = np.zeros(n + 1)            # variables r_0..r_{n-1}, eps; unbounded
     obj[n] = 1.0
     levels = []
-    stage = 0
+    work = singletons
     while True:
-        stage += 1
-        if stage > (1 << n):
-            raise CapacityError("nucleolus stage count exceeded 2^n")
-        unfixed = np.setdiff1d(np.arange(1, game.full), tied)
         # Rows: the tied ones as equalities, then r(S) + eps >= v(S)
-        # (excess <= eps) for every unfixed S.
+        # (excess <= eps) for every S in the working set. Solving for
+        # eps - shift puts the starting point (r, eps) = (0, shift)
+        # strictly inside every >= row, so only the tied rows need phase 1.
         k = tied.size
-        lhs = np.zeros((k + unfixed.size, n + 1))
-        lhs[:, :n] = member[np.concatenate((tied, unfixed))]
-        lhs[k:, n] = 1.0
-        sol = solve_lp(LinearProgram(
-            obj, lhs, ("==",) * k + (">=",) * unfixed.size,
-            np.concatenate((tied_rhs, v[unfixed])), lower=np.full(n + 1, -np.inf)))
-        if sol.status != "optimal":
-            raise CapacityError(f"nucleolus stage LP ended {sol.status}")
-        eps = float(sol.x[n])
+        work = np.union1d(singletons, work)
+        work = work[free[work]]
+        while True:
+            lhs = np.zeros((k + work.size, n + 1))
+            lhs[:, :n] = _incidence(np.concatenate((tied, work)), n)
+            lhs[k:, n] = 1.0
+            shift = 1.0 + max(0.0, float(v[work].max()))
+            sol = solve_lp(LinearProgram(
+                obj, lhs, ("==",) * k + (">=",) * work.size,
+                np.concatenate((tied_rhs, v[work] - shift)),
+                lower=np.full(n + 1, -np.inf)))
+            if sol.status != "optimal":
+                raise CapacityError(f"nucleolus stage LP ended {sol.status}")
+            eps = float(sol.x[n]) + shift
+            gap = v - _subset_sums(sol.x[:n]) - eps
+            gap[~free] = -np.inf
+            gap[work] = -np.inf
+            new = _most_violated(gap, n)
+            if not new.size:
+                break
+            work = np.union1d(work, new)
         levels.append(eps)
 
-        newly = np.flatnonzero(np.abs(sol.duals[k:]) > TOL)
+        # At an optimum the working-set duals sum to 1 (eps has cost 1), so
+        # a stage that fixes nothing means the LP kernel failed.
+        newly = work[np.abs(sol.duals[k:]) > TOL]
         if not newly.size:
-            exc = v[unfixed] - _subset_sums(sol.x[:n])[unfixed]
-            newly = np.flatnonzero(np.abs(exc - eps) <= 10 * TOL)
-        tied = np.concatenate((tied, unfixed[newly]))
-        tied_rhs = np.concatenate((tied_rhs, v[unfixed[newly]] - eps))
-        mat = member[tied]
-        if np.linalg.matrix_rank(mat, tol=1e-8) == n or tied.size == game.full:
+            raise ComputationError(
+                f"nucleolus stage {len(levels)} has no nonzero dual")
+        tied = np.concatenate((tied, newly))
+        tied_rhs = np.concatenate((tied_rhs, v[newly] - eps))
+        mat = _incidence(tied, n)
+        free &= _outside_span(mat)
+        if not free.any():
             final = np.linalg.lstsq(mat, tied_rhs, rcond=None)[0]
-            return NucleolusReport(final, stage, tuple(levels))
+            return NucleolusReport(final, len(levels), tuple(levels))

@@ -293,6 +293,10 @@ class RolloutPolicy:
     def __post_init__(self):
         if self.kind not in ("feedback", "open-loop"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.kind == "feedback" and self.table is None:
+            raise ValueError("a feedback policy needs a table")
+        if self.plan is not None and not self.plan:
+            raise ValueError("a plan needs at least one action")
         if self.table is None and self.plan is None:
             raise ValueError("policy needs a table or a plan")
 

@@ -1,9 +1,7 @@
 """Payoff modification, budgets, Pareto checks and transfer synthesis.
 
 An incentive schedule adds per-agent transfers on top of a game's payoffs,
-profile by profile (stationary in time). Hierarchical schedules split the
-transfer into a per-agent inner part and a per-group outer part; flattening
-recovers a plain schedule with identical modified payoffs.
+profile by profile (stationary in time).
 """
 
 from __future__ import annotations
@@ -61,41 +59,6 @@ def modified_payoff(game: StrategicGame, schedule: IncentiveSchedule) -> Strateg
     return StrategicGame(game.actions,
                          {sig: game.payoffs[sig] + schedule.transfers[sig]
                           for sig in game.payoffs})
-
-
-@dataclass(frozen=True)
-class GroupPartition:
-    groups: tuple          # tuple of tuples of agent ids, disjoint, covering 0..n-1
-
-    def __post_init__(self):
-        seen = sorted(i for g in self.groups for i in g)
-        if seen != list(range(len(seen))):
-            raise ValueError(f"groups must partition 0..n-1, got {self.groups}")
-
-    def group_of(self, agent: int) -> int:
-        for m, g in enumerate(self.groups):
-            if agent in g:
-                return m
-        raise ValueError(f"agent {agent} not covered by {self.groups}")
-
-
-@dataclass(frozen=True)
-class HierarchicalIncentive:
-    """rho_i = inner_i + outer_{group(i)}, evaluated profile by profile."""
-
-    partition: GroupPartition
-    inner: IncentiveSchedule
-    outer: dict            # signal -> ndarray (n_groups, grid...)
-
-    def flatten(self, game: StrategicGame) -> IncentiveSchedule:
-        out = {}
-        for sig, inner_tab in self.inner.transfers.items():
-            outer_tab = self.outer[sig]
-            tab = inner_tab.copy()
-            for i in range(game.n_agents):
-                tab[i] += outer_tab[self.partition.group_of(i)]
-            out[sig] = tab
-        return IncentiveSchedule(out)
 
 
 def is_pareto_improving(baseline: np.ndarray, induced: np.ndarray,

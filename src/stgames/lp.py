@@ -4,21 +4,21 @@ Deterministic LP kernel backing core membership, nucleolus stages and
 transfer synthesis. It favors exactness and reproducibility over speed:
 dense numpy tableau, no scaling, no presolve, smallest-index pivoting
 throughout (Bland's rule for the entering column and for ties in the ratio
-test). The core LP of an n-agent game has 2^n - 1 rows, so the tableau
-reaches thousands of rows, but each pivot is sparse: a rank-one update of
-only the rows with a nonzero in the entering column and the columns with a
-nonzero in the pivot row (a median of 18 of 526 columns on an n = 8 core
-LP). It makes the same pivots, and gives the same bits, as updating every
-full row.
+test). Each pivot is sparse: a rank-one update of only the rows with a
+nonzero in the entering column and the columns with a nonzero in the pivot
+row. It makes the same pivots, and gives the same bits, as updating every
+full row. The coalition LPs in `coop` are solved by row generation, so
+their tableaus hold a working set of coalitions (a few hundred rows at 20
+agents), not all 2^n - 1.
+
+Row duals are read off the final tableau: minus the reduced cost of the
+row's own slack or artificial column. No basis matrix is factored, so a
+basis left singular by rounding cannot spoil them.
 
 Capacity: `solve_lp` raises CapacityError, before allocating, when the
-standard-form tableau would exceed MAX_TABLEAU_BYTES (512 MiB), and
-`coop.core_nonempty` checks the same bound before it builds a row. The core
-LP fits up to n = 12 (4095 x 8214, 257 MiB) and fails at n = 13 (8191 x
-16408, 1025 MiB); the first nucleolus stage at the nucleolus cap n = 12 is
-4095 x 8215. Besides the tableau, a solve keeps a copy of its structural
-and slack columns for the duals, and briefly a second copy of the tableau
-when it drops redundant equality rows.
+standard-form tableau would exceed MAX_TABLEAU_BYTES (512 MiB). Besides
+the tableau, a solve briefly holds a second copy of it when it drops
+redundant equality rows.
 
 Conventions:
   * variables default to x >= 0; bounds may open either side (use -inf/+inf),
@@ -63,7 +63,7 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     iterations: int
-    duals: np.ndarray | None = None   # per original row; 0 for rows found redundant
+    duals: np.ndarray | None = None   # per original row
 
 
 def _validate(lp: LinearProgram):
@@ -211,7 +211,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             [b_std, [hi[cols[idx][0]] - lo[cols[idx][0]] for idx in boxed]])
     m_std = m + len(boxed)
     row_sense = list(senses) + ["<="] * len(boxed)
-    row_map = list(range(m)) + [-1] * len(boxed)   # -1 for bound rows
 
     # Rows with a negative rhs are negated.
     neg = np.flatnonzero(b_std < 0)
@@ -244,8 +243,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     basis[slack_rows] = np.arange(k, n_real)
     basis[art_rows] = np.arange(n_real, width)
 
-    pristine = full[:, :n_real].copy()   # for dual recovery
-
     tab = _Tableau(full, b_std, basis)
     pivots = 0
 
@@ -274,10 +271,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             tab.a = tab.a[keep]
             tab.b = tab.b[keep]
             tab.basis = tab.basis[keep]
-            pristine = pristine[keep]
-            flip = flip[keep]
-            row_map = [row_map[r] for r in keep]
-            m_std = len(keep)
 
     allowed = np.zeros(width, dtype=bool)
     allowed[:n_real] = True
@@ -293,16 +286,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         x[j] += d * y_std[idx]
     obj = float(np.asarray(lp.objective, dtype=float) @ x)
 
-    duals = np.zeros(m)
-    if m_std:
-        bmat = pristine[:, tab.basis]
-        cb = cost2[tab.basis]
-        try:
-            y = np.linalg.solve(bmat.T, cb)
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(bmat.T, cb, rcond=None)[0]
-        for r in range(m_std):
-            if row_map[r] >= 0:
-                duals[row_map[r]] = flip[r] * y[r]
+    # Row r's dual is minus the reduced cost of the column that started as
+    # +1 in row r and 0 elsewhere: its slack if r is a <= row, else its
+    # artificial. Every pivot updates those columns too, so no basis matrix
+    # is solved; on some nucleolus stages it was singular.
+    unit = np.empty(len(row_sense), dtype=int)
+    unit[slack_rows] = np.arange(k, n_real)
+    unit[art_rows] = np.arange(n_real, width)
+    red = cost2[unit] - cost2[tab.basis] @ tab.a[:, unit]
+    duals = -(flip * red)[:m]
 
     return LpSolution("optimal", x, obj, pivots, duals)

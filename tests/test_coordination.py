@@ -290,6 +290,10 @@ def test_rollout_feedback_vs_open_loop():
                     "calm")
     with pytest.raises(ValueError):
         RolloutPolicy("feedback")
+    with pytest.raises(ValueError, match="feedback policy needs a table"):
+        RolloutPolicy("feedback", plan=("a",))
+    with pytest.raises(ValueError, match="plan needs at least one action"):
+        RolloutPolicy("open-loop", plan=())
     with pytest.raises(ValueError):
         RolloutPolicy("closed-loop", table={})
 

@@ -12,10 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from stgames.incentives import (BudgetSpec, GroupPartition,
-                                HierarchicalIncentive, IncentiveSchedule,
-                                budget_check, design_incentive,
-                                is_pareto_improving, modified_payoff)
+from stgames.incentives import (BudgetSpec, IncentiveSchedule, budget_check,
+                                design_incentive, is_pareto_improving,
+                                modified_payoff)
 from stgames.strategic import StrategicGame, enumerate_pure_nash, is_nash
 
 PD = {("C", "C"): (3, 3), ("C", "D"): (0, 5),
@@ -106,32 +105,6 @@ def test_constant_shift_keeps_equilibria():
         layer = np.stack([np.full(shape[1:], c) for c in consts])
         shifted = modified_payoff(game, IncentiveSchedule({"default": layer}))
         assert enumerate_pure_nash(shifted) == enumerate_pure_nash(game)
-
-
-def test_hierarchical_flatten_matches_direct_sum():
-    rng = np.random.default_rng(17)
-    g = random_game(rng, 3, 2)
-    part = GroupPartition(((0, 2), (1,)))
-    inner = IncentiveSchedule(
-        {"default": rng.normal(size=g.payoffs["default"].shape)})
-    outer = {"default": rng.normal(size=(2,) + g.payoffs["default"].shape[1:])}
-    flat = HierarchicalIncentive(part, inner, outer).flatten(g)
-    mod = modified_payoff(g, flat)
-    for profile in g.profiles():
-        idx = tuple(g.action_index(i, profile[i]) for i in range(3))
-        want = (g.payoff(profile) + inner.per_agent(g, profile)
-                + np.asarray([outer["default"][(part.group_of(i),) + idx]
-                              for i in range(3)]))
-        assert mod.payoff(profile) == pytest.approx(want, abs=1e-12)
-
-
-def test_group_partition_validation():
-    with pytest.raises(ValueError):
-        GroupPartition(((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        GroupPartition(((0,), (2,)))
-    part = GroupPartition(((0, 1), (2,)))
-    assert part.group_of(1) == 0 and part.group_of(2) == 1
 
 
 def test_pareto_improvement_predicate():

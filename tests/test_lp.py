@@ -96,6 +96,15 @@ def test_redundant_equality_rows_dropped():
     sol = solve_lp(_lp([1, 1], [[1, 1], [1, 1]], ["==", "=="], [2, 2]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
+    assert sol.duals == pytest.approx([1.0, 0.0], abs=1e-12)
+    # The first row is the sum of the other two; the duals read off the
+    # tableau still price every row: c - A^T y vanishes on x and y @ b is
+    # the optimum.
+    a, b, c = np.asarray([[1, 1], [1, 0], [0, 1]], float), [2, 1, 1], [1, 2]
+    sol = solve_lp(_lp(c, a, ["=="] * 3, b))
+    assert sol.x == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert c - a.T @ sol.duals == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert float(sol.duals @ b) == pytest.approx(sol.objective, abs=1e-12)
 
 
 def test_duality_on_random_feasible_bounded_problems():
@@ -379,8 +388,13 @@ def test_optimum_matches_highs_on_random_lps():
 
 
 @pytest.mark.parametrize("n", [6, 8])
-def test_core_optimum_matches_highs(n, monkeypatch):
-    lp = _coop_lps(np.random.default_rng(n), n, monkeypatch)[0]
-    assert lp.lhs.shape == ((1 << n) - 1, n)
+def test_core_optimum_matches_highs(n):
+    # The full core LP, one row per nonempty coalition: `coop` solves it by
+    # row generation, so this keeps the kernel covered at 2^n - 1 rows.
+    rng = np.random.default_rng(n)
+    masks = np.arange(1, 1 << n)
+    values = rng.uniform(0.0, 1.0, size=masks.size) * coop._subset_sums(np.ones(n))[1:]
+    lp = LinearProgram(np.ones(n), coop._incidence(masks, n),
+                       (">=",) * masks.size, values, lower=np.full(n, -np.inf))
     sol = solve_lp(lp)
     assert sol.objective == pytest.approx(_highs_optimum(lp), rel=1e-9, abs=1e-9)
