@@ -13,7 +13,7 @@ network with slopes doubled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,29 +25,31 @@ USED_TOL = 1e-12
 MAX_SHIFTS = 500_000
 
 
-@dataclass(frozen=True)
 class Edge:
-    tail: str
-    head: str
-    a: float        # free-flow latency
-    b: float        # latency slope per unit flow
+    __slots__ = ("tail", "head", "a", "b")
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"latency coefficients must be >= 0: {self}")
+    def __init__(self, tail: str, head: str, a: float, b: float):
+        self.tail = tail
+        self.head = head
+        self.a = a      # free-flow latency
+        self.b = b      # latency slope per unit flow
+        if a < 0 or b < 0:
+            raise ValueError("latency coefficients must be >= 0: Edge("
+                             f"tail={tail!r}, head={head!r}, a={a!r}, b={b!r})")
 
 
-@dataclass(frozen=True)
 class CongestionNetwork:
-    edges: tuple
-    origin: str
-    destination: str
-    demand: float
+    __slots__ = ("edges", "origin", "destination", "demand")
 
-    def __post_init__(self):
-        if self.demand <= 0:
-            raise ValueError(f"demand must be positive, got {self.demand}")
-        if self.origin == self.destination:
+    def __init__(self, edges: tuple, origin: str, destination: str,
+                 demand: float):
+        self.edges = edges
+        self.origin = origin
+        self.destination = destination
+        self.demand = demand
+        if demand <= 0:
+            raise ValueError(f"demand must be positive, got {demand}")
+        if origin == destination:
             raise ValueError("origin and destination must differ")
 
     @staticmethod
@@ -94,8 +96,7 @@ def enumerate_paths(network: CongestionNetwork):
     return tuple(paths)
 
 
-@dataclass(frozen=True)
-class FlowAssignment:
+class FlowAssignment(NamedTuple):
     convention: str          # always "minimize" here
     kind: str                # "equilibrium" | "system-optimum"
     paths: tuple             # edge-index tuples
@@ -174,8 +175,7 @@ def system_optimum(network: CongestionNetwork) -> FlowAssignment:
     return _assignment(network, enumerate_paths(network), "system-optimum", 2.0)
 
 
-@dataclass(frozen=True)
-class PoaReport:
+class PoaReport(NamedTuple):
     defined: bool
     ratio: float | None
     equilibrium_cost: float
@@ -196,8 +196,7 @@ def price_of_anarchy(network: CongestionNetwork) -> PoaReport:
     return PoaReport(True, ratio, eq.total_cost, so.total_cost)
 
 
-@dataclass(frozen=True)
-class BraessReport:
+class BraessReport(NamedTuple):
     base_per_unit_cost: float
     augmented_per_unit_cost: float
     delta: float                     # augmented - base; positive = paradox
@@ -214,8 +213,7 @@ def braess_delta(network: CongestionNetwork, extra: Edge) -> BraessReport:
                         base, augmented)
 
 
-@dataclass(frozen=True)
-class TollReport:
+class TollReport(NamedTuple):
     tolls: np.ndarray                # per edge: b_e * optimal flow
     tolled_equilibrium: FlowAssignment
     system_optimum: FlowAssignment

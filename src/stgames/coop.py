@@ -7,7 +7,7 @@ Feasibility tolerances are 1e-9 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,18 +19,18 @@ MAX_PAIR_CHECK_AGENTS = 14   # superadditive/convex scan 4^n coalition pairs
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class CoalitionGame:
-    n: int
-    values: tuple        # value per mask, index = bitmask, length 2^n
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_AGENTS:
-            raise CapacityError(f"agent count {self.n} outside 1..{MAX_AGENTS}")
-        if len(self.values) != 1 << self.n:
+    def __init__(self, n: int, values: tuple):
+        self.n = n
+        self.values = values    # value per mask, index = bitmask, length 2^n
+        if not 1 <= n <= MAX_AGENTS:
+            raise CapacityError(f"agent count {n} outside 1..{MAX_AGENTS}")
+        if len(values) != 1 << n:
             raise ValueError(
-                f"need {1 << self.n} coalition values, got {len(self.values)}")
-        if self.values[0] != 0.0:
+                f"need {1 << n} coalition values, got {len(values)}")
+        if values[0] != 0.0:
             raise ValueError("the empty coalition must be worth 0")
 
     @staticmethod
@@ -138,8 +138,7 @@ def in_core(game: CoalitionGame, allocation) -> bool:
     return bool(np.all(_value_array(game)[1:] - _subset_sums(r)[1:] <= TOL))
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(NamedTuple):
     nonempty: bool
     certificate: np.ndarray | None     # a core allocation when nonempty
     lp_optimum: float                  # min total payout covering every coalition
@@ -233,8 +232,7 @@ def shapley(game: CoalitionGame) -> np.ndarray:
     return phi
 
 
-@dataclass(frozen=True)
-class NucleolusReport:
+class NucleolusReport(NamedTuple):
     allocation: np.ndarray
     stages: int
     levels: tuple        # max-excess value fixed at each stage

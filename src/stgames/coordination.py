@@ -11,7 +11,7 @@ coalition structures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ STACKELBERG_MODES = ("optimistic", "pessimistic")
 
 # --- admissible action sets --------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibleSetRule:
+class AdmissibleSetRule(NamedTuple):
     """signal -> per-agent tuples of allowed action labels.
 
     Signals missing from the map leave the game unrestricted.
@@ -65,8 +64,7 @@ def apply_admissible_sets(game: StrategicGame, rule: AdmissibleSetRule,
 
 # --- coordinator updates -----------------------------------------------------
 
-@dataclass(frozen=True)
-class EpochDigest:
+class EpochDigest(NamedTuple):
     """What the slow clock sees of one fast epoch."""
 
     signal: str
@@ -75,16 +73,16 @@ class EpochDigest:
     mean_payoffs: tuple
 
 
-@dataclass(frozen=True)
 class CoordinatorPolicy:
-    kind: str                    # one of COORDINATOR_KINDS
-    candidates: tuple
-    welfare: object = None       # greedy: callable (game, candidate, digest) -> float
+    __slots__ = ("kind", "candidates", "welfare")
 
-    def __post_init__(self):
-        if self.kind not in COORDINATOR_KINDS:
-            raise ValueError(f"unknown coordinator kind {self.kind!r}")
-        if not self.candidates:
+    def __init__(self, kind: str, candidates: tuple, welfare=None):
+        self.kind = kind                # one of COORDINATOR_KINDS
+        self.candidates = candidates
+        self.welfare = welfare  # greedy: callable (game, candidate, digest) -> float
+        if kind not in COORDINATOR_KINDS:
+            raise ValueError(f"unknown coordinator kind {kind!r}")
+        if not candidates:
             raise ValueError("candidate set must be nonempty")
 
 
@@ -116,15 +114,13 @@ def coordinator_update(policy: CoordinatorPolicy, game: StrategicGame,
 
 # --- two-timescale driver ----------------------------------------------------
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     index: int
     signal: str
     digest: EpochDigest
 
 
-@dataclass
-class TwoTimescaleResult:
+class TwoTimescaleResult(NamedTuple):
     epochs: list
     traces: list                 # per-epoch Trace
     final_signal: str
@@ -197,8 +193,7 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
 
 # --- Stackelberg signal selection ---------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateOutcome:
+class CandidateOutcome(NamedTuple):
     candidate: str
     equilibria: tuple
     values: tuple                # leader value per equilibrium
@@ -206,8 +201,7 @@ class CandidateOutcome:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
-class StackelbergReport:
+class StackelbergReport(NamedTuple):
     mode: str
     best_candidate: str | None
     leader_value: float | None
@@ -251,7 +245,6 @@ def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
 
 # --- Monte-Carlo rollouts of a finite-state dynamic game ----------------------
 
-@dataclass(frozen=True)
 class DynamicGame:
     """Finite-state stage games with table-driven transitions.
 
@@ -259,14 +252,15 @@ class DynamicGame:
     or a tuple of (state, probability) pairs summing to 1.
     """
 
-    stage_games: dict            # state -> StrategicGame
-    transitions: dict
-    initial_state: str
+    __slots__ = ("stage_games", "transitions", "initial_state")
 
-    def __post_init__(self):
-        if self.initial_state not in self.stage_games:
-            raise ValueError(f"unknown initial state {self.initial_state!r}")
-        for key, nxt in self.transitions.items():
+    def __init__(self, stage_games: dict, transitions: dict, initial_state: str):
+        self.stage_games = stage_games      # state -> StrategicGame
+        self.transitions = transitions
+        self.initial_state = initial_state
+        if initial_state not in stage_games:
+            raise ValueError(f"unknown initial state {initial_state!r}")
+        for key, nxt in transitions.items():
             if isinstance(nxt, str):
                 continue
             probs = [p for _, p in nxt]
@@ -278,7 +272,6 @@ class DynamicGame:
         return next(iter(self.stage_games.values())).n_agents
 
 
-@dataclass(frozen=True)
 class RolloutPolicy:
     """feedback: act on the current state; open-loop: on the initial state only.
 
@@ -286,18 +279,20 @@ class RolloutPolicy:
     from t = 0, last action held) overrides the table when present.
     """
 
-    kind: str                    # "feedback" | "open-loop"
-    table: dict | None = None
-    plan: tuple | None = None
+    __slots__ = ("kind", "table", "plan")
 
-    def __post_init__(self):
-        if self.kind not in ("feedback", "open-loop"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "feedback" and self.table is None:
+    def __init__(self, kind: str, table: dict | None = None,
+                 plan: tuple | None = None):
+        self.kind = kind                # "feedback" | "open-loop"
+        self.table = table
+        self.plan = plan
+        if kind not in ("feedback", "open-loop"):
+            raise ValueError(f"unknown policy kind {kind!r}")
+        if kind == "feedback" and table is None:
             raise ValueError("a feedback policy needs a table")
-        if self.plan is not None and not self.plan:
+        if plan is not None and not plan:
             raise ValueError("a plan needs at least one action")
-        if self.table is None and self.plan is None:
+        if table is None and plan is None:
             raise ValueError("policy needs a table or a plan")
 
     def action(self, t: int, state, initial_state):
@@ -308,8 +303,7 @@ class RolloutPolicy:
         return self.table[initial_state]
 
 
-@dataclass(frozen=True)
-class RolloutReport:
+class RolloutReport(NamedTuple):
     mean: np.ndarray             # discounted value per agent
     stderr: np.ndarray
     horizon: int
@@ -392,8 +386,7 @@ def rollout_dynamic_game(dyn: DynamicGame, policies, beta: float,
 
 # --- greedy merge-split coalition dynamics ------------------------------------
 
-@dataclass(frozen=True)
-class StructureMove:
+class StructureMove(NamedTuple):
     kind: str                    # "merge" | "split" | "none"
     gain: float
     detail: tuple                # masks involved

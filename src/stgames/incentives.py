@@ -7,7 +7,7 @@ profile by profile (stationary in time).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .strategic import (StrategicGame, _profile_index, counterfactual_payoffs,
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class IncentiveSchedule:
+class IncentiveSchedule(NamedTuple):
     """Per-signal transfer tables shaped like the game's payoff tables."""
 
     transfers: dict        # signal -> ndarray (n, grid...)
@@ -73,24 +72,23 @@ def is_pareto_improving(baseline: np.ndarray, induced: np.ndarray,
     return bool(np.any(induced > baseline + tol))
 
 
-@dataclass(frozen=True)
 class BudgetSpec:
-    limit: float
-    delta: float                     # discount factor in (0, 1]
-    horizon: int | None = None       # None = infinite
+    __slots__ = ("limit", "delta", "horizon")
 
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.horizon is not None and self.horizon < 1:
+    def __init__(self, limit: float, delta: float, horizon: int | None = None):
+        self.limit = limit
+        self.delta = delta              # discount factor in (0, 1]
+        self.horizon = horizon          # None = infinite
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must be in (0, 1], got {delta}")
+        if horizon is not None and horizon < 1:
             raise ValueError("horizon must be >= 1 when finite")
-        if self.horizon is None and self.delta == 1.0:
+        if horizon is None and delta == 1.0:
             raise ValueError("delta = 1 with an infinite horizon has no "
                              "finite discounted total")
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(NamedTuple):
     spent: float
     within: bool
     mode: str              # "finite" | "closed-form"
@@ -128,8 +126,7 @@ def budget_check(budget: BudgetSpec, game: StrategicGame,
     return BudgetReport(spent, spent <= budget.limit + TOL, "finite")
 
 
-@dataclass(frozen=True)
-class IncentiveDesign:
+class IncentiveDesign(NamedTuple):
     status: str                      # "ok" | "infeasible"
     schedule: IncentiveSchedule | None
     per_period_spend: float | None

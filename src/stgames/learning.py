@@ -32,7 +32,7 @@ order, so a trace does not depend on this representation.
 from __future__ import annotations
 
 import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +44,18 @@ SCHEDULES = ("constant", "harmonic")
 GAP_BLOCK_BYTES = 8 * 2 ** 20
 
 
-@dataclass(frozen=True)
 class RateSchedule:
     """constant: value; harmonic: value / t with t counted from 1."""
 
-    kind: str = "constant"
-    value: float = 1.0
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind not in SCHEDULES:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"rate value must be in [0, 1], got {self.value}")
+    def __init__(self, kind: str = "constant", value: float = 1.0):
+        self.kind = kind
+        self.value = value
+        if kind not in SCHEDULES:
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"rate value must be in [0, 1], got {value}")
 
     def at(self, t: int) -> float:
         if t < 1:
@@ -65,30 +65,38 @@ class RateSchedule:
         return self.value / t
 
 
-@dataclass(frozen=True)
 class LearnerSpec:
-    kind: str
-    payoff_rate: RateSchedule = RateSchedule("constant", 1.0)
-    policy_rate: RateSchedule = RateSchedule("constant", 1.0)
-    temperature: float = 1.0
-    initial_policy: tuple | None = None     # None -> uniform
-    initial_estimate: tuple | None = None   # None -> zeros
+    __slots__ = ("kind", "payoff_rate", "policy_rate", "temperature",
+                 "initial_policy", "initial_estimate")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}; valid: {KINDS}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+    def __init__(self, kind: str,
+                 payoff_rate: RateSchedule = RateSchedule("constant", 1.0),
+                 policy_rate: RateSchedule = RateSchedule("constant", 1.0),
+                 temperature: float = 1.0,
+                 initial_policy: tuple | None = None,
+                 initial_estimate: tuple | None = None):
+        self.kind = kind
+        self.payoff_rate = payoff_rate
+        self.policy_rate = policy_rate
+        self.temperature = temperature
+        self.initial_policy = initial_policy        # None -> uniform
+        self.initial_estimate = initial_estimate    # None -> zeros
+        if kind not in KINDS:
+            raise ValueError(f"unknown learner kind {kind!r}; valid: {KINDS}")
+        if temperature <= 0:
+            raise ValueError(f"temperature must be > 0, got {temperature}")
 
 
-@dataclass
 class LearningState:
     """Mutable per-run state; `counts[i]` tallies agent i's realized actions."""
 
-    policies: list
-    estimates: list
-    counts: list
-    t: int = 0
+    __slots__ = ("policies", "estimates", "counts", "t")
+
+    def __init__(self, policies: list, estimates: list, counts: list, t: int = 0):
+        self.policies = policies
+        self.estimates = estimates
+        self.counts = counts
+        self.t = t
 
     @staticmethod
     def fresh(game: StrategicGame, specs) -> "LearningState":
@@ -190,8 +198,7 @@ def step_policy(spec: LearnerSpec, pi, q, lam: float) -> list:
     return _relax(pi, policy_target(spec, pi, q), lam)
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     signals: list            # signal label per step
     actions: np.ndarray      # horizon x n action indices
     action_labels: list      # per-step tuples of labels
@@ -325,8 +332,7 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
                  initial_policies, state)
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     external_regret: np.ndarray      # per agent, time-averaged
     empirical_frequencies: list      # per agent, realized action frequencies
     gap_times: tuple                 # steps at which the gap was sampled

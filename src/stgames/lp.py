@@ -30,7 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ MAX_TABLEAU_BYTES = 512 * 2 ** 20
 _SENSES = ("<=", ">=", "==")
 
 
-@dataclass
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """min (or max) objective @ x  subject to  lhs @ x (sense) rhs, bounds."""
 
     objective: np.ndarray
@@ -57,8 +56,7 @@ class LinearProgram:
     maximize: bool = False
 
 
-@dataclass
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str                       # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None

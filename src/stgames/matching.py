@@ -8,28 +8,28 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError
 
 MAX_SIDE = 8
 
 
-@dataclass(frozen=True)
 class MatchingMarket:
-    left_prefs: tuple      # left_prefs[i] ranks right indices, best first
-    right_prefs: tuple
+    __slots__ = ("left_prefs", "right_prefs")
 
-    def __post_init__(self):
-        n = len(self.left_prefs)
-        if n != len(self.right_prefs):
+    def __init__(self, left_prefs: tuple, right_prefs: tuple):
+        self.left_prefs = left_prefs    # left_prefs[i] ranks right indices, best first
+        self.right_prefs = right_prefs
+        n = len(left_prefs)
+        if n != len(right_prefs):
             raise ValueError("sides must have equal size")
         if n == 0:
             raise ValueError("market must be nonempty")
         if n > MAX_SIDE:
             raise CapacityError(f"side size {n} exceeds {MAX_SIDE}")
         want = set(range(n))
-        for side, prefs in (("left", self.left_prefs), ("right", self.right_prefs)):
+        for side, prefs in (("left", left_prefs), ("right", right_prefs)):
             for i, ranking in enumerate(prefs):
                 if set(ranking) != want or len(ranking) != n:
                     raise ValueError(
@@ -46,8 +46,7 @@ class MatchingMarket:
                               tuple(tuple(p) for p in right_prefs))
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """Perfect matching; pair i of `pairs` is (left i, right partner)."""
 
     pairs: tuple

@@ -20,7 +20,7 @@ drops) lives on its own generator so the nominal path consumes no draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,26 +30,28 @@ from .strategic import StrategicGame
 KINDS = ("constant-injection", "sign-flip", "replay", "channel-drop")
 
 
-@dataclass(frozen=True)
 class AdversaryModel:
-    compromised: tuple               # agent ids
-    kind: str
-    value: float = 0.0               # constant-injection payload
-    lag: int = 1                     # replay distance
-    drop_prob: float = 0.5           # channel-drop probability
-    window: tuple | None = None      # (start, end) active steps, end exclusive; None = always
+    __slots__ = ("compromised", "kind", "value", "lag", "drop_prob", "window")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown adversary kind {self.kind!r}; valid: {KINDS}")
-        if len(set(self.compromised)) != len(self.compromised):
-            raise ValueError(f"repeated compromised ids in {list(self.compromised)}")
-        if self.kind == "replay" and self.lag < 1:
+    def __init__(self, compromised: tuple, kind: str, value: float = 0.0,
+                 lag: int = 1, drop_prob: float = 0.5,
+                 window: tuple | None = None):
+        self.compromised = compromised  # agent ids
+        self.kind = kind
+        self.value = value              # constant-injection payload
+        self.lag = lag                  # replay distance
+        self.drop_prob = drop_prob      # channel-drop probability
+        self.window = window    # (start, end) active steps, end exclusive; None = always
+        if kind not in KINDS:
+            raise ValueError(f"unknown adversary kind {kind!r}; valid: {KINDS}")
+        if len(set(compromised)) != len(compromised):
+            raise ValueError(f"repeated compromised ids in {list(compromised)}")
+        if kind == "replay" and lag < 1:
             raise ValueError("replay lag must be >= 1")
-        if self.kind == "channel-drop" and not 0.0 <= self.drop_prob <= 1.0:
+        if kind == "channel-drop" and not 0.0 <= drop_prob <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise ValueError(f"bad window {self.window}")
+        if window is not None and window[0] > window[1]:
+            raise ValueError(f"bad window {window}")
 
     def active_at(self, t: int) -> bool:
         if self.window is None:
@@ -82,7 +84,6 @@ def corrupt_reports(adversary: AdversaryModel | None, values: np.ndarray,
     return sent, delivered
 
 
-@dataclass(frozen=True)
 class TrustMatrix:
     """Row-stochastic weights over each agent's neighbor set.
 
@@ -90,12 +91,12 @@ class TrustMatrix:
     weights are zero off the neighbor set and each row sums to 1.
     """
 
-    weights: np.ndarray
-    adjacency: np.ndarray
+    __slots__ = ("weights", "adjacency")
 
-    def __post_init__(self):
-        w = self.weights
-        adj = self.adjacency
+    def __init__(self, weights: np.ndarray, adjacency: np.ndarray):
+        self.weights = weights
+        self.adjacency = adjacency
+        w, adj = weights, adjacency
         if w.ndim != 2 or w.shape[0] != w.shape[1] or adj.shape != w.shape:
             raise ValueError("trust matrices must be square and aligned")
         if np.any(w < -1e-12):
@@ -176,20 +177,17 @@ def trimmed_consensus_step(sent: np.ndarray, received: np.ndarray,
     return new_values
 
 
-@dataclass(frozen=True)
-class DefenseSpec:
+class DefenseSpec(NamedTuple):
     trim_f: int = 0
     trust_eta: float | None = None   # None = fixed trust
 
 
-@dataclass(frozen=True)
-class ConsensusScenario:
+class ConsensusScenario(NamedTuple):
     initial_values: tuple
     trust: TrustMatrix
 
 
-@dataclass(frozen=True)
-class ResilienceMetrics:
+class ResilienceMetrics(NamedTuple):
     max_honest_deviation: float          # vs the adversary-free run
     diameter_series: tuple               # honest max-min per step (incl. t=0)
     recovery_time: int | None            # steps past window end until the honest
@@ -197,8 +195,7 @@ class ResilienceMetrics:
     honest: tuple
 
 
-@dataclass(frozen=True)
-class ConsensusRun:
+class ConsensusRun(NamedTuple):
     values: np.ndarray                   # (horizon + 1) x n
     metrics: ResilienceMetrics
 

@@ -20,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -156,8 +156,7 @@ def _need_signal(node, path, game):
 
 # --- parsed scenario ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     kind: str
     seed: int | None
     payload: dict           # the runner's inputs, built from the document
@@ -633,8 +632,7 @@ def _v_resilience(node, path):
 
 # --- run records -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """One named trace table: column names plus row tuples."""
     name: str
     columns: tuple
@@ -645,8 +643,7 @@ class Table:
         return Table(name, tuple(columns), tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     kind: str
     digest: str
     seed: int | None
@@ -899,8 +896,7 @@ def _run_resilience(cfg, initial, trust, horizon, defense, adversary):
 
 # --- kind registry -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """One scenario kind.
 
     `validate(node, path)` checks the kind's block and returns it normalized

@@ -9,7 +9,7 @@ comparison with smallest-index preference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,19 +20,19 @@ MAX_AGENTS = 6
 MAX_GRID = 10 ** 6
 
 
-@dataclass(frozen=True)
 class StrategicGame:
-    actions: tuple            # per-agent tuples of action labels
-    payoffs: dict             # signal -> ndarray of shape (n, |X_0|, ..., |X_{n-1}|)
+    __slots__ = ("actions", "payoffs")
 
-    def __post_init__(self):
-        n = len(self.actions)
+    def __init__(self, actions: tuple, payoffs: dict):
+        self.actions = actions    # per-agent tuples of action labels
+        self.payoffs = payoffs    # signal -> ndarray of shape (n, |X_0|, ..., |X_{n-1}|)
+        n = len(actions)
         if not 2 <= n <= MAX_AGENTS:
             raise CapacityError(f"agent count {n} outside 2..{MAX_AGENTS}")
-        if not self.payoffs:
+        if not payoffs:
             raise ValueError("at least one signal table required")
         grid = 1
-        for labels in self.actions:
+        for labels in actions:
             if len(labels) == 0:
                 raise ValueError("every agent needs at least one action")
             if len(set(labels)) != len(labels):
@@ -40,8 +40,8 @@ class StrategicGame:
             grid *= len(labels)
         if grid > MAX_GRID:
             raise CapacityError(f"profile grid {grid} exceeds {MAX_GRID}")
-        shape = (n,) + tuple(len(x) for x in self.actions)
-        for sig, table in self.payoffs.items():
+        shape = (n,) + tuple(len(x) for x in actions)
+        for sig, table in payoffs.items():
             if table.shape != shape:
                 raise ValueError(
                     f"signal {sig!r}: payoff table shape {table.shape}, want {shape}")
@@ -129,16 +129,14 @@ def _profile_index(actions, profile):
     return tuple(_label_index(actions, i, label) for i, label in enumerate(profile))
 
 
-@dataclass(frozen=True)
-class NashCheck:
+class NashCheck(NamedTuple):
     is_nash: bool
     agent: int | None = None        # witness when not an equilibrium
     deviation: object = None
     gain: float | None = None
 
 
-@dataclass(frozen=True)
-class WelfareReport:
+class WelfareReport(NamedTuple):
     convention: str                 # always "maximize" here
     optimal_welfare: float
     optimal_profile: tuple

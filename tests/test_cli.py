@@ -158,14 +158,59 @@ def test_coop_at_12_agents_within_budget(tmp_path):
     assert summary["nucleolus_stages"] <= 11
 
 
-def test_one_worker_run_skips_pool_import():
+def one_worker_run_imports(kind, module):
+    """Exit code of a one-worker run of the `kind` fixture in a fresh
+    interpreter, and whether that run imported `module`."""
     script = ("import sys; from stgames import cli; "
-              f"rc = cli.main(['match', '--config', {fx('match')!r}, "
+              f"rc = cli.main([{kind!r}, '--config', {fx(kind)!r}, "
               "'--jobs', '1', '--quiet']); "
-              "print(rc, 'concurrent.futures' in sys.modules)")
+              f"print(rc, {module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_one_worker_run_skips_pool_import():
+    assert one_worker_run_imports("match", "concurrent.futures") == ["0", "False"]
+
+
+def test_one_worker_run_skips_dataclasses_import():
+    # the library's records are NamedTuples and __slots__ classes, which
+    # cost a fraction of what `dataclasses` spends building a class
+    assert one_worker_run_imports("nash", "dataclasses") == ["0", "False"]
+
+
+def test_traced_benchmark_binds_to_the_library():
+    # perfbench/run.py imports only stgames.cli before its Tracer wraps the
+    # kernels it looks up in sys.modules, and the static method
+    # StrategicGame.from_tables; so do the same in a fresh interpreter
+    # (-B: no bytecode written next to tracing.py)
+    tracing = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    script = f"""
+import importlib.util, json
+spec = importlib.util.spec_from_file_location("tracing", {str(tracing)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from stgames import cli
+from stgames.strategic import StrategicGame
+original = StrategicGame.__dict__["from_tables"]
+with tracing.Tracer() as tracer:
+    rc = cli.main(["nash", "--config", {fx("nash")!r}, "--quiet"])
+print(json.dumps({{"rc": rc, "calls": tracer.calls,
+                  "invocations": tracer.counts["cli.invocations"],
+                  "staticmethod": isinstance(original, staticmethod),
+                  "restored": StrategicGame.__dict__["from_tables"] is original}}))
+"""
+    proc = subprocess.run([sys.executable, "-B", "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["rc"] == cli.EXIT_OK
+    for layer in ("cli", "scenario", "strategic"):
+        assert got["calls"].get(layer, 0) > 0, layer
+    assert got["invocations"] == 1
+    assert got["staticmethod"] and got["restored"]
 
 
 def test_jobs_clamped_to_configs_and_cpus(monkeypatch):

@@ -618,8 +618,7 @@ def test_stage_without_a_nonzero_dual_is_an_error(monkeypatch):
 
     def without_duals(lp):
         sol = solve(lp)
-        sol.duals = np.zeros_like(sol.duals)
-        return sol
+        return sol._replace(duals=np.zeros_like(sol.duals))
 
     monkeypatch.setattr(coopmod, "solve_lp", without_duals)
     for g in kernel_corpus():
