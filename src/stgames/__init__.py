@@ -13,7 +13,7 @@ from .lp import LinearProgram, LpSolution, solve_lp
 from .strategic import (DEFAULT_SIGNAL, NashCheck, StrategicGame,
                         WelfareReport, best_responses, counterfactual_payoffs,
                         enumerate_pure_nash, expected_payoffs, is_nash,
-                        mixed_gap, welfare_and_poa)
+                        mixed_gap, profile_index, welfare_and_poa)
 from .coop import (CoalitionGame, CoreReport, NucleolusReport,
                    cooperative_surplus, core_nonempty, excess, in_core,
                    is_convex, is_superadditive, members, nucleolus, shapley)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coop import CoalitionGame, members
 from .incentives import IncentiveSchedule, modified_payoff
-from .learning import LearningState, Trace, run_dynamics
+from .learning import LearningState, run_dynamics
 from .strategic import StrategicGame, enumerate_pure_nash, expected_payoffs
 
 COORDINATOR_KINDS = ("constant", "round-robin", "greedy")
@@ -26,15 +26,11 @@ STACKELBERG_MODES = ("optimistic", "pessimistic")
 # --- admissible action sets --------------------------------------------------
 
 class AdmissibleSetRule(NamedTuple):
-    """signal -> per-agent tuples of allowed action labels.
-
-    Signals missing from the map leave the game unrestricted.
+    """signal -> per-agent tuples of allowed action indices, in the
+    subgame's order. Signals missing from the map leave the game unrestricted.
     """
 
     allowed: dict
-
-    def for_signal(self, game: StrategicGame, signal):
-        return _restrict(game, self, signal)[0].actions
 
 
 def _restrict(game: StrategicGame, rule: AdmissibleSetRule | None, signal):
@@ -42,18 +38,19 @@ def _restrict(game: StrategicGame, rule: AdmissibleSetRule | None, signal):
     it keeps every action in order) and the index arrays of the kept actions."""
     if rule is None or signal not in rule.allowed:
         return game, [np.arange(len(a)) for a in game.actions]
-    allowed = tuple(tuple(labels) for labels in rule.allowed[signal])
+    allowed = rule.allowed[signal]
     if len(allowed) != game.n_agents:
         raise ValueError(f"rule at {signal!r} must cover all agents")
-    keep = []
-    for i, labels in enumerate(allowed):
-        if not labels:
+    for i, idx in enumerate(allowed):
+        if not len(idx):
             raise ValueError(f"agent {i}: admissible set empty at {signal!r}")
-        keep.append(np.asarray([game.action_index(i, lab) for lab in labels]))
-    if allowed == tuple(game.actions):
+    actions = tuple(tuple(labels[j] for j in idx)
+                    for labels, idx in zip(game.actions, allowed))
+    keep = [np.asarray(idx, dtype=np.intp) for idx in allowed]
+    if actions == game.actions:
         return game, keep
     sel = np.ix_(np.arange(game.n_agents), *keep)
-    return StrategicGame(allowed, {s: tab[sel] for s, tab in game.payoffs.items()}), keep
+    return StrategicGame(actions, {s: tab[sel] for s, tab in game.payoffs.items()}), keep
 
 
 def apply_admissible_sets(game: StrategicGame, rule: AdmissibleSetRule,
@@ -217,10 +214,12 @@ def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
                       admissible: AdmissibleSetRule | None = None) -> StackelbergReport:
     """Pick the signal maximizing the leader's value over follower equilibria.
 
-    Per candidate signal the follower game's pure equilibria are enumerated;
-    optimistic takes the best equilibrium for the leader, pessimistic the
-    worst. Candidates without a pure equilibrium are skipped with a warning.
-    Ties keep the earliest candidate.
+    Per candidate signal the pure equilibria of the subgame `admissible`
+    allows are enumerated, then scored by `leader_objective(game, candidate,
+    profile)` and reported as profiles of the full game; optimistic takes the
+    best equilibrium for the leader, pessimistic the worst. Candidates
+    without a pure equilibrium are skipped with a warning. Ties keep the
+    earliest candidate.
     """
     if mode not in STACKELBERG_MODES:
         raise ValueError(f"mode must be optimistic or pessimistic, got {mode!r}")
@@ -229,13 +228,14 @@ def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
     best, best_val = None, None
     for cand in candidates:
         game.resolve_signal(cand)
-        sub = _restrict(game, admissible, cand)[0]
-        eqs = tuple(enumerate_pure_nash(sub, cand))
+        sub, keep = _restrict(game, admissible, cand)
+        eqs = tuple(tuple(int(k[a]) for k, a in zip(keep, e))
+                    for e in enumerate_pure_nash(sub, cand))
         if not eqs:
             warnings.warn(f"candidate {cand!r} has no pure equilibrium; skipped")
             outcomes.append(CandidateOutcome(cand, (), (), None, True))
             continue
-        vals = tuple(float(objective(sub, cand, e)) for e in eqs)
+        vals = tuple(float(objective(game, cand, e)) for e in eqs)
         val = max(vals) if mode == "optimistic" else min(vals)
         outcomes.append(CandidateOutcome(cand, eqs, vals, val))
         if best_val is None or val > best_val:
@@ -248,8 +248,8 @@ def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
 class DynamicGame:
     """Finite-state stage games with table-driven transitions.
 
-    `transitions[(state, profile)]` is either a state label (deterministic)
-    or a tuple of (state, probability) pairs summing to 1.
+    `transitions[(state, profile)]`, profiles as action indices, is a state
+    label (deterministic) or a tuple of (state, probability) pairs summing to 1.
     """
 
     __slots__ = ("stage_games", "transitions", "initial_state")
@@ -275,8 +275,8 @@ class DynamicGame:
 class RolloutPolicy:
     """feedback: act on the current state; open-loop: on the initial state only.
 
-    `table` maps state -> action label. An open-loop `plan` (action sequence
-    from t = 0, last action held) overrides the table when present.
+    `table` maps state -> action index. An open-loop `plan` (action index
+    sequence from t = 0, last action held) overrides the table when present.
     """
 
     __slots__ = ("kind", "table", "plan")

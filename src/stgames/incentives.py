@@ -6,15 +6,13 @@ profile by profile (stationary in time).
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ComputationError
 from .lp import LinearProgram, solve_lp
-from .strategic import (StrategicGame, _profile_index, counterfactual_payoffs,
-                        is_nash)
+from .strategic import StrategicGame, counterfactual_payoffs, is_nash
 
 TOL = 1e-9
 
@@ -35,17 +33,15 @@ class IncentiveSchedule(NamedTuple):
         """Transfers paid only at one profile (zero elsewhere)."""
         sig = game.resolve_signal(signal)
         sched = IncentiveSchedule.zero(game)
-        idx = _profile_index(game.actions, tuple(profile))
         vec = np.asarray(per_agent, dtype=float)
         if vec.shape != (game.n_agents,):
             raise ValueError(f"need {game.n_agents} transfers, got {vec.shape}")
-        sched.transfers[sig][(slice(None),) + idx] = vec
+        sched.transfers[sig][(slice(None),) + tuple(profile)] = vec
         return sched
 
     def per_agent(self, game: StrategicGame, profile, signal=None) -> np.ndarray:
         sig = game.resolve_signal(signal)
-        idx = _profile_index(game.actions, tuple(profile))
-        return self.transfers[sig][(slice(None),) + idx].copy()
+        return self.transfers[sig][(slice(None),) + tuple(profile)].copy()
 
 
 def modified_payoff(game: StrategicGame, schedule: IncentiveSchedule) -> StrategicGame:
@@ -99,14 +95,13 @@ def budget_check(budget: BudgetSpec, game: StrategicGame,
                  signal=None) -> BudgetReport:
     """Discounted total transfer along a trajectory vs the budget.
 
-    `trajectory` is a sequence of profiles (finite horizon: all of them,
-    discounted from t = 0) or a single stationary profile for the infinite
-    case, where the geometric closed form sum/(1 - delta) applies.
+    `trajectory` is a sequence of profiles: all of them for a finite horizon,
+    discounted from t = 0, or one stationary profile (possibly repeated) for
+    the infinite case, where the geometric closed form sum/(1 - delta)
+    applies.
     """
     sig = game.resolve_signal(signal)
-    profiles = list(trajectory)
-    if profiles and isinstance(profiles[0], str):
-        profiles = [tuple(profiles)]          # a single bare profile
+    profiles = list(map(tuple, trajectory))
     if budget.horizon is None:
         if len(set(profiles)) != 1:
             raise ValueError("infinite-horizon budget check needs a single "
@@ -119,7 +114,7 @@ def budget_check(budget: BudgetSpec, game: StrategicGame,
             f"trajectory length {len(profiles)} != horizon {budget.horizon}")
     price = {}                                # one transfer total per profile
     spent = 0.0
-    for t, profile in enumerate(map(tuple, profiles)):
+    for t, profile in enumerate(profiles):
         if profile not in price:
             price[profile] = float(schedule.per_agent(game, profile, sig).sum())
         spent += (budget.delta ** t) * price[profile]
@@ -156,7 +151,7 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
     for i in range(n):
         vec = counterfactual_payoffs(game, i, target, sig)
         for j in range(len(vec)):
-            if game.actions[i][j] == target[i]:
+            if j == target[i]:
                 continue
             row = np.zeros(n)
             row[i] = 1.0
@@ -185,12 +180,7 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
         return IncentiveDesign("infeasible", None, None, None,
                                "no strict Pareto improvement at minimal transfers")
     per_period = float(rho.sum())
-    horizon = budget.horizon
-    if horizon is None:
-        traj = [target]
-    else:
-        traj = [target] * horizon
-    report = budget_check(budget, game, schedule, traj, sig)
+    report = budget_check(budget, game, schedule, [target] * (budget.horizon or 1), sig)
     if not report.within:
         return IncentiveDesign("infeasible", None, per_period, report.spent,
                                f"discounted spend {report.spent} exceeds "

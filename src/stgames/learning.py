@@ -21,12 +21,12 @@ Observation model: agents see their own realized payoff and the opponents'
 realized actions (reported actions; a corruption hook may tamper with them).
 Identical (game, specs, horizon, seed) reproduce traces bit-identically.
 
-Inside `run_dynamics`, the `observe` hook included, actions are integer
-indices into the payoff tables and each agent's vectors are plain float
-lists, which the helpers below take (arrays work too) and return; labels
-appear only at the boundary (`Trace.action_labels`, the signal schedule).
-The helpers do the float operations of the formulas above in the same
-order, so a trace does not depend on this representation.
+Actions are integer indices into the payoff tables, in the trace and in
+the `observe` hook alike; action labels stay in `game.actions`. Inside
+`run_dynamics` each agent's vectors are plain float lists, which the
+helpers below take (arrays work too) and return. The helpers do the float
+operations of the formulas above in the same order, so a trace does not
+depend on this representation.
 """
 
 from __future__ import annotations
@@ -201,11 +201,9 @@ def step_policy(spec: LearnerSpec, pi, q, lam: float) -> list:
 class Trace(NamedTuple):
     signals: list            # signal label per step
     actions: np.ndarray      # horizon x n action indices
-    action_labels: list      # per-step tuples of labels
     payoffs: np.ndarray      # horizon x n realized payoffs
     policies: list           # per agent: (horizon x k) policy after each step
     estimates: list          # per agent: (horizon x k) estimate after each step
-    initial_policies: list
     final_state: LearningState
 
 
@@ -275,7 +273,6 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    initial_policies = [p.copy() for p in state.policies]
     policies = [p.tolist() for p in state.policies]
     estimates = [q.tolist() for q in state.estimates]
     counts = [c.tolist() for c in state.counts]
@@ -324,12 +321,9 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
     for sig in tables:
         rows = np.array([s == sig for s in signals])
         payoffs[rows] = game.payoffs[sig][(slice(None),) + tuple(actions[rows].T)].T
-    columns = [[game.actions[i][a] for a in actions[:, i].tolist()]
-               for i in range(n)]
-    return Trace(signals, actions, list(zip(*columns)), payoffs,
+    return Trace(signals, actions, payoffs,
                  [_rows(h, horizon) for h in pol_hist],
-                 [_rows(h, horizon) for h in est_hist],
-                 initial_policies, state)
+                 [_rows(h, horizon) for h in est_hist], state)
 
 
 class Diagnostics(NamedTuple):

@@ -16,6 +16,7 @@ config.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -40,7 +41,7 @@ from .resilience import KINDS as ADVERSARY_KINDS
 from .resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
                          TrustMatrix, run_consensus_scenario)
 from .strategic import (DEFAULT_SIGNAL, StrategicGame, enumerate_pure_nash,
-                        welfare_and_poa)
+                        profile_index, welfare_and_poa)
 
 
 # learning steps one `learn` horizon, or one `ttscale` run over all its
@@ -420,7 +421,7 @@ def _v_ttscale(node, path):
     if "admissible" in node:
         if not isinstance(node["admissible"], dict):
             _fail(f"{path}.admissible", "expected a map of signal -> per-agent actions")
-        allowed = {}
+        allowed, indices = {}, {}
         for sig, per_agent in node["admissible"].items():
             apath = f"{path}.admissible.{sig}"
             sig = _need_signal(str(sig), apath, game)
@@ -434,8 +435,10 @@ def _v_ttscale(node, path):
                     _fail(f"{apath}[{i}]", "duplicate action labels")
                 sets.append(labels)
             allowed[sig] = tuple(sets)
+            indices[sig] = tuple(tuple(map(game.actions[i].index, labels))
+                                 for i, labels in enumerate(sets))
         block["admissible"] = allowed
-        inputs["admissible"] = AdmissibleSetRule(allowed)
+        inputs["admissible"] = AdmissibleSetRule(indices)
     if "incentives" in node:
         entries = []
         incentives = IncentiveSchedule.zero(game)
@@ -448,8 +451,9 @@ def _v_ttscale(node, path):
             if "signal" in entry:
                 rec["signal"] = sig
             entries.append(rec)
-            one = IncentiveSchedule.on_profile(game, rec["profile"], rec["values"],
-                                               signal=sig)
+            one = IncentiveSchedule.on_profile(
+                game, profile_index(game.actions, rec["profile"]), rec["values"],
+                signal=sig)
             incentives.transfers[sig] += one.transfers[sig]
         block["incentives"] = entries
         inputs["incentives"] = incentives
@@ -492,11 +496,12 @@ def _v_stackelberg(node, path):
                 for sig, rows in table.items()}}
 
             def objective(g, signal, profile):
+                labels = _labels(g, profile)
                 try:
-                    return table[signal][tuple(profile)]
+                    return table[signal][tuple(labels)]
                 except KeyError:
                     _fail(f"{lpath}.table.{signal}",
-                          f"no value for follower equilibrium {list(profile)}")
+                          f"no value for follower equilibrium {labels}")
 
     return block, {"game": game, "candidates": tuple(candidates),
                    "mode": block["mode"], "objective": objective}
@@ -523,10 +528,12 @@ def _v_wardrop(node, path):
     network = _make(path, netmod.CongestionNetwork,
                     tuple(netmod.Edge(**e) for e in block["edges"]),
                     block["origin"], block["destination"], block["demand"])
+    _make(path, netmod.enumerate_paths, network)      # none, or too many
     inputs = {"network": network, "extra_edge": None, "tolls": False}
     if "extra_edge" in node:
         block["extra_edge"] = edge(node["extra_edge"], f"{path}.extra_edge")
         inputs["extra_edge"] = netmod.Edge(**block["extra_edge"])
+        netmod.enumerate_paths(network.with_edge(inputs["extra_edge"]))   # too many
     if "tolls" in node:
         block["tolls"] = inputs["tolls"] = _need_bool(node["tolls"], f"{path}.tolls")
     return block, inputs
@@ -550,8 +557,9 @@ def _v_incentive(node, path):
     signal = _need_signal(node.get("signal"), f"{path}.signal", game)
     if "signal" in node:
         block["signal"] = signal
-    return block, {"game": game, "target": block["target"],
-                   "baseline": block["baseline"], "signal": signal,
+    return block, {"game": game, "target": profile_index(game.actions, block["target"]),
+                   "baseline": profile_index(game.actions, block["baseline"]),
+                   "signal": signal,
                    "budget": _make(f"{path}.budget", BudgetSpec,
                                    block["budget"]["limit"], block["budget"]["delta"],
                                    None if horizon == "infinite" else horizon)}
@@ -627,6 +635,10 @@ def _v_resilience(node, path):
         block["trust"] = [_need_vector(row, f"{path}.trust[{i}]", n, 0.0)
                           for i, row in enumerate(trust)]
         inputs["trust"] = _make(f"{path}.trust", TrustMatrix.from_weights, block["trust"])
+    reports = inputs["trust"].adjacency.sum(axis=1).tolist()     # before any drop
+    if 2 * block["defense"]["trim"] + 1 > min(reports):
+        _fail(f"{path}.defense.trim", f"agent {reports.index(min(reports))}: "
+              f"{min(reports)} reports cannot survive 2*{block['defense']['trim']} discards")
     return block, inputs
 
 
@@ -672,6 +684,11 @@ def _py(value):
     if isinstance(value, dict):
         return {str(k): _py(v) for k, v in value.items()}
     return value
+
+
+def _labels(game, profile):
+    """A profile of action indices as the list of its action labels."""
+    return [labels[a] for labels, a in zip(game.actions, profile)]
 
 
 # --- per-kind runners --------------------------------------------------------------
@@ -726,9 +743,9 @@ def _run_nash(cfg, game, signal, eps):
     equilibria = enumerate_pure_nash(game, signal=signal, eps=eps)
     welfare = welfare_and_poa(game, signal=signal)
     summary = {"signal": signal, "eps": eps,
-               "equilibria": [list(e) for e in equilibria],
+               "equilibria": [_labels(game, e) for e in equilibria],
                "welfare_optimum": welfare.optimal_welfare,
-               "optimal_profile": list(welfare.optimal_profile),
+               "optimal_profile": _labels(game, welfare.optimal_profile),
                "poa_defined": welfare.defined}
     if welfare.defined:
         summary["poa"] = welfare.ratio
@@ -736,12 +753,11 @@ def _run_nash(cfg, game, signal, eps):
     else:
         summary["poa_reason"] = welfare.reason
     eq_set = set(equilibria)
-    rows = []
-    for profile in game.profiles():
-        pay = game.payoff(profile, signal=signal)
-        rows.append(tuple(profile) + tuple(float(v) for v in pay)
-                    + (profile in eq_set,))
     n = game.n_agents
+    pays = game.payoffs[signal].reshape(n, -1).T.tolist()
+    rows = [labels + tuple(pay) + (profile in eq_set,)
+            for profile, labels, pay in zip(game.profiles(),
+                                            itertools.product(*game.actions), pays)]
     cols = tuple(f"action_{i}" for i in range(n)) + \
         tuple(f"payoff_{i}" for i in range(n)) + ("is_nash",)
     return RunRecord("nash", cfg.digest, cfg.seed, summary,
@@ -752,16 +768,17 @@ def _run_learn(cfg, game, specs, horizon, schedule, gap_stride):
     trace = run_dynamics(game, specs, horizon, seed=cfg.seed,
                          signal_schedule=schedule)
     diag = diagnostics(game, trace, gap_stride=gap_stride)
+    steps = list(zip(*([labels[a] for a in trace.actions[:, i].tolist()]
+                       for i, labels in enumerate(game.actions))))
     summary = {"horizon": horizon,
-               "final_profile": list(trace.action_labels[-1]),
+               "final_profile": list(steps[-1]),
                "external_regret": _py(diag.external_regret),
                "max_regret": float(diag.external_regret.max()),
                "final_gap": float(diag.gap_series[-1])}
     n = game.n_agents
-    rows = []
-    for t in range(len(trace.action_labels)):
-        rows.append((t + 1, trace.signals[t]) + tuple(trace.action_labels[t])
-                    + tuple(float(v) for v in trace.payoffs[t]))
+    rows = [(t, sig) + labels + tuple(pay)
+            for t, sig, labels, pay in zip(itertools.count(1), trace.signals, steps,
+                                           trace.payoffs.tolist())]
     cols = ("step", "signal") + tuple(f"action_{i}" for i in range(n)) \
         + tuple(f"payoff_{i}" for i in range(n))
     tables = [Table.of("trace", cols, rows),
@@ -799,7 +816,7 @@ def _run_stackelberg(cfg, game, candidates, mode, objective):
         if out.candidate == report.best_candidate and not out.skipped:
             for eq, val in zip(out.equilibria, out.values):
                 if val == report.leader_value:
-                    follower = list(eq)
+                    follower = _labels(game, eq)
                     break
             break
     summary = {"mode": mode, "signal": report.best_candidate,
@@ -808,7 +825,7 @@ def _run_stackelberg(cfg, game, candidates, mode, objective):
                "skipped_signals": [o.candidate for o in report.outcomes
                                    if o.skipped]}
     rows = [(o.candidate,
-             json.dumps([list(e) for e in o.equilibria]),
+             json.dumps([_labels(game, e) for e in o.equilibria]),
              o.value, o.skipped)
             for o in report.outcomes]
     return RunRecord("stackelberg", cfg.digest, cfg.seed, summary,
@@ -857,7 +874,7 @@ def _run_incentive(cfg, game, target, baseline, budget, signal):
     design = design_incentive(game, target, baseline=baseline, budget=budget,
                               signal=signal)
     summary = {"status": design.status,
-               "target": list(target), "baseline": list(baseline)}
+               "target": _labels(game, target), "baseline": _labels(game, baseline)}
     tables = []
     if design.status == "ok":
         payments = design.schedule.per_agent(game, target, signal)

@@ -58,7 +58,7 @@ class StrategicGame:
             arr = np.zeros((n,) + tuple(len(x) for x in actions))
             seen = set()
             for profile, values in entries.items():
-                idx = _profile_index(actions, tuple(profile))
+                idx = profile_index(actions, profile)
                 if idx in seen:
                     raise ValueError(f"signal {sig!r}: duplicate profile {profile}")
                 seen.add(idx)
@@ -99,40 +99,30 @@ class StrategicGame:
                 f"unknown signal {signal!r}; valid: {sorted(self.payoffs)}")
         return signal
 
-    def action_index(self, agent: int, label) -> int:
-        return _label_index(self.actions, agent, label)
-
     def profiles(self):
         """All profiles in lexicographic action-index order."""
-        return itertools.product(*self.actions)
+        return itertools.product(*(range(len(a)) for a in self.actions))
 
     def payoff(self, profile, signal=None) -> np.ndarray:
         """Per-agent payoff vector at a pure profile."""
         sig = self.resolve_signal(signal)
-        idx = _profile_index(self.actions, tuple(profile))
-        return self.payoffs[sig][(slice(None),) + idx].copy()
+        return self.payoffs[sig][(slice(None),) + tuple(profile)].copy()
 
 
-def _label_index(actions, agent: int, label) -> int:
-    try:
-        return actions[agent].index(label)
-    except ValueError:
-        raise ValueError(
-            f"agent {agent}: unknown action {label!r}; "
-            f"valid: {list(actions[agent])}") from None
-
-
-def _profile_index(actions, profile):
+def profile_index(actions, profile) -> tuple:
+    """The action indices of a profile given as one label per agent."""
     if len(profile) != len(actions):
-        raise ValueError(
-            f"profile length {len(profile)} != agent count {len(actions)}")
-    return tuple(_label_index(actions, i, label) for i, label in enumerate(profile))
+        raise ValueError(f"profile length {len(profile)} != agent count {len(actions)}")
+    for i, (labels, label) in enumerate(zip(actions, profile)):
+        if label not in labels:
+            raise ValueError(f"agent {i}: unknown action {label!r}; valid: {list(labels)}")
+    return tuple(labels.index(label) for labels, label in zip(actions, profile))
 
 
 class NashCheck(NamedTuple):
     is_nash: bool
     agent: int | None = None        # witness when not an equilibrium
-    deviation: object = None
+    deviation: int | None = None    # the witness's better action
     gain: float | None = None
 
 
@@ -151,18 +141,16 @@ def counterfactual_payoffs(game: StrategicGame, agent: int, profile,
                            signal=None) -> np.ndarray:
     """Payoff vector over `agent`'s actions with the others pinned."""
     sig = game.resolve_signal(signal)
-    idx = list(_profile_index(game.actions, tuple(profile)))
-    sel = [agent] + [slice(None) if i == agent else idx[i]
-                     for i in range(game.n_agents)]
-    return game.payoffs[sig][tuple(sel)].copy()
+    profile = tuple(profile)
+    sel = (agent,) + profile[:agent] + (slice(None),) + profile[agent + 1:]
+    return game.payoffs[sig][sel].copy()
 
 
 def best_responses(game: StrategicGame, agent: int, profile, signal=None):
     """All payoff-maximizing actions for `agent`; exact float ties."""
     vec = counterfactual_payoffs(game, agent, profile, signal)
-    best = vec.max()
-    return tuple(game.actions[agent][j] for j in range(len(vec))
-                 if vec[j] == best)
+    return tuple(np.flatnonzero(vec == vec.max()).tolist())
+
 
 def is_nash(game: StrategicGame, profile, eps: float = 0.0,
             signal=None) -> NashCheck:
@@ -174,16 +162,23 @@ def is_nash(game: StrategicGame, profile, eps: float = 0.0,
     base = game.payoff(profile, sig)
     for i in range(game.n_agents):
         vec = counterfactual_payoffs(game, i, profile, sig)
-        for j, label in enumerate(game.actions[i]):
+        for j in range(len(vec)):
             if vec[j] > base[i] + eps:
-                return NashCheck(False, i, label, float(vec[j] - base[i]))
+                return NashCheck(False, i, j, float(vec[j] - base[i]))
     return NashCheck(True)
 
 
 def enumerate_pure_nash(game: StrategicGame, signal=None, eps: float = 0.0):
-    """Pure (eps-)equilibria in lexicographic profile order."""
+    """Pure (eps-)equilibria in lexicographic profile order: `is_nash`'s
+    comparison as one boolean mask per agent (`np.fmax` skips NaN payoffs,
+    as that comparison does)."""
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     sig = game.resolve_signal(signal)
-    return [p for p in game.profiles() if is_nash(game, p, eps, sig).is_nash]
+    stable = True
+    for i, tab in enumerate(game.payoffs[sig]):
+        stable = stable & ~(np.fmax.reduce(tab, axis=i, keepdims=True) > tab + eps)
+    return list(map(tuple, np.argwhere(stable).tolist()))
 
 
 def welfare_and_poa(game: StrategicGame, signal=None) -> WelfareReport:
@@ -196,14 +191,13 @@ def welfare_and_poa(game: StrategicGame, signal=None) -> WelfareReport:
     table = game.payoffs[sig]
     welfare = table.sum(axis=0)
     flat = int(np.argmax(welfare))
-    opt_idx = np.unravel_index(flat, welfare.shape)
-    opt_profile = tuple(game.actions[i][opt_idx[i]] for i in range(game.n_agents))
-    opt = float(welfare[opt_idx])
+    opt_profile = tuple(int(a) for a in np.unravel_index(flat, welfare.shape))
+    opt = float(welfare[opt_profile])
     eqs = tuple(enumerate_pure_nash(game, sig))
     if not eqs:
         return WelfareReport("maximize", opt, opt_profile, (), None, None,
                              False, "no pure equilibrium")
-    worst = min(float(welfare[_profile_index(game.actions, e)]) for e in eqs)
+    worst = min(float(welfare[e]) for e in eqs)
     if worst == 0.0:
         return WelfareReport("maximize", opt, opt_profile, eqs, worst, None,
                              False, "zero-welfare equilibrium")

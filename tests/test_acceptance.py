@@ -418,8 +418,8 @@ def test_criterion_09_learning_dynamics(capsys):
         br = [LearnerSpec("best-response"), LearnerSpec("best-response")]
         for seed in range(50):
             trace = run_dynamics(game, br, 40, seed=seed)
-            final = trace.action_labels[-1]
-            assert trace.action_labels[-2] == final
+            final = trace.actions[-1].tolist()
+            assert trace.actions[-2].tolist() == final
             assert is_nash(game, final, 0.0).is_nash
 
     criterion(capsys, 9, "fictitious play mixes 50/50, best response settles",
@@ -462,19 +462,18 @@ def test_criterion_10_stackelberg_mode_ordering(capsys):
 def test_criterion_11_incentive_synthesis_on_dilemma(capsys):
     def body():
         budget = BudgetSpec(limit=100.0, delta=0.5)
-        design = design_incentive(PD, ("C", "C"), baseline=("D", "D"),
-                                  budget=budget)
+        # profiles are action indices: 0 is C, 1 is D
+        design = design_incentive(PD, (0, 0), baseline=(1, 1), budget=budget)
         assert design.status == "ok"
         assert abs(design.per_period_spend - 4.0) <= 1e-6
         modified = modified_payoff(PD, design.schedule)
-        assert is_nash(modified, ("C", "C"), 1e-9).is_nash
-        assert is_pareto_improving(PD.payoff(("D", "D")),
-                                   modified.payoff(("C", "C")))
-        report = budget_check(budget, PD, design.schedule, [("C", "C")])
+        assert is_nash(modified, (0, 0), 1e-9).is_nash
+        assert is_pareto_improving(PD.payoff((1, 1)), modified.payoff((0, 0)))
+        report = budget_check(budget, PD, design.schedule, [(0, 0)])
         assert report.within
         assert abs(report.spent - design.discounted_spend) <= 1e-9
 
-        tight = design_incentive(PD, ("C", "C"), baseline=("D", "D"),
+        tight = design_incentive(PD, (0, 0), baseline=(1, 1),
                                  budget=BudgetSpec(limit=7.9, delta=0.5))
         assert tight.status == "infeasible"
 

@@ -181,35 +181,45 @@ def test_one_worker_run_skips_dataclasses_import():
     assert one_worker_run_imports("nash", "dataclasses") == ["0", "False"]
 
 
-def test_traced_benchmark_binds_to_the_library():
+def test_traced_benchmark_binds_to_the_library(tmp_path):
     # perfbench/run.py imports only stgames.cli before its Tracer wraps the
     # kernels it looks up in sys.modules, and the static method
     # StrategicGame.from_tables; so do the same in a fresh interpreter
-    # (-B: no bytecode written next to tracing.py)
-    tracing = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    # (-B: no bytecode written under perfbench/), around one run of every
+    # fixture kind. The count hooks read kernel arguments and results by
+    # position, so a signature change that breaks one fails here too.
+    bench = pathlib.Path(__file__).parents[1] / "perfbench" / "run.py"
+    kinds = sorted(p.stem for p in FIXTURES.glob("*.yaml"))
     script = f"""
 import importlib.util, json
-spec = importlib.util.spec_from_file_location("tracing", {str(tracing)!r})
-tracing = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tracing)
+spec = importlib.util.spec_from_file_location("bench", {str(bench)!r})
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
 from stgames import cli
 from stgames.strategic import StrategicGame
 original = StrategicGame.__dict__["from_tables"]
-with tracing.Tracer() as tracer:
-    rc = cli.main(["nash", "--config", {fx("nash")!r}, "--quiet"])
-print(json.dumps({{"rc": rc, "calls": tracer.calls,
-                  "invocations": tracer.counts["cli.invocations"],
+with bench.tracing.Tracer() as tracer:
+    rcs = [cli.main([kind, "--config", {str(FIXTURES)!r} + "/" + kind + ".yaml",
+                     "--out", {str(tmp_path)!r}, "--quiet"]) for kind in {kinds!r}]
+print(json.dumps({{"rcs": rcs, "calls": tracer.calls, "counts": tracer.counts,
+                  "layers": bench.EXERCISED["cli-sweep"],
                   "staticmethod": isinstance(original, staticmethod),
                   "restored": StrategicGame.__dict__["from_tables"] is original}}))
 """
     proc = subprocess.run([sys.executable, "-B", "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["rc"] == cli.EXIT_OK
-    for layer in ("cli", "scenario", "strategic"):
+    assert got["rcs"] == [cli.EXIT_OK] * 9
+    for layer in got["layers"]:
         assert got["calls"].get(layer, 0) > 0, layer
-    assert got["invocations"] == 1
+    counts = got["counts"]
+    assert counts["cli.invocations"] == 9
+    for key in ("learning.steps", "resilience.rounds", "lp.calls", "lp.pivots",
+                "lp.rows_max", "coordination.epochs", "coop.nucleolus_stages",
+                "learning.gap_samples", "congestion.paths_max",
+                "scenario.bytes_written"):
+        assert counts.get(key, 0) > 0, key
     assert got["staticmethod"] and got["restored"]
 
 

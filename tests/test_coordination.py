@@ -16,6 +16,7 @@ from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
                                   stackelberg_solve)
 from stgames.incentives import IncentiveSchedule
 from stgames.learning import LearnerSpec, RateSchedule, run_dynamics
+from stgames import strategic
 from stgames.strategic import StrategicGame
 
 PD = {("C", "D"): (0, 5), ("D", "C"): (5, 0),
@@ -42,18 +43,24 @@ def leader_fixture():
 
 def test_admissible_subgame():
     g = two_signal_pd()
-    rule = AdmissibleSetRule({"lo": (("C",), ("C", "D"))})
+    rule = AdmissibleSetRule({"lo": ((0,), (0, 1))})      # agent 0 held to C
     sub = apply_admissible_sets(g, rule, "lo")
     assert sub.actions == (("C",), ("C", "D"))
-    assert sub.payoff(("C", "D"), "lo") == pytest.approx([0, 5])
+    assert sub.payoff((0, 1), "lo") == pytest.approx([0, 5])
     # unrestricted signal passes the full game through
-    assert rule.for_signal(g, "hi") == g.actions
-    with pytest.raises(ValueError):
-        AdmissibleSetRule({"lo": (((),), ("C",))}).for_signal(g, "lo")
-    with pytest.raises(ValueError):
-        AdmissibleSetRule({"lo": (("C",),)}).for_signal(g, "lo")
-    with pytest.raises(ValueError):
-        AdmissibleSetRule({"lo": (("E",), ("C",))}).for_signal(g, "lo")
+    assert apply_admissible_sets(g, rule, "hi") is g
+    assert apply_admissible_sets(
+        g, AdmissibleSetRule({"lo": ((0, 1), (0, 1))}), "lo") is g
+    flipped = apply_admissible_sets(
+        g, AdmissibleSetRule({"lo": ((1, 0), (0, 1))}), "lo")
+    assert flipped.actions == (("D", "C"), ("C", "D"))
+    assert flipped.payoff((0, 0), "lo") == pytest.approx([5, 0])   # (D, C)
+    with pytest.raises(ValueError, match="admissible set empty"):
+        apply_admissible_sets(g, AdmissibleSetRule({"lo": ((), (0,))}), "lo")
+    with pytest.raises(ValueError, match="must cover all agents"):
+        apply_admissible_sets(g, AdmissibleSetRule({"lo": ((0,),)}), "lo")
+    with pytest.raises(IndexError):
+        apply_admissible_sets(g, AdmissibleSetRule({"lo": ((2,), (0,))}), "lo")
 
 
 def test_coordinator_kinds():
@@ -104,7 +111,7 @@ def test_single_epoch_is_plain_dynamics():
 def test_greedy_coordinator_locks_better_signal():
     g = two_signal_pd()
     # cooperation enforced by admissible sets so hi shows its higher welfare
-    rule = AdmissibleSetRule({"lo": (("C",), ("C",)), "hi": (("C",), ("C",))})
+    rule = AdmissibleSetRule({"lo": ((0,), (0,)), "hi": ((0,), (0,))})
     specs = [LearnerSpec("best-response")] * 2
     result = run_two_timescale(
         g, specs, CoordinatorPolicy("greedy", ("lo", "hi")),
@@ -155,7 +162,7 @@ def test_admissible_reordering_keeps_policies_on_their_actions():
     g = two_signal_pd()
     frozen = LearnerSpec("best-response", initial_policy=(1.0, 0.0),
                          policy_rate=RateSchedule("constant", 0.0))
-    rule = AdmissibleSetRule({"lo": (("D", "C"), ("D", "C"))})
+    rule = AdmissibleSetRule({"lo": ((1, 0), (1, 0))})      # D, then C
     result = run_two_timescale(
         g, [frozen] * 2, CoordinatorPolicy("constant", ("lo",)),
         outer_steps=2, epoch_length=10, seed=3, admissible=rule)
@@ -164,22 +171,22 @@ def test_admissible_reordering_keeps_policies_on_their_actions():
     assert result.final_state.policies[0].tolist() == [1.0, 0.0]
 
 
-def test_admissible_labels_resolved_once_per_epoch(monkeypatch):
-    calls = []
-    resolve = StrategicGame.action_index
+def test_admissible_sets_resolve_no_labels_at_run_time(monkeypatch):
+    # the rule holds action indices, so epochs never turn labels into them
+    def refuse(*args):
+        raise AssertionError("label lookup at run time")
 
-    def counted(self, agent, label):
-        calls.append(label)
-        return resolve(self, agent, label)
-
-    monkeypatch.setattr(StrategicGame, "action_index", counted)
-    rule = AdmissibleSetRule({"hi": (("C",), ("C", "D"))})
-    run_two_timescale(two_signal_pd(), [LearnerSpec("best-response")] * 2,
-                      CoordinatorPolicy("round-robin", ("lo", "hi")),
-                      outer_steps=4, epoch_length=3, seed=0, admissible=rule,
-                      initial_signal="lo")
-    # epochs 1 and 3 run under "hi", whose sets hold three labels
-    assert calls == ["C", "C", "D"] * 2
+    g = two_signal_pd()
+    monkeypatch.setattr(strategic, "profile_index", refuse)
+    rule = AdmissibleSetRule({"hi": ((0,), (0, 1))})
+    result = run_two_timescale(g, [LearnerSpec("best-response")] * 2,
+                               CoordinatorPolicy("round-robin", ("lo", "hi")),
+                               outer_steps=4, epoch_length=3, seed=0,
+                               admissible=rule, initial_signal="lo")
+    # epochs 1 and 3 run under "hi", which holds agent 0 to C
+    for epoch in result.epochs[1::2]:
+        assert epoch.signal == "hi"
+        assert epoch.digest.frequencies[0] == (1.0, 0.0)
 
 
 def test_leader_prefers_optimism_on_multiplicity():
@@ -195,9 +202,36 @@ def test_leader_prefers_optimism_on_multiplicity():
     by_cand = {o.candidate: o for o in opt.outcomes}
     assert by_cand["A"].values == pytest.approx((5.0, 1.0))
     assert by_cand["A"].value == pytest.approx(5.0)
-    assert by_cand["B"].equilibria == ((("x", "x")),)
+    assert by_cand["B"].equilibria == ((0, 0),)           # (x, x)
     with pytest.raises(ValueError):
         stackelberg_solve(g, ("A",), "hopeful")
+
+
+def test_leader_reports_full_game_indices_under_reordered_sets():
+    # both agents coordinate; (z, x) is worth 5 each but agent 0 may not
+    # play z, and the admissible sets list y before x, so the subgame's
+    # index 0 is the full game's 1
+    pay = {"x": {"x": 1, "y": 0}, "y": {"x": 0, "y": 2}, "z": {"x": 5, "y": 0}}
+    g = StrategicGame.single(
+        (("x", "y", "z"), ("x", "y")),
+        {(a, b): (v, v) for a, row in pay.items() for b, v in row.items()})
+    seen = []
+
+    def welfare(game, candidate, profile):
+        seen.append((game, profile))
+        return float(game.payoff(profile, candidate).sum())
+
+    full = stackelberg_solve(g, ("default",))
+    assert full.outcomes[0].equilibria == ((1, 1), (2, 0))     # (y, y), (z, x)
+    rule = AdmissibleSetRule({"default": ((1, 0), (1, 0))})
+    rep = stackelberg_solve(g, ("default",), leader_objective=welfare,
+                            admissible=rule)
+    out = rep.outcomes[0]
+    # subgame order: (y, y) then (x, x), each named in full-game indices
+    assert out.equilibria == ((1, 1), (0, 0))
+    assert out.values == (4.0, 2.0)
+    assert seen == [(g, (1, 1)), (g, (0, 0))]
+    assert rep.leader_value == 4.0
 
 
 def test_leader_skips_candidates_without_pure_equilibrium():
@@ -243,7 +277,7 @@ def test_rollout_geometric_series():
     only = (("go",), ("go",))
     stage = StrategicGame.single(only, {("go", "go"): (1.0, 1.0)})
     dyn = DynamicGame({"s": stage}, {}, "s")
-    policies = [RolloutPolicy("feedback", table={"s": "go"})] * 2
+    policies = [RolloutPolicy("feedback", table={"s": 0})] * 2
     rep = rollout_dynamic_game(dyn, policies, beta=0.5, rollouts=3, seed=0)
     assert rep.mean == pytest.approx([2.0, 2.0], abs=1e-5)
     assert rep.stderr == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -259,16 +293,16 @@ def test_rollout_feedback_vs_open_loop():
     storm = StrategicGame.single(
         acts, {("a", "a"): (0, 0), ("a", "b"): (0, 0),
                ("b", "a"): (0, 0), ("b", "b"): (4, 4)})
+    # profiles and policies are action indices: 0 is a, 1 is b
     dyn = DynamicGame({"calm": calm, "storm": storm},
-                      {("calm", ("a", "a")): "storm"}, "calm")
-    feedback = [RolloutPolicy("feedback",
-                              table={"calm": "a", "storm": "b"})] * 2
+                      {("calm", (0, 0)): "storm"}, "calm")
+    feedback = [RolloutPolicy("feedback", table={"calm": 0, "storm": 1})] * 2
     rep = rollout_dynamic_game(dyn, feedback, beta=0.5, rollouts=2, seed=1)
     # 1 at t=0, then 4 every step after: 1 + 4 * (0.5 / 0.5) ... hand sum
     want = 1.0 + 4.0 * sum(0.5 ** t for t in range(1, rep.horizon))
     assert rep.mean == pytest.approx([want, want], abs=1e-9)
 
-    stuck = [RolloutPolicy("open-loop", plan=("a",))] * 2
+    stuck = [RolloutPolicy("open-loop", plan=(0,))] * 2
     rep2 = rollout_dynamic_game(dyn, stuck, beta=0.5, rollouts=2, seed=1)
     assert rep2.mean == pytest.approx([1.0, 1.0], abs=1e-9)   # storm pays 0 to (a,a)
 
@@ -282,16 +316,16 @@ def test_rollout_feedback_vs_open_loop():
         DynamicGame({"s": calm}, {}, "missing")
     with pytest.raises(ValueError):
         DynamicGame({"calm": calm},
-                    {("calm", ("a", "a")): (("calm", 0.6), ("calm", 0.2))},
+                    {("calm", (0, 0)): (("calm", 0.6), ("calm", 0.2))},
                     "calm")
     with pytest.raises(ValueError):
         DynamicGame({"calm": calm, "storm": storm},
-                    {("calm", ("a", "a")): (("calm", 1.5), ("storm", -0.5))},
+                    {("calm", (0, 0)): (("calm", 1.5), ("storm", -0.5))},
                     "calm")
     with pytest.raises(ValueError):
         RolloutPolicy("feedback")
     with pytest.raises(ValueError, match="feedback policy needs a table"):
-        RolloutPolicy("feedback", plan=("a",))
+        RolloutPolicy("feedback", plan=(0,))
     with pytest.raises(ValueError, match="plan needs at least one action"):
         RolloutPolicy("open-loop", plan=())
     with pytest.raises(ValueError):
@@ -337,10 +371,10 @@ def test_rollout_error_shrinks_with_sample_size():
     hot = StrategicGame.single(acts, {("go", "go"): (1.0, 1.0)})
     dyn = DynamicGame(
         {"cold": cold, "hot": hot},
-        {("cold", ("go", "go")): (("cold", 0.5), ("hot", 0.5)),
-         ("hot", ("go", "go")): (("cold", 0.5), ("hot", 0.5))},
+        {("cold", (0, 0)): (("cold", 0.5), ("hot", 0.5)),
+         ("hot", (0, 0)): (("cold", 0.5), ("hot", 0.5))},
         "cold")
-    pol = [RolloutPolicy("feedback", table={"cold": "go", "hot": "go"})] * 2
+    pol = [RolloutPolicy("feedback", table={"cold": 0, "hot": 0})] * 2
     for seed in range(5):
         small = rollout_dynamic_game(dyn, pol, beta=0.9, rollouts=200, seed=seed)
         big = rollout_dynamic_game(dyn, pol, beta=0.9, rollouts=800, seed=seed)
@@ -370,7 +404,7 @@ def test_merge_split_prefers_splitting_bad_blocks():
 # --- the per-rollout loop of earlier releases, kept as a reference ------------
 
 def _reference_rollouts(dyn, policies, beta, rollouts, seed):
-    """One rollout at a time: a label lookup, `payoff`, a dict transition
+    """One rollout at a time: a policy lookup, `payoff`, a dict transition
     and one `rng.choice` per stochastic step; returns (mean, stderr)."""
     rng = np.random.default_rng(seed)
     horizon = 1
@@ -408,9 +442,10 @@ def _random_dynamic_game(rng, stochastic):
     actions = tuple(tuple(f"a{k}" for k in range(int(rng.integers(1, 4))))
                     for _ in range(n))
     states = [f"s{k}" for k in range(int(rng.integers(2, 5)))]
-    profiles = list(itertools.product(*actions))
+    labelled = list(itertools.product(*actions))
+    profiles = list(itertools.product(*(range(len(a)) for a in actions)))
     stage_games = {
-        s: StrategicGame.single(actions, {p: rng.normal(size=n) for p in profiles})
+        s: StrategicGame.single(actions, {p: rng.normal(size=n) for p in labelled})
         for s in states + ["orphan"]}
     transitions = {}
     for s in states:
@@ -428,14 +463,14 @@ def _random_dynamic_game(rng, stochastic):
                                       for k, x in zip(picks, w / w.sum()))
     policies = []
     for i in range(n):
-        table = {s: actions[i][int(rng.integers(len(actions[i])))] for s in states}
+        table = {s: int(rng.integers(len(actions[i]))) for s in states}
         kind = int(rng.integers(3))
         if kind == 0:
             policies.append(RolloutPolicy("feedback", table=table))
         elif kind == 1:
             policies.append(RolloutPolicy("open-loop", table=table))
         else:
-            plan = tuple(actions[i][int(rng.integers(len(actions[i])))]
+            plan = tuple(int(rng.integers(len(actions[i])))
                          for _ in range(int(rng.integers(1, 5))))
             policies.append(RolloutPolicy("open-loop", plan=plan))
     return DynamicGame(stage_games, transitions, states[0]), policies
@@ -460,12 +495,12 @@ def test_rollout_needs_no_entry_for_states_past_the_horizon():
     horizon = rollout_dynamic_game(
         DynamicGame({"s": StrategicGame.single(acts, {("go", "go"): (1, 1)})},
                     {}, "s"),
-        [RolloutPolicy("feedback", table={"s": "go"})] * 2, 0.2, 1).horizon
+        [RolloutPolicy("feedback", table={"s": 0})] * 2, 0.2, 1).horizon
     stage_games = {f"s{k}": StrategicGame.single(acts, {("go", "go"): (k, -k)})
                    for k in range(horizon)}
-    transitions = {(f"s{k}", ("go", "go")): f"s{k + 1}" for k in range(horizon)}
+    transitions = {(f"s{k}", (0, 0)): f"s{k + 1}" for k in range(horizon)}
     dyn = DynamicGame(stage_games, transitions, "s0")
-    policies = [RolloutPolicy("feedback", table={s: "go" for s in stage_games})] * 2
+    policies = [RolloutPolicy("feedback", table={s: 0 for s in stage_games})] * 2
     rep = rollout_dynamic_game(dyn, policies, 0.2, 3, seed=0)
     mean, stderr = _reference_rollouts(dyn, policies, 0.2, 3, 0)
     assert rep.mean.tobytes() == mean.tobytes()

@@ -19,6 +19,7 @@ from stgames.strategic import StrategicGame, enumerate_pure_nash, is_nash
 
 PD = {("C", "C"): (3, 3), ("C", "D"): (0, 5),
       ("D", "C"): (5, 0), ("D", "D"): (1, 1)}
+CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)     # as action indices
 
 
 def pd_game():
@@ -39,7 +40,7 @@ def design_oracle(game, target, baseline):
     rho = np.zeros(game.n_agents)
     for i in range(game.n_agents):
         best = -np.inf
-        for alt in game.actions[i]:
+        for alt in range(len(game.actions[i])):
             probe = list(target)
             probe[i] = alt
             best = max(best, game.payoff(tuple(probe))[i])
@@ -50,15 +51,15 @@ def design_oracle(game, target, baseline):
 
 def test_modified_payoff_adds_on_one_profile():
     g = pd_game()
-    sched = IncentiveSchedule.on_profile(g, ("C", "C"), (3.0, 3.0))
+    sched = IncentiveSchedule.on_profile(g, CC, (3.0, 3.0))
     mod = modified_payoff(g, sched)
-    assert mod.payoff(("C", "C")) == pytest.approx([6.0, 6.0])
-    assert mod.payoff(("C", "D")) == pytest.approx([0.0, 5.0])
-    assert g.payoff(("C", "C")) == pytest.approx([3.0, 3.0])   # untouched
-    assert sched.per_agent(g, ("C", "C")) == pytest.approx([3.0, 3.0])
-    assert sched.per_agent(g, ("D", "D")) == pytest.approx([0.0, 0.0])
+    assert mod.payoff(CC) == pytest.approx([6.0, 6.0])
+    assert mod.payoff(CD) == pytest.approx([0.0, 5.0])
+    assert g.payoff(CC) == pytest.approx([3.0, 3.0])   # untouched
+    assert sched.per_agent(g, CC) == pytest.approx([3.0, 3.0])
+    assert sched.per_agent(g, DD) == pytest.approx([0.0, 0.0])
     # mutual cooperation becomes an equilibrium of the modified game
-    assert is_nash(mod, ("C", "C")).is_nash
+    assert is_nash(mod, CC).is_nash
 
 
 def test_modified_payoff_validation():
@@ -69,7 +70,7 @@ def test_modified_payoff_validation():
         modified_payoff(g, IncentiveSchedule(
             {"default": np.zeros((2, 3, 3))}))
     with pytest.raises(ValueError):
-        IncentiveSchedule.on_profile(g, ("C", "C"), (1.0, 2.0, 3.0))
+        IncentiveSchedule.on_profile(g, CC, (1.0, 2.0, 3.0))
 
 
 def test_negated_schedule_restores_tables():
@@ -119,36 +120,33 @@ def test_pareto_improvement_predicate():
 
 def test_budget_closed_form_and_finite():
     g = pd_game()
-    sched = IncentiveSchedule.on_profile(g, ("C", "C"), (0.5, 0.5))
-    rep = budget_check(BudgetSpec(2.0, 0.5), g, sched, [("C", "C")])
+    sched = IncentiveSchedule.on_profile(g, CC, (0.5, 0.5))
+    rep = budget_check(BudgetSpec(2.0, 0.5), g, sched, [CC])
     assert rep.mode == "closed-form"
     assert rep.spent == pytest.approx(2.0)
     assert rep.within
 
-    rep = budget_check(BudgetSpec(5.0, 1.0, horizon=1), g, sched,
-                       [("C", "C")])
+    rep = budget_check(BudgetSpec(5.0, 1.0, horizon=1), g, sched, [CC])
     assert rep.mode == "finite"
     assert rep.spent == pytest.approx(1.0)
 
     # discounted three-step trajectory, hand sum: 1 + 0.5*0 + 0.25*1
     rep = budget_check(BudgetSpec(2.0, 0.5, horizon=3), g, sched,
-                       [("C", "C"), ("D", "D"), ("C", "C")])
+                       [CC, DD, CC])
     assert rep.spent == pytest.approx(1.25)
 
     with pytest.raises(ValueError):
-        budget_check(BudgetSpec(2.0, 0.5), g, sched,
-                     [("C", "C"), ("D", "D")])
+        budget_check(BudgetSpec(2.0, 0.5), g, sched, [CC, DD])
     with pytest.raises(ValueError):
-        budget_check(BudgetSpec(2.0, 0.5, horizon=2), g, sched,
-                     [("C", "C")])
+        budget_check(BudgetSpec(2.0, 0.5, horizon=2), g, sched, [CC])
 
 
 def test_budget_check_prices_each_profile_once():
     g = pd_game()
-    sched = IncentiveSchedule.on_profile(g, ("C", "C"), (0.5, 0.25))
+    sched = IncentiveSchedule.on_profile(g, CC, (0.5, 0.25))
     sched.transfers["default"][:, 1, 1] = (0.125, 0.3)
     rng = np.random.default_rng(6)
-    traj = [("C", "C"), ("D", "D"), ("C", "D")]
+    traj = [CC, DD, CD]
     traj = [traj[k] for k in rng.integers(0, 3, size=500)]
     budget = BudgetSpec(10.0, 0.99, horizon=500)
     want = 0.0              # one schedule lookup per step, the old loop
@@ -159,7 +157,7 @@ def test_budget_check_prices_each_profile_once():
     # 10**6 steps of one profile took about 4 s with a lookup per step
     start = time.perf_counter()
     rep = budget_check(BudgetSpec(10.0, 0.5, horizon=10 ** 6), g, sched,
-                       [("C", "C")] * 10 ** 6)
+                       [CC] * 10 ** 6)
     assert time.perf_counter() - start < 1.5
     assert rep.spent == pytest.approx(1.5)
 
@@ -178,26 +176,23 @@ def test_budget_spec_validation():
 def test_design_on_dilemma_hand_numbers():
     g = pd_game()
     budget = BudgetSpec(limit=100.0, delta=0.5)
-    design = design_incentive(g, ("C", "C"), ("D", "D"), budget)
+    design = design_incentive(g, CC, DD, budget)
     assert design.status == "ok"
     # each agent forgoes a defection gain of exactly 2
     assert design.per_period_spend == pytest.approx(4.0, abs=1e-6)
     assert design.discounted_spend == pytest.approx(8.0, abs=1e-6)
-    assert design.schedule.per_agent(g, ("C", "C")) == pytest.approx(
-        [2.0, 2.0], abs=1e-9)
+    assert design.schedule.per_agent(g, CC) == pytest.approx([2.0, 2.0], abs=1e-9)
 
     mod = modified_payoff(g, design.schedule)
-    assert is_nash(mod, ("C", "C")).is_nash
-    assert is_pareto_improving(g.payoff(("D", "D")),
-                               mod.payoff(("C", "C")))
-    rep = budget_check(budget, g, design.schedule, [("C", "C")])
+    assert is_nash(mod, CC).is_nash
+    assert is_pareto_improving(g.payoff(DD), mod.payoff(CC))
+    rep = budget_check(budget, g, design.schedule, [CC])
     assert rep.within
 
 
 def test_design_tight_budget_reports_infeasible():
     g = pd_game()
-    design = design_incentive(g, ("C", "C"), ("D", "D"),
-                              BudgetSpec(limit=7.9, delta=0.5))
+    design = design_incentive(g, CC, DD, BudgetSpec(limit=7.9, delta=0.5))
     assert design.status == "infeasible"
     assert "budget" in design.reason
     assert design.discounted_spend == pytest.approx(8.0, abs=1e-6)
@@ -205,8 +200,7 @@ def test_design_tight_budget_reports_infeasible():
 
 def test_design_without_strict_winner_is_infeasible():
     g = pd_game()
-    design = design_incentive(g, ("D", "D"), ("D", "D"),
-                              BudgetSpec(limit=10.0, delta=0.5))
+    design = design_incentive(g, DD, DD, BudgetSpec(limit=10.0, delta=0.5))
     assert design.status == "infeasible"
     assert "Pareto" in design.reason
 
@@ -231,7 +225,7 @@ def test_design_minimality_matches_grid_search():
         tgt, base = g.payoff(target), g.payoff(baseline)
         gain = np.zeros(2)
         for i in range(2):
-            for alt in g.actions[i]:
+            for alt in range(len(g.actions[i])):
                 probe = list(target)
                 probe[i] = alt
                 gain[i] = max(gain[i], g.payoff(tuple(probe))[i] - tgt[i])

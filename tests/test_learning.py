@@ -83,8 +83,7 @@ def manual_run(game, specs, horizon, seed):
                     choice = j
                     break
             idx.append(choice)
-        profile = tuple(game.actions[i][idx[i]] for i in range(2))
-        pay = game.payoff(profile, sig)
+        pay = game.payoff(idx, sig)
         for i in range(2):
             counts[i][idx[i]] += 1.0
         for i in range(2):
@@ -156,7 +155,7 @@ def test_best_response_absorbs_on_dilemma():
     g = pd_game()
     specs = [LearnerSpec("best-response")] * 2
     trace = run_dynamics(g, specs, horizon=10, seed=3)
-    assert all(lbl == ("D", "D") for lbl in trace.action_labels[1:])
+    assert trace.actions[1:].tolist() == [[1, 1]] * 9       # both play D
     for i in range(2):
         assert trace.final_state.policies[i] == pytest.approx([0.0, 1.0])
 
@@ -166,9 +165,8 @@ def test_three_path_template_reaches_pure_equilibrium():
     for seed in range(8):
         trace = run_dynamics(g, [LearnerSpec("best-response")] * 2,
                              horizon=6, seed=seed)
-        assert all(lbl == ("p0", "p0") for lbl in trace.action_labels[1:])
-        final = trace.action_labels[-1]
-        assert is_nash(g, final).is_nash
+        assert trace.actions[1:].tolist() == [[0, 0]] * 5   # both on p0
+        assert is_nash(g, trace.actions[-1]).is_nash
 
 
 def test_payoff_estimation_writes_one_coordinate():
@@ -285,7 +283,7 @@ def test_observation_hook_feeds_estimates_not_payoffs():
         return (0, 0) if i == 0 else profile
 
     trace = run_dynamics(g, specs, horizon=1, seed=0, observe=observe)
-    assert trace.action_labels[0] == ("C", "C")
+    assert trace.actions[0].tolist() == [0, 0]
     assert trace.payoffs[0] == pytest.approx([3.0, 3.0])
     # agent 0 estimated against the (here, identical) reported profile
     assert trace.final_state.estimates[0] == pytest.approx([3.0, 5.0])
@@ -490,7 +488,7 @@ def _lock_adversary(kind):
 def _lock_two_timescale():
     g = two_signal_mixed_game()
     specs = [rated("fictitious-play"), rated("replicator")]
-    rule = AdmissibleSetRule({"hi": (("a", "c"), ("x", "y"))})
+    rule = AdmissibleSetRule({"hi": ((0, 2), (0, 1))})     # (a, c), (x, y)
     result = run_two_timescale(g, specs,
                                CoordinatorPolicy("round-robin", ("lo", "hi")),
                                outer_steps=5, epoch_length=60, seed=15,

@@ -91,7 +91,7 @@ def test_defaults_apply_by_position_and_keyword():
     assert (adv.value, adv.lag, adv.drop_prob, adv.window) == (0.0, 1, 0.5, None)
     assert BudgetSpec(1.0, 0.9).horizon is None
     assert CoordinatorPolicy("constant", ("a",)).welfare is None
-    assert RolloutPolicy("open-loop", plan=("a",)).table is None
+    assert RolloutPolicy("open-loop", plan=(0,)).table is None
 
 
 GAME = StrategicGame.single((("a", "b"), ("x",)),

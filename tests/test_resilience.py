@@ -275,7 +275,7 @@ def test_injection_poisons_estimates_not_payoffs():
     assert (trace.actions[-10:, 1] == 1).all()
     # realized payoffs follow true play, mutual defection worth 1 each
     assert trace.payoffs[-1] == pytest.approx([1.0, 1.0])
-    assert trace.payoffs[-1][0] == PD.payoff(trace.action_labels[-1])[0]
+    assert trace.payoffs[-1][0] == PD.payoff(trace.actions[-1])[0]
 
 
 # --- the dict-based kernel of earlier releases, kept as a reference -------------

@@ -104,6 +104,11 @@ def test_schema_error_paths_are_dotted():
         {"profile": ["x", "x"], "value": 1}, {"profile": ["x", "x"], "value": 7}]}}
     admissible_twice = fixture("ttscale")
     admissible_twice["ttscale"]["admissible"] = {"lo": [["a", "a"], ["a", "b"]]}
+    # six agents, each with six neighbours under uniform trust
+    wide_trim = fixture("resilience")
+    wide_trim["resilience"]["defense"]["trim"] = 3
+    no_route = fixture("wardrop")
+    no_route["wardrop"]["destination"] = "nowhere"
     for doc, path in ((nan_payoff, "nash.game.payoffs[1].values[0]"),
                       (inf_slope, "wardrop.edges[0].b"),
                       (nan_value, "coop.values[0].value"),
@@ -117,13 +122,42 @@ def test_schema_error_paths_are_dotted():
                       (long_budget, "incentive.budget.horizon"),
                       (repeated, "resilience.adversary"),
                       (leader_twice, "stackelberg.leader_objective.table.A[1]"),
-                      (admissible_twice, "ttscale.admissible.lo[0]")):
+                      (admissible_twice, "ttscale.admissible.lo[0]"),
+                      (wide_trim, "resilience.defense.trim"),
+                      (no_route, "wardrop")):
         with pytest.raises(SchemaError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert err.value.path == path
     with pytest.raises(SchemaError) as err:
         load("learn", seed_override=-5)
     assert err.value.path == "seed"
+
+
+def test_validation_checks_what_runs_would_reject():
+    doc = yaml.safe_load((FIXTURES / "resilience.yaml").read_text())
+    doc["resilience"]["defense"]["trim"] = 40
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(yaml.safe_dump(doc))
+    assert err.value.message == "agent 0: 6 reports cannot survive 2*40 discards"
+    # the largest trim six reports survive still runs
+    doc["resilience"]["defense"]["trim"] = 2
+    assert run_scenario(parse_scenario(yaml.safe_dump(doc))).summary["horizon"] == 12
+
+    def links(into_m, out_of_m):
+        return [{"tail": t, "head": h, "a": float(k), "b": 1.0}
+                for t, h, count in (("o", "m", into_m), ("m", "d", out_of_m))
+                for k in range(count)]
+
+    doc = yaml.safe_load((FIXTURES / "wardrop.yaml").read_text())
+    doc["wardrop"]["edges"] = links(5, 8)
+    with pytest.raises(CapacityError, match="more than 32 paths"):
+        parse_scenario(yaml.safe_dump(doc))
+    doc["wardrop"]["edges"] = links(4, 8)           # 32 paths, the cap
+    parse_scenario(yaml.safe_dump(doc))
+    # the extra edge adds a 33rd path, which the Braess step would enumerate
+    doc["wardrop"]["extra_edge"] = {"tail": "o", "head": "d", "a": 0, "b": 1}
+    with pytest.raises(CapacityError, match="more than 32 paths"):
+        parse_scenario(yaml.safe_dump(doc))
 
 
 def test_schema_checks_payoff_tables():

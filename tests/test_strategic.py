@@ -8,11 +8,13 @@ import pytest
 from stgames import learning
 from stgames.errors import CapacityError
 from stgames.learning import LearnerSpec, RateSchedule, diagnostics, run_dynamics
-from stgames.strategic import (StrategicGame, best_responses,
+from stgames.strategic import (NashCheck, StrategicGame, best_responses,
                                contract_others, counterfactual_payoffs,
                                enumerate_pure_nash, expected_payoffs, is_nash,
-                               mixed_gap, welfare_and_poa)
+                               mixed_gap, profile_index, welfare_and_poa)
 
+# tables are keyed by labels; every other profile is action indices, so in
+# the dilemma 0 is C and 1 is D
 PD = {("C", "C"): (3, 3), ("C", "D"): (0, 5),
       ("D", "C"): (5, 0), ("D", "D"): (1, 1)}
 
@@ -36,26 +38,26 @@ def random_game(rng, n_agents, n_actions):
 
 def test_payoff_lookup():
     g = pd_game()
-    assert g.payoff(("C", "D")) == pytest.approx([0, 5])
-    assert g.payoff(("D", "C")) == pytest.approx([5, 0])
+    assert g.payoff((0, 1)) == pytest.approx([0, 5])
+    assert g.payoff((1, 0)) == pytest.approx([5, 0])
     assert g.n_agents == 2
 
 
 def test_defection_dominates():
     g = pd_game()
-    check = is_nash(g, ("D", "D"))
+    check = is_nash(g, (1, 1))
     assert check.is_nash
-    check = is_nash(g, ("C", "C"))
+    check = is_nash(g, (0, 0))
     assert not check.is_nash
-    assert check.agent == 0 and check.deviation == "D"
+    assert check.agent == 0 and check.deviation == 1
     assert check.gain == pytest.approx(2.0)
     # the deviation gain is exactly the eps that rescues the profile
-    assert is_nash(g, ("C", "C"), eps=2.0).is_nash
-    assert not is_nash(g, ("C", "C"), eps=2.0 - 1e-9).is_nash
+    assert is_nash(g, (0, 0), eps=2.0).is_nash
+    assert not is_nash(g, (0, 0), eps=2.0 - 1e-9).is_nash
 
 
 def test_pure_equilibrium_enumeration():
-    assert enumerate_pure_nash(pd_game()) == [("D", "D")]
+    assert enumerate_pure_nash(pd_game()) == [(1, 1)]
     assert enumerate_pure_nash(pennies()) == []
 
 
@@ -70,7 +72,7 @@ def test_enumeration_matches_brute_force():
             base = g.payoff(profile)
             stable = True
             for i in range(n):
-                for alt in g.actions[i]:
+                for alt in range(len(g.actions[i])):
                     dev = list(profile)
                     dev[i] = alt
                     if g.payoff(tuple(dev))[i] > base[i]:
@@ -80,18 +82,18 @@ def test_enumeration_matches_brute_force():
 
 def test_counterfactual_row():
     g = pd_game()
-    vec = counterfactual_payoffs(g, 0, ("C", "D"))
+    vec = counterfactual_payoffs(g, 0, (0, 1))
     # agent 0 sweeping C, D while agent 1 stays on D
     assert vec == pytest.approx([0, 1])
-    assert best_responses(g, 0, ("C", "D")) == ("D",)
+    assert best_responses(g, 0, (0, 1)) == (1,)
 
 
 def test_best_response_ties_exact():
     table = {("a", "x"): (1, 2), ("a", "y"): (1, 0),
              ("b", "x"): (1, 1), ("b", "y"): (0, 0)}
     g = StrategicGame.single((("a", "b"), ("x", "y")), table)
-    assert best_responses(g, 0, ("a", "x")) == ("a", "b")
-    assert best_responses(g, 1, ("b", "x")) == ("x",)
+    assert best_responses(g, 0, (0, 0)) == (0, 1)       # a and b tie
+    assert best_responses(g, 1, (1, 0)) == (0,)         # x
 
 
 def test_constant_shift_preserves_best_responses():
@@ -103,10 +105,9 @@ def test_constant_shift_preserves_best_responses():
         g = random_game(rng, n, k_actions)
         agent = int(rng.integers(n))
         shift = float(rng.uniform(-9, 9))
-        table = {p: g.payoff(p).copy() for p in g.profiles()}
-        for p in table:
-            table[p][agent] += shift
-        shifted = StrategicGame.single(g.actions, table)
+        table = g.payoffs["default"].copy()
+        table[agent] += shift
+        shifted = StrategicGame(g.actions, {"default": table})
         assert enumerate_pure_nash(shifted) == enumerate_pure_nash(g)
         probe = next(iter(g.profiles()))
         assert best_responses(shifted, agent, probe) == best_responses(g, agent, probe)
@@ -117,7 +118,7 @@ def test_welfare_ratio_on_dilemma():
     rep = welfare_and_poa(pd_game())
     assert rep.defined
     assert rep.optimal_welfare == pytest.approx(6.0)
-    assert rep.optimal_profile == ("C", "C")
+    assert rep.optimal_profile == (0, 0)
     assert rep.worst_equilibrium_welfare == pytest.approx(2.0)
     assert rep.ratio == pytest.approx(3.0)
 
@@ -149,8 +150,8 @@ def test_expected_payoffs_against_enumeration():
         want = np.zeros(n)
         for profile in g.profiles():
             prob = 1.0
-            for i, label in enumerate(profile):
-                prob *= mixed[i][g.action_index(i, label)]
+            for i, a in enumerate(profile):
+                prob *= mixed[i][a]
             want += prob * g.payoff(profile)
         got = expected_payoffs(g, mixed)
         assert got == pytest.approx(want, abs=1e-12)
@@ -305,12 +306,12 @@ def test_signal_tables():
                      ("D", "C"): (5, 0), ("D", "D"): (1, 1)}}
     g = StrategicGame.from_tables((("C", "D"), ("C", "D")), tables)
     assert set(g.signals) == {"lo", "hi"}
-    assert g.payoff(("C", "C"), "hi") == pytest.approx([6, 6])
+    assert g.payoff((0, 0), "hi") == pytest.approx([6, 6])
     with pytest.raises(ValueError):
-        g.payoff(("C", "C"))          # ambiguous without a signal
+        g.payoff((0, 0))              # ambiguous without a signal
     with pytest.raises(ValueError):
-        g.payoff(("C", "C"), "mid")
-    assert is_nash(g, ("C", "C"), signal="hi").is_nash
+        g.payoff((0, 0), "mid")
+    assert is_nash(g, (0, 0), signal="hi").is_nash
 
 
 def test_construction_validation():
@@ -322,8 +323,11 @@ def test_construction_validation():
     with pytest.raises(ValueError):
         StrategicGame.single((("C", "D"), ("C", "D")),
                              {**PD, ("C", "C"): (3, 3, 3)})  # wrong arity
-    with pytest.raises(ValueError):
-        pd_game().payoff(("C", "E"))
+    with pytest.raises(ValueError, match="unknown action 'E'"):
+        profile_index(pd_game().actions, ("C", "E"))
+    with pytest.raises(ValueError, match="profile length 1"):
+        profile_index(pd_game().actions, ("C",))
+    assert profile_index(pd_game().actions, ["D", "C"]) == (1, 0)
     with pytest.raises(CapacityError):
         actions = tuple((("0", "1")) for _ in range(7))
         table = {p: [0.0] * 7 for p in itertools.product(*actions)}
@@ -332,4 +336,64 @@ def test_construction_validation():
 
 def test_negative_eps_rejected():
     with pytest.raises(ValueError):
-        is_nash(pd_game(), ("D", "D"), eps=-0.1)
+        is_nash(pd_game(), (1, 1), eps=-0.1)
+    with pytest.raises(ValueError):
+        enumerate_pure_nash(pd_game(), eps=-0.1)
+
+
+# --- the label loop of earlier releases, kept as a reference ------------------
+
+def _is_nash_by_labels(game, profile, eps, signal):
+    """`is_nash` on a profile of labels: one `tuple.index` per agent, then
+    every deviation in (agent, action) order; the witness is a label."""
+    idx = tuple(game.actions[i].index(label) for i, label in enumerate(profile))
+    table = game.payoffs[signal]
+    base = table[(slice(None),) + idx]
+    for i in range(game.n_agents):
+        sel = [i] + [slice(None) if k == i else idx[k] for k in range(game.n_agents)]
+        vec = table[tuple(sel)]
+        for j, label in enumerate(game.actions[i]):
+            if vec[j] > base[i] + eps:
+                return NashCheck(False, i, label, float(vec[j] - base[i]))
+    return NashCheck(True)
+
+
+def _enumerate_pure_nash_by_labels(game, signal, eps):
+    return [p for p in itertools.product(*game.actions)
+            if _is_nash_by_labels(game, p, eps, signal).is_nash]
+
+
+def test_index_kernels_match_label_loop_reference():
+    # 2-4 agents, integer payoffs 0-3 (ties everywhere), two signals; every
+    # tenth game has a NaN payoff, which the label loop's `>` never counts
+    rng = np.random.default_rng(1213)
+    found = 0
+    for trial in range(240):
+        n = 2 + trial % 3
+        ks = tuple(int(k) for k in rng.integers(1, 5 if n < 4 else 4, size=n))
+        actions = tuple(tuple(f"{'pqrs'[i]}{j}" for j in range(k))
+                        for i, k in enumerate(ks))
+        tables = {sig: rng.integers(0, 4, size=(n,) + ks).astype(float)
+                  for sig in ("calm", "storm")}
+        if trial % 10 == 0:
+            tables["storm"][(int(rng.integers(n)),) + (0,) * n] = np.nan
+        game = StrategicGame(actions, tables)
+
+        def labels(profile):
+            return tuple(game.actions[i][a] for i, a in enumerate(profile))
+
+        for sig in tables:
+            for eps in (0.0, 0.5):
+                got = enumerate_pure_nash(game, sig, eps)
+                assert all(type(a) is int for p in got for a in p)
+                assert list(map(labels, got)) == \
+                    _enumerate_pure_nash_by_labels(game, sig, eps), trial
+                found += len(got)
+                for profile in game.profiles():
+                    check = is_nash(game, profile, eps, sig)
+                    want = _is_nash_by_labels(game, labels(profile), eps, sig)
+                    if check.deviation is not None:
+                        check = check._replace(
+                            deviation=game.actions[check.agent][check.deviation])
+                    assert check == want, (trial, profile)
+    assert found > 500
