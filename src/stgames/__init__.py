@@ -29,11 +29,10 @@ from .learning import (Diagnostics, LearnerSpec, LearningState, RateSchedule,
 from .incentives import (BudgetSpec, IncentiveDesign, IncentiveSchedule,
                          budget_check, design_incentive, is_pareto_improving,
                          modified_payoff)
-from .coordination import (AdmissibleSetRule, CoordinatorPolicy, DynamicGame,
-                           EpochDigest, RolloutPolicy, StackelbergReport,
-                           apply_admissible_sets, coordinator_update,
-                           rollout_dynamic_game, run_merge_split,
-                           run_two_timescale, stackelberg_solve)
+from .coordination import (AdmissibleSetRule, CoordinatorPolicy, EpochDigest,
+                           StackelbergReport, apply_admissible_sets,
+                           coordinator_update, run_two_timescale,
+                           stackelberg_solve)
 from .resilience import (AdversaryModel, ConsensusRun, ConsensusScenario,
                          DefenseSpec, ResilienceMetrics, TrustMatrix,
                          corrupt_reports, corrupted_observer,

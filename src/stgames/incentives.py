@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ComputationError
 from .lp import LinearProgram, solve_lp
-from .strategic import StrategicGame, counterfactual_payoffs, is_nash
+from .strategic import (StrategicGame, _check_profile, counterfactual_payoffs,
+                        is_nash)
 
 TOL = 1e-9
 
@@ -32,16 +33,18 @@ class IncentiveSchedule(NamedTuple):
                    signal=None) -> "IncentiveSchedule":
         """Transfers paid only at one profile (zero elsewhere)."""
         sig = game.resolve_signal(signal)
+        profile = _check_profile(game.actions, profile)
         sched = IncentiveSchedule.zero(game)
         vec = np.asarray(per_agent, dtype=float)
         if vec.shape != (game.n_agents,):
             raise ValueError(f"need {game.n_agents} transfers, got {vec.shape}")
-        sched.transfers[sig][(slice(None),) + tuple(profile)] = vec
+        sched.transfers[sig][(slice(None),) + profile] = vec
         return sched
 
     def per_agent(self, game: StrategicGame, profile, signal=None) -> np.ndarray:
         sig = game.resolve_signal(signal)
-        return self.transfers[sig][(slice(None),) + tuple(profile)].copy()
+        profile = _check_profile(game.actions, profile)
+        return self.transfers[sig][(slice(None),) + profile].copy()
 
 
 def modified_payoff(game: StrategicGame, schedule: IncentiveSchedule) -> StrategicGame:

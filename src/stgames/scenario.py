@@ -440,7 +440,7 @@ def _v_ttscale(node, path):
         block["admissible"] = allowed
         inputs["admissible"] = AdmissibleSetRule(indices)
     if "incentives" in node:
-        entries = []
+        entries, seen = [], set()
         incentives = IncentiveSchedule.zero(game)
         for i, entry in enumerate(_need_list(node["incentives"], f"{path}.incentives", 1)):
             epath = f"{path}.incentives[{i}]"
@@ -448,6 +448,9 @@ def _v_ttscale(node, path):
             rec = {"profile": _need_profile(entry["profile"], f"{epath}.profile", game.actions),
                    "values": _need_vector(entry["values"], f"{epath}.values", game.n_agents)}
             sig = _need_signal(entry.get("signal"), f"{epath}.signal", game)
+            if (sig, rec["profile"]) in seen:
+                _fail(epath, f"duplicate profile {rec['profile']}")
+            seen.add((sig, rec["profile"]))
             if "signal" in entry:
                 rec["signal"] = sig
             entries.append(rec)

@@ -2,8 +2,9 @@
 
 Payoffs are utilities to be maximized. A game holds one payoff table per
 signal value; single-signal games use the default label. Profiles are tuples
-of action labels, one per agent, and all argmax tie handling is exact float
-comparison with smallest-index preference.
+of action indices, one per agent (`profile_index` maps labels to indices),
+and all argmax tie handling is exact float comparison with smallest-index
+preference.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class StrategicGame:
     def payoff(self, profile, signal=None) -> np.ndarray:
         """Per-agent payoff vector at a pure profile."""
         sig = self.resolve_signal(signal)
-        return self.payoffs[sig][(slice(None),) + tuple(profile)].copy()
+        profile = _check_profile(self.actions, profile)
+        return self.payoffs[sig][(slice(None),) + profile].copy()
 
 
 def profile_index(actions, profile) -> tuple:
@@ -117,6 +119,19 @@ def profile_index(actions, profile) -> tuple:
         if label not in labels:
             raise ValueError(f"agent {i}: unknown action {label!r}; valid: {list(labels)}")
     return tuple(labels.index(label) for labels, label in zip(actions, profile))
+
+
+def _check_profile(actions, profile) -> tuple:
+    """`profile` as a tuple, once it holds one action index per agent, each
+    in range (a negative index would wrap to another action)."""
+    profile = tuple(profile)
+    if len(profile) != len(actions):
+        raise ValueError(f"profile length {len(profile)} != agent count {len(actions)}")
+    for i, (labels, a) in enumerate(zip(actions, profile)):
+        if not isinstance(a, (int, np.integer)) or not 0 <= a < len(labels):
+            raise ValueError(
+                f"agent {i}: action index {a!r} outside 0..{len(labels) - 1}")
+    return profile
 
 
 class NashCheck(NamedTuple):
@@ -141,7 +156,7 @@ def counterfactual_payoffs(game: StrategicGame, agent: int, profile,
                            signal=None) -> np.ndarray:
     """Payoff vector over `agent`'s actions with the others pinned."""
     sig = game.resolve_signal(signal)
-    profile = tuple(profile)
+    profile = _check_profile(game.actions, profile)
     sel = (agent,) + profile[:agent] + (slice(None),) + profile[agent + 1:]
     return game.payoffs[sig][sel].copy()
 

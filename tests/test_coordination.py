@@ -1,18 +1,13 @@
-"""Slow-coordinator / fast-learner loop, leader-follower choice, rollouts,
-and greedy coalition-structure dynamics."""
+"""Slow-coordinator / fast-learner loop and leader-follower choice."""
 
-import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from stgames.coop import CoalitionGame
 from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
-                                  DynamicGame, EpochDigest, RolloutPolicy,
-                                  apply_admissible_sets, coordinator_update,
-                                  evolve_coalitions, rollout_dynamic_game,
-                                  run_merge_split, run_two_timescale,
+                                  EpochDigest, apply_admissible_sets,
+                                  coordinator_update, run_two_timescale,
                                   stackelberg_solve)
 from stgames.incentives import IncentiveSchedule
 from stgames.learning import LearnerSpec, RateSchedule, run_dynamics
@@ -271,260 +266,3 @@ def test_optimistic_dominates_pessimistic_randomly():
         assert opt.leader_value >= pess.leader_value - 1e-12
         checked += 1
     assert checked >= 25
-
-
-def test_rollout_geometric_series():
-    only = (("go",), ("go",))
-    stage = StrategicGame.single(only, {("go", "go"): (1.0, 1.0)})
-    dyn = DynamicGame({"s": stage}, {}, "s")
-    policies = [RolloutPolicy("feedback", table={"s": 0})] * 2
-    rep = rollout_dynamic_game(dyn, policies, beta=0.5, rollouts=3, seed=0)
-    assert rep.mean == pytest.approx([2.0, 2.0], abs=1e-5)
-    assert rep.stderr == pytest.approx([0.0, 0.0], abs=1e-12)
-    assert rep.truncation_bound < 1e-5
-    assert 0.5 ** rep.horizon < 1e-6
-
-
-def test_rollout_feedback_vs_open_loop():
-    acts = (("a", "b"), ("a", "b"))
-    calm = StrategicGame.single(
-        acts, {("a", "a"): (1, 1), ("a", "b"): (0, 0),
-               ("b", "a"): (0, 0), ("b", "b"): (0, 0)})
-    storm = StrategicGame.single(
-        acts, {("a", "a"): (0, 0), ("a", "b"): (0, 0),
-               ("b", "a"): (0, 0), ("b", "b"): (4, 4)})
-    # profiles and policies are action indices: 0 is a, 1 is b
-    dyn = DynamicGame({"calm": calm, "storm": storm},
-                      {("calm", (0, 0)): "storm"}, "calm")
-    feedback = [RolloutPolicy("feedback", table={"calm": 0, "storm": 1})] * 2
-    rep = rollout_dynamic_game(dyn, feedback, beta=0.5, rollouts=2, seed=1)
-    # 1 at t=0, then 4 every step after: 1 + 4 * (0.5 / 0.5) ... hand sum
-    want = 1.0 + 4.0 * sum(0.5 ** t for t in range(1, rep.horizon))
-    assert rep.mean == pytest.approx([want, want], abs=1e-9)
-
-    stuck = [RolloutPolicy("open-loop", plan=(0,))] * 2
-    rep2 = rollout_dynamic_game(dyn, stuck, beta=0.5, rollouts=2, seed=1)
-    assert rep2.mean == pytest.approx([1.0, 1.0], abs=1e-9)   # storm pays 0 to (a,a)
-
-    with pytest.raises(ValueError):
-        rollout_dynamic_game(dyn, feedback, beta=1.0, rollouts=2)
-    with pytest.raises(ValueError):
-        rollout_dynamic_game(dyn, feedback, beta=0.5, rollouts=0)
-    with pytest.raises(ValueError):
-        rollout_dynamic_game(dyn, feedback[:1], beta=0.5, rollouts=2)
-    with pytest.raises(ValueError):
-        DynamicGame({"s": calm}, {}, "missing")
-    with pytest.raises(ValueError):
-        DynamicGame({"calm": calm},
-                    {("calm", (0, 0)): (("calm", 0.6), ("calm", 0.2))},
-                    "calm")
-    with pytest.raises(ValueError):
-        DynamicGame({"calm": calm, "storm": storm},
-                    {("calm", (0, 0)): (("calm", 1.5), ("storm", -0.5))},
-                    "calm")
-    with pytest.raises(ValueError):
-        RolloutPolicy("feedback")
-    with pytest.raises(ValueError, match="feedback policy needs a table"):
-        RolloutPolicy("feedback", plan=(0,))
-    with pytest.raises(ValueError, match="plan needs at least one action"):
-        RolloutPolicy("open-loop", plan=())
-    with pytest.raises(ValueError):
-        RolloutPolicy("closed-loop", table={})
-
-
-def test_merge_split_to_grand_coalition():
-    g = CoalitionGame.from_dict(
-        3, {m: float(bin(m).count("1") ** 2) for m in range(1, 8)})
-    final, moves = run_merge_split(g, (0b001, 0b010, 0b100))
-    assert final == (0b111,)
-    assert all(m.kind == "merge" for m in moves)
-    assert len(moves) == 2
-
-
-def test_merge_split_improves_monotonically_on_random_games():
-    # every accepted move raises the summed block value; a fixed point
-    # arrives within 2^n moves and survives another evolve call
-    rng = np.random.default_rng(64)
-    for trial in range(60):
-        n = 3 + trial % 4
-        g = CoalitionGame.from_dict(
-            n, {m: float(rng.uniform(-1, 2)) for m in range(1, 1 << n)})
-        cur = tuple(1 << i for i in range(n))
-        for step in range(1 << n):
-            total = sum(g.value(b) for b in cur)
-            nxt, move = evolve_coalitions(g, cur)
-            if move.kind == "none":
-                assert nxt == cur
-                break
-            assert sum(g.value(b) for b in nxt) > total
-            cur = nxt
-        else:
-            raise AssertionError("no fixed point within 2^n moves")
-        _, again = evolve_coalitions(g, cur)
-        assert again.kind == "none"
-
-
-def test_rollout_error_shrinks_with_sample_size():
-    # quadrupling the rollout count should halve the standard error
-    acts = (("go",), ("go",))
-    cold = StrategicGame.single(acts, {("go", "go"): (0.0, 0.0)})
-    hot = StrategicGame.single(acts, {("go", "go"): (1.0, 1.0)})
-    dyn = DynamicGame(
-        {"cold": cold, "hot": hot},
-        {("cold", (0, 0)): (("cold", 0.5), ("hot", 0.5)),
-         ("hot", (0, 0)): (("cold", 0.5), ("hot", 0.5))},
-        "cold")
-    pol = [RolloutPolicy("feedback", table={"cold": 0, "hot": 0})] * 2
-    for seed in range(5):
-        small = rollout_dynamic_game(dyn, pol, beta=0.9, rollouts=200, seed=seed)
-        big = rollout_dynamic_game(dyn, pol, beta=0.9, rollouts=800, seed=seed)
-        ratio = small.stderr[0] / big.stderr[0]
-        assert 1.7 <= ratio <= 2.3
-        # half the steps pay 1.0, discounted from t=1: 0.5 * 0.9 / 0.1
-        assert abs(big.mean[0] - 4.5) < 0.2
-
-
-def test_merge_split_prefers_splitting_bad_blocks():
-    g = CoalitionGame.from_dict(2, {0b01: 1.0, 0b10: 1.0, 0b11: 0.5})
-    final, moves = run_merge_split(g, (0b11,))
-    assert final == (0b01, 0b10)
-    assert moves[0].kind == "split"
-    assert moves[0].gain == pytest.approx(1.5)
-
-    stable, move = evolve_coalitions(g, (0b01, 0b10))
-    assert move.kind == "none"
-    assert stable == (0b01, 0b10)
-
-    with pytest.raises(ValueError):
-        evolve_coalitions(g, (0b01,))          # does not cover agent 1
-    with pytest.raises(ValueError):
-        evolve_coalitions(g, (0b11, 0b10))     # overlap
-
-
-# --- the per-rollout loop of earlier releases, kept as a reference ------------
-
-def _reference_rollouts(dyn, policies, beta, rollouts, seed):
-    """One rollout at a time: a policy lookup, `payoff`, a dict transition
-    and one `rng.choice` per stochastic step; returns (mean, stderr)."""
-    rng = np.random.default_rng(seed)
-    horizon = 1
-    acc = beta
-    while acc >= 1e-6:
-        acc *= beta
-        horizon += 1
-    totals = np.zeros((rollouts, dyn.n_agents))
-    for r in range(rollouts):
-        state = dyn.initial_state
-        disc = 1.0
-        for t in range(horizon):
-            stage = dyn.stage_games[state]
-            profile = tuple(policies[i].action(t, state, dyn.initial_state)
-                            for i in range(dyn.n_agents))
-            totals[r] += disc * stage.payoff(profile)
-            nxt = dyn.transitions.get((state, profile), state)
-            if not isinstance(nxt, str):
-                labels = [s for s, _ in nxt]
-                probs = np.asarray([p for _, p in nxt])
-                nxt = labels[int(rng.choice(len(labels), p=probs))]
-            state = nxt
-            disc *= beta
-    stderr = (totals.std(axis=0, ddof=1) / np.sqrt(rollouts) if rollouts > 1
-              else np.zeros(dyn.n_agents))
-    return totals.mean(axis=0), stderr
-
-
-def _random_dynamic_game(rng, stochastic):
-    """Two to four reachable states plus "orphan", which no transition
-    enters and no feedback table lists; some transitions are left out (the
-    chain stays put), and policies mix feedback tables, open-loop tables
-    and open-loop plans of one to four steps."""
-    n = int(rng.integers(2, 4))
-    actions = tuple(tuple(f"a{k}" for k in range(int(rng.integers(1, 4))))
-                    for _ in range(n))
-    states = [f"s{k}" for k in range(int(rng.integers(2, 5)))]
-    labelled = list(itertools.product(*actions))
-    profiles = list(itertools.product(*(range(len(a)) for a in actions)))
-    stage_games = {
-        s: StrategicGame.single(actions, {p: rng.normal(size=n) for p in labelled})
-        for s in states + ["orphan"]}
-    transitions = {}
-    for s in states:
-        for p in profiles:
-            if rng.random() < 0.2:
-                continue                             # no entry: stay put
-            if not stochastic:
-                transitions[s, p] = states[int(rng.integers(len(states)))]
-                continue
-            picks = rng.choice(len(states), size=int(rng.integers(1, 4)))
-            w = rng.random(len(picks))
-            w[rng.random(len(picks)) < 0.2] = 0.0    # zero-probability entries
-            w[0] += 0.1
-            transitions[s, p] = tuple((states[k], float(x))
-                                      for k, x in zip(picks, w / w.sum()))
-    policies = []
-    for i in range(n):
-        table = {s: int(rng.integers(len(actions[i]))) for s in states}
-        kind = int(rng.integers(3))
-        if kind == 0:
-            policies.append(RolloutPolicy("feedback", table=table))
-        elif kind == 1:
-            policies.append(RolloutPolicy("open-loop", table=table))
-        else:
-            plan = tuple(int(rng.integers(len(actions[i])))
-                         for _ in range(int(rng.integers(1, 5))))
-            policies.append(RolloutPolicy("open-loop", plan=plan))
-    return DynamicGame(stage_games, transitions, states[0]), policies
-
-
-def test_deterministic_rollouts_match_reference_bit_for_bit():
-    rng = np.random.default_rng(909)
-    for trial in range(120):
-        dyn, policies = _random_dynamic_game(rng, stochastic=False)
-        beta = float(rng.choice([0.3, 0.5, 0.8]))
-        rollouts = int(rng.integers(1, 6))
-        rep = rollout_dynamic_game(dyn, policies, beta, rollouts, seed=trial)
-        mean, stderr = _reference_rollouts(dyn, policies, beta, rollouts, trial)
-        assert rep.mean.tobytes() == mean.tobytes(), trial
-        assert rep.stderr.tobytes() == stderr.tobytes(), trial
-
-
-def test_rollout_needs_no_entry_for_states_past_the_horizon():
-    # a chain s0 -> s1 -> ... whose state H is entered only after the last
-    # step: like the reference loop, the rollout never looks it up
-    acts = (("go",), ("go",))
-    horizon = rollout_dynamic_game(
-        DynamicGame({"s": StrategicGame.single(acts, {("go", "go"): (1, 1)})},
-                    {}, "s"),
-        [RolloutPolicy("feedback", table={"s": 0})] * 2, 0.2, 1).horizon
-    stage_games = {f"s{k}": StrategicGame.single(acts, {("go", "go"): (k, -k)})
-                   for k in range(horizon)}
-    transitions = {(f"s{k}", (0, 0)): f"s{k + 1}" for k in range(horizon)}
-    dyn = DynamicGame(stage_games, transitions, "s0")
-    policies = [RolloutPolicy("feedback", table={s: 0 for s in stage_games})] * 2
-    rep = rollout_dynamic_game(dyn, policies, 0.2, 3, seed=0)
-    mean, stderr = _reference_rollouts(dyn, policies, 0.2, 3, 0)
-    assert rep.mean.tobytes() == mean.tobytes()
-    assert rep.stderr.tobytes() == stderr.tobytes()
-
-
-def test_stochastic_rollouts_agree_with_reference_in_mean():
-    rng = np.random.default_rng(910)
-    for trial in range(20):
-        dyn, policies = _random_dynamic_game(rng, stochastic=True)
-        rep = rollout_dynamic_game(dyn, policies, 0.5, 200, seed=trial)
-        mean, stderr = _reference_rollouts(dyn, policies, 0.5, 200, trial)
-        tol = 4.0 * np.sqrt(rep.stderr ** 2 + stderr ** 2) + 1e-12
-        assert np.all(np.abs(rep.mean - mean) <= tol), trial
-
-
-def test_rollout_draw_order_is_pinned():
-    # step-major: step t takes rng.random(rollouts), one uniform per rollout.
-    # This game (a feedback table, an open-loop table, a three-step plan, 41
-    # transitions) draws at many steps, so the rollout-major order of the
-    # reference loop gives other bytes.
-    dyn, policies = _random_dynamic_game(np.random.default_rng(940),
-                                         stochastic=True)
-    rep = rollout_dynamic_game(dyn, policies, 0.7, 50, seed=5)
-    digest = hashlib.sha256(rep.mean.tobytes() + rep.stderr.tobytes())
-    assert digest.hexdigest() == (
-        "aedacdcbbf21aeee95b5750352d7010d994af356f9522b6348fa118630b054fe")

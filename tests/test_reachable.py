@@ -1,0 +1,62 @@
+"""Every public function and class of the library is reached from a kind.
+
+Reachability walks names over the module ASTs: it starts from everything
+`scenario.py` and `cli.py` mention and follows each top-level definition or
+assignment it meets by name, in any module. Import statements do not count
+as a mention, so a name re-exported from `__init__.py` is not reached by
+that alone.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "stgames"
+
+# no kind reaches these: small helpers the test oracles use, and adversarial
+# learning until `learn` takes an adversary block
+ALLOWED = {"in_core", "excess", "members", "best_responses",
+           "apply_admissible_sets",
+           "corrupted_observer", "run_adversarial_dynamics"}
+
+
+def _bindings(tree):
+    """(name, statement) for each top-level def, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+
+
+def _mentions(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_public_name_is_reached_from_a_kind():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    defs = {}
+    for tree in trees.values():
+        for name, node in _bindings(tree):
+            defs.setdefault(name, []).append(node)
+    reached = set()
+    todo = [trees["scenario"], trees["cli"]]
+    while todo:
+        for name in _mentions(todo.pop()):
+            if name in defs and name not in reached:
+                reached.add(name)
+                todo.extend(defs[name])
+    public = {node.name for tree in trees.values() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    unreached = public - reached
+    assert unreached - ALLOWED == set(), "wire these into a kind or delete them"
+    # a name that a kind now reaches, or that is gone, leaves the list
+    assert ALLOWED - unreached == set(), "drop these from ALLOWED"

@@ -11,8 +11,7 @@ import pytest
 
 from stgames.congestion import CongestionNetwork, Edge, PoaReport
 from stgames.coop import CoalitionGame, CoreReport
-from stgames.coordination import (CoordinatorPolicy, DynamicGame, EpochDigest,
-                                  EpochRecord, RolloutPolicy)
+from stgames.coordination import CoordinatorPolicy, EpochDigest, EpochRecord
 from stgames.errors import CapacityError
 from stgames.incentives import BudgetReport, BudgetSpec
 from stgames.learning import Diagnostics, LearnerSpec, RateSchedule
@@ -90,12 +89,7 @@ def test_defaults_apply_by_position_and_keyword():
     adv = AdversaryModel((1,), "replay")
     assert (adv.value, adv.lag, adv.drop_prob, adv.window) == (0.0, 1, 0.5, None)
     assert BudgetSpec(1.0, 0.9).horizon is None
-    assert CoordinatorPolicy("constant", ("a",)).welfare is None
-    assert RolloutPolicy("open-loop", plan=(0,)).table is None
 
-
-GAME = StrategicGame.single((("a", "b"), ("x",)),
-                            {("a", "x"): (1, 0), ("b", "x"): (0, 1)})
 
 # one validated class per module (more for some), given a bad value by keyword
 BAD = [
@@ -121,11 +115,6 @@ BAD = [
     pytest.param(lambda: CoordinatorPolicy(kind="greedy", candidates=()),
                  ValueError, "candidate set must be nonempty",
                  id="CoordinatorPolicy"),
-    pytest.param(lambda: RolloutPolicy(kind="feedback"),
-                 ValueError, "needs a table", id="RolloutPolicy"),
-    pytest.param(lambda: DynamicGame(stage_games={"s": GAME}, transitions={},
-                                     initial_state="t"),
-                 ValueError, "unknown initial state", id="DynamicGame"),
     pytest.param(lambda: AdversaryModel(compromised=(0,), kind="replay", lag=0),
                  ValueError, "replay lag must be >= 1", id="AdversaryModel"),
     pytest.param(lambda: TrustMatrix(weights=np.eye(2) * 0.5,

@@ -102,6 +102,11 @@ def test_schema_error_paths_are_dotted():
     leader_twice = fixture("stackelberg")
     leader_twice["stackelberg"]["leader_objective"] = {"table": {"A": [
         {"profile": ["x", "x"], "value": 1}, {"profile": ["x", "x"], "value": 7}]}}
+    incentive_twice = fixture("ttscale")
+    incentive_twice["ttscale"]["incentives"] = [
+        {"profile": ["a", "a"], "values": [1, 1], "signal": "lo"},
+        {"profile": ["a", "a"], "values": [2, 2], "signal": "hi"},
+        {"profile": ["a", "a"], "values": [2, 2], "signal": "lo"}]
     admissible_twice = fixture("ttscale")
     admissible_twice["ttscale"]["admissible"] = {"lo": [["a", "a"], ["a", "b"]]}
     # six agents, each with six neighbours under uniform trust
@@ -123,6 +128,7 @@ def test_schema_error_paths_are_dotted():
                       (repeated, "resilience.adversary"),
                       (leader_twice, "stackelberg.leader_objective.table.A[1]"),
                       (admissible_twice, "ttscale.admissible.lo[0]"),
+                      (incentive_twice, "ttscale.incentives[2]"),
                       (wide_trim, "resilience.defense.trim"),
                       (no_route, "wardrop")):
         with pytest.raises(SchemaError) as err:

@@ -7,6 +7,7 @@ import pytest
 
 from stgames import learning
 from stgames.errors import CapacityError
+from stgames.incentives import IncentiveSchedule
 from stgames.learning import LearnerSpec, RateSchedule, diagnostics, run_dynamics
 from stgames.strategic import (NashCheck, StrategicGame, best_responses,
                                contract_others, counterfactual_payoffs,
@@ -339,6 +340,23 @@ def test_negative_eps_rejected():
         is_nash(pd_game(), (1, 1), eps=-0.1)
     with pytest.raises(ValueError):
         enumerate_pure_nash(pd_game(), eps=-0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: g.payoff((0,)), "profile length 1"),
+    (lambda g: is_nash(g, (1,)), "profile length 1"),
+    (lambda g: is_nash(g, (-1, -1)), "agent 0: action index -1"),
+    (lambda g: IncentiveSchedule.on_profile(g, (-1, 0), [1, 1]),
+     "agent 0: action index -1"),
+    (lambda g: IncentiveSchedule.zero(g).per_agent(g, (0, 2)),
+     "agent 1: action index 2"),
+    (lambda g: counterfactual_payoffs(g, 0, ("C", "D")), "agent 0: action index 'C'"),
+], ids=["short-payoff", "short-nash", "negative-nash", "negative-transfer",
+        "past-end-transfer", "label-counterfactual"])
+def test_index_profiles_are_checked(call, message):
+    # unchecked, numpy slices on a short profile and wraps a negative index
+    with pytest.raises(ValueError, match=message):
+        call(pd_game())
 
 
 # --- the label loop of earlier releases, kept as a reference ------------------
