@@ -155,6 +155,8 @@ class WelfareReport(NamedTuple):
 def counterfactual_payoffs(game: StrategicGame, agent: int, profile,
                            signal=None) -> np.ndarray:
     """Payoff vector over `agent`'s actions with the others pinned."""
+    if not isinstance(agent, (int, np.integer)) or not 0 <= agent < game.n_agents:
+        raise ValueError(f"agent {agent!r} outside 0..{game.n_agents - 1}")
     sig = game.resolve_signal(signal)
     profile = _check_profile(game.actions, profile)
     sel = (agent,) + profile[:agent] + (slice(None),) + profile[agent + 1:]

@@ -1,9 +1,12 @@
 """Byzantine message corruption, trust reweighting, trimmed consensus and
 the attacked-observation wrapper for learning runs."""
 
+import time
+
 import numpy as np
 import pytest
 
+from stgames import resilience
 from stgames.learning import LearnerSpec, run_dynamics
 from stgames.resilience import (KINDS, AdversaryModel, ConsensusScenario,
                                 DefenseSpec, TrustMatrix, corrupt_reports,
@@ -278,6 +281,86 @@ def test_injection_poisons_estimates_not_payoffs():
     assert trace.payoffs[-1][0] == PD.payoff(trace.actions[-1])[0]
 
 
+def test_consensus_of_64_agents_within_budget():
+    # The widest consensus the schema accepts, attacked and then rerun
+    # nominal: 0.6-0.8 s on a 2-vCPU Xeon VM against a 2 s budget (the
+    # per-agent loop of earlier releases took 2.4-2.5 s).
+    n = 64
+    x = np.random.default_rng(64).uniform(0.0, 1.0, n)
+    adv = AdversaryModel((0, n - 1), "sign-flip")
+    start = time.perf_counter()
+    run = run_consensus_scenario(scenario(x), 1000,
+                                 DefenseSpec(trim_f=2, trust_eta=0.3), adv, seed=64)
+    assert time.perf_counter() - start < 2.0
+    assert run.values.shape == (1001, n)
+    assert run.metrics.diameter_series[-1] < run.metrics.diameter_series[0]
+
+
+# --- the per-agent loop of earlier releases, kept as a reference ---------------
+
+def _loop_trimmed_step(sent, received, trust, trim_f):
+    """One round, one receiver at a time: sort its inbox, trim, renormalize."""
+    if trim_f < 0:
+        raise ValueError("trim_f must be >= 0")
+    counts = received.sum(axis=1)
+    short = np.flatnonzero(counts < 2 * trim_f + 1)
+    if short.size:
+        i = short[0]
+        raise ValueError(
+            f"agent {i}: {counts[i]} reports cannot survive 2*{trim_f} discards")
+    full = trust.adjacency.sum(axis=1)
+    new_values = np.empty(len(sent))
+    for i, row in enumerate(received):
+        keep = np.flatnonzero(row)
+        if trim_f:
+            ranked = keep[np.lexsort((keep, sent[keep]))]
+            keep = np.sort(ranked[trim_f:-trim_f])
+        weights = trust.weights[i, keep]
+        if keep.size != full[i]:
+            total = weights.sum()
+            weights = (np.full(keep.size, 1.0 / keep.size) if total <= 0
+                       else weights / total)
+        new_values[i] = weights @ sent[keep]
+    return new_values
+
+
+def _random_round(rng, n):
+    """One round's inputs: tied values, ragged inboxes, some starved rows."""
+    if rng.random() < 0.5:
+        sent = rng.normal(0.0, 5.0, n)
+    else:                            # many exact ties, signed zeros among them
+        sent = rng.integers(-2, 3, n).astype(float) * rng.choice([1.0, -0.0], n)
+    adjacency = rng.random((n, n)) < rng.uniform(0.3, 1.0)
+    np.fill_diagonal(adjacency, True)
+    w = rng.uniform(0.0, 1.0, (n, n)) * adjacency
+    if rng.random() < 0.3:           # weight only on self: a trim can starve a row
+        w = np.where(np.eye(n, dtype=bool) | (rng.random((n, n)) < 0.1), w, 0.0)
+    trust = TrustMatrix(w / w.sum(axis=1, keepdims=True), adjacency)
+    received = adjacency & (rng.random(n) >= rng.choice([0.0, 0.2, 0.5]))
+    return sent, received, trust, int(rng.integers(0, 3))
+
+
+def test_array_step_matches_loop_step():
+    rng = np.random.default_rng(143)
+    seen = {"ok": 0, "refused": 0, "ragged": 0}
+    for trial in range(300):
+        n = (3, 8, 9, 16, 31, 32, 33, 64, 65)[trial % 9]
+        sent, received, trust, trim = _random_round(rng, n)
+        try:
+            want = _loop_trimmed_step(sent, received, trust, trim)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                trimmed_consensus_step(sent, received, trust, trim)
+            assert str(got.value) == str(exc)
+            seen["refused"] += 1
+            continue
+        got = trimmed_consensus_step(sent, received, trust, trim)
+        assert got.tobytes() == want.tobytes()
+        seen["ok"] += 1
+        seen["ragged"] += len(set(received.sum(axis=1).tolist())) > 1
+    assert seen["ok"] >= 200 and seen["refused"] >= 10 and seen["ragged"] >= 150
+
+
 # --- the dict-based kernel of earlier releases, kept as a reference -------------
 
 def _dict_corrupt_reports(adversary, reports, history, t, rng):
@@ -453,3 +536,28 @@ def test_array_kernel_matches_dict_kernel():
         res = rng.exponential(1.0, (n, n)) * rng.choice([1.0, 1e4], (n, 1))
         want = _dict_update_trust(trust, res, 0.8).weights
         assert update_trust(trust, res, 0.8).weights.tobytes() == want.tobytes()
+
+
+def test_array_kernel_matches_both_references_at_blocking_sizes(monkeypatch):
+    # Past 8 terms numpy's pairwise sum unrolls and the BLAS dot blocks, so
+    # wide rows get their own cases: sparse trust and channel drops give each
+    # round rows of different survivor counts.
+    rng = np.random.default_rng(1632)
+    for case, n in enumerate((16, 16, 32, 32, 64, 64)):
+        w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        np.fill_diagonal(w, 1.0)
+        trust = TrustMatrix.from_weights(w / w.sum(axis=1, keepdims=True))
+        assert len(set(trust.adjacency.sum(axis=1).tolist())) > 1
+        sc = ConsensusScenario(tuple(rng.normal(0.0, 5.0, n).tolist()), trust)
+        defense = DefenseSpec(case % 3, (None, 0.3)[case % 2])
+        adversary = AdversaryModel(tuple(range(0, n, 3)), "channel-drop",
+                                   drop_prob=0.4)
+        run = run_consensus_scenario(sc, 10, defense, adversary, case)
+        want = _dict_run(sc, 10, defense, adversary, case)
+        assert run.values.tobytes() == want[0].tobytes()
+        m = run.metrics
+        assert (m.max_honest_deviation, m.diameter_series, m.recovery_time) == want[1:]
+        with monkeypatch.context() as patch:
+            patch.setattr(resilience, "trimmed_consensus_step", _loop_trimmed_step)
+            loop = run_consensus_scenario(sc, 10, defense, adversary, case)
+        assert loop.values.tobytes() == run.values.tobytes()

@@ -351,8 +351,13 @@ def test_negative_eps_rejected():
     (lambda g: IncentiveSchedule.zero(g).per_agent(g, (0, 2)),
      "agent 1: action index 2"),
     (lambda g: counterfactual_payoffs(g, 0, ("C", "D")), "agent 0: action index 'C'"),
+    (lambda g: counterfactual_payoffs(g, -1, (0, 1)), r"agent -1 outside 0\.\.1"),
+    (lambda g: counterfactual_payoffs(g, 2, (0, 1)), r"agent 2 outside 0\.\.1"),
+    (lambda g: best_responses(g, 2, (0, 1)), r"agent 2 outside 0\.\.1"),
+    (lambda g: best_responses(g, "0", (0, 1)), r"agent '0' outside 0\.\.1"),
 ], ids=["short-payoff", "short-nash", "negative-nash", "negative-transfer",
-        "past-end-transfer", "label-counterfactual"])
+        "past-end-transfer", "label-counterfactual", "negative-agent",
+        "past-end-agent", "past-end-best-response", "label-agent"])
 def test_index_profiles_are_checked(call, message):
     # unchecked, numpy slices on a short profile and wraps a negative index
     with pytest.raises(ValueError, match=message):
