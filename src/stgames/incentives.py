@@ -11,7 +11,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComputationError
-from .lp import LinearProgram, solve_lp
 from .strategic import (StrategicGame, _check_profile, counterfactual_payoffs,
                         is_nash)
 
@@ -136,12 +135,14 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
                      signal=None) -> IncentiveDesign:
     """Minimum-total nonnegative transfers on `target` making it worth keeping.
 
-    The LP minimizes sum_i rho_i subject to rho_i >= 0, every unilateral
-    deviation from `target` unprofitable under J + rho, and weak Pareto
-    improvement over `baseline` payoffs. The result is verified (equilibrium,
-    Pareto with a strict winner, budget) before being reported; a minimum
-    with no strictly-better-off agent is reported infeasible since the strict
-    requirement has no attainable minimum.
+    The transfers minimize sum_i rho_i subject to rho_i >= 0, every
+    unilateral deviation from `target` unprofitable under J + rho, and weak
+    Pareto improvement over `baseline` payoffs. Each constraint bounds one
+    agent's transfer, so the LP separates and is solved in closed form. The
+    result is verified (equilibrium, Pareto with a strict winner, budget)
+    before being reported; a minimum with no strictly-better-off agent is
+    reported infeasible since the strict requirement has no attainable
+    minimum.
     """
     sig = game.resolve_signal(signal)
     n = game.n_agents
@@ -150,26 +151,12 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
     base_pay = game.payoff(baseline, sig)
     tgt_pay = game.payoff(target, sig)
 
-    rows, rhs = [], []
-    for i in range(n):
-        vec = counterfactual_payoffs(game, i, target, sig)
-        for j in range(len(vec)):
-            if j == target[i]:
-                continue
-            row = np.zeros(n)
-            row[i] = 1.0
-            rows.append(row)
-            rhs.append(float(vec[j] - tgt_pay[i]))      # rho_i >= gain
-        row = np.zeros(n)
-        row[i] = 1.0
-        rows.append(row)
-        rhs.append(float(base_pay[i] - tgt_pay[i]))     # weak Pareto
-    lp = LinearProgram(np.ones(n), np.asarray(rows), (">=",) * len(rows),
-                       np.asarray(rhs))
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise ComputationError(f"incentive LP ended {sol.status}")
-    rho = np.maximum(sol.x, 0.0)
+    # rho_i is the largest of agent i's right-hand sides (deviation gains,
+    # baseline shortfall) and 0; staying at target[i] is a gain of exactly 0
+    rho = np.array([max(0.0, float(base_pay[i] - tgt_pay[i]),
+                        float(counterfactual_payoffs(game, i, target, sig).max()
+                              - tgt_pay[i]))
+                    for i in range(n)])
     schedule = IncentiveSchedule.on_profile(game, target, rho, sig)
 
     modified = modified_payoff(game, schedule)

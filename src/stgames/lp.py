@@ -1,15 +1,14 @@
 """Dense two-phase simplex with Bland's anti-cycling rule.
 
-Deterministic LP kernel backing core membership, nucleolus stages and
-transfer synthesis. It favors exactness and reproducibility over speed:
-dense numpy tableau, no scaling, no presolve, smallest-index pivoting
-throughout (Bland's rule for the entering column and for ties in the ratio
-test). Each pivot is sparse: a rank-one update of only the rows with a
-nonzero in the entering column and the columns with a nonzero in the pivot
-row. It makes the same pivots, and gives the same bits, as updating every
-full row. The coalition LPs in `coop` are solved by row generation, so
-their tableaus hold a working set of coalitions (a few hundred rows at 20
-agents), not all 2^n - 1.
+Deterministic LP kernel backing core membership and nucleolus stages. It
+favors exactness and reproducibility over speed: dense numpy tableau, no
+scaling, no presolve, smallest-index pivoting throughout (Bland's rule for
+the entering column and for ties in the ratio test). Each pivot is sparse:
+a rank-one update of only the rows with a nonzero in the entering column
+and the columns with a nonzero in the pivot row. It makes the same pivots,
+and gives the same bits, as updating every full row. The coalition LPs in
+`coop` are solved by row generation, so their tableaus hold a working set
+of coalitions (a few hundred rows at 20 agents), not all 2^n - 1.
 
 Row duals are read off the final tableau: minus the reduced cost of the
 row's own slack or artificial column. No basis matrix is factored, so a

@@ -47,6 +47,8 @@ from .strategic import (DEFAULT_SIGNAL, StrategicGame, enumerate_pure_nash,
 # learning steps one `learn` horizon, or one `ttscale` run over all its
 # epochs, may take
 MAX_LEARN_STEPS = 10 ** 6
+# agents one `resilience` run may hold, drawn or listed
+MAX_CONSENSUS_AGENTS = 64
 
 
 # --- strict-schema helpers ----------------------------------------------------
@@ -578,7 +580,7 @@ def _v_resilience(node, path):
         _need_map(iv, f"{path}.initial_values", required=("random",))
         rpath = f"{path}.initial_values.random"
         r = _need_map(iv["random"], rpath, required=("n",), optional=("low", "high"))
-        n = _need_int(r["n"], f"{rpath}.n", 2, 64)
+        n = _need_int(r["n"], f"{rpath}.n", 2, MAX_CONSENSUS_AGENTS)
         low = _need_number(r.get("low", 0.0), f"{rpath}.low")
         high = _need_number(r.get("high", 1.0), f"{rpath}.high")
         if low >= high:
@@ -588,8 +590,9 @@ def _v_resilience(node, path):
         def initial(seed):
             return np.random.default_rng([seed, 0x1F]).uniform(low, high, size=n)
     else:
-        values = [_need_number(v, f"{path}.initial_values[{i}]")
-                  for i, v in enumerate(_need_list(iv, f"{path}.initial_values", 2))]
+        if len(_need_list(iv, f"{path}.initial_values", 2)) > MAX_CONSENSUS_AGENTS:
+            _fail(f"{path}.initial_values", f"at most {MAX_CONSENSUS_AGENTS} values")
+        values = [_need_number(v, f"{path}.initial_values[{i}]") for i, v in enumerate(iv)]
         n = len(values)
 
         def initial(seed):
@@ -771,17 +774,18 @@ def _run_learn(cfg, game, specs, horizon, schedule, gap_stride):
     trace = run_dynamics(game, specs, horizon, seed=cfg.seed,
                          signal_schedule=schedule)
     diag = diagnostics(game, trace, gap_stride=gap_stride)
-    steps = list(zip(*([labels[a] for a in trace.actions[:, i].tolist()]
-                       for i, labels in enumerate(game.actions))))
     summary = {"horizon": horizon,
-               "final_profile": list(steps[-1]),
+               "final_profile": _labels(game, trace.actions[-1].tolist()),
                "external_regret": _py(diag.external_regret),
                "max_regret": float(diag.external_regret.max()),
                "final_gap": float(diag.gap_series[-1])}
     n = game.n_agents
-    rows = [(t, sig) + labels + tuple(pay)
-            for t, sig, labels, pay in zip(itertools.count(1), trace.signals, steps,
-                                           trace.payoffs.tolist())]
+    # one zip over per-agent columns makes each row tuple directly, with no
+    # per-step list or tuple in between
+    labels = [[names[a] for a in trace.actions[:, i].tolist()]
+              for i, names in enumerate(game.actions)]
+    rows = list(zip(itertools.count(1), trace.signals, *labels,
+                    *trace.payoffs.T.tolist()))
     cols = ("step", "signal") + tuple(f"action_{i}" for i in range(n)) \
         + tuple(f"payoff_{i}" for i in range(n))
     tables = [Table.of("trace", cols, rows),

@@ -3,7 +3,8 @@
 The synthesis LP decouples per agent, so the test oracle is the closed form
 rho_i = max(best deviation gain, baseline shortfall, 0); random instances are
 checked against it, plus Pareto/budget edge cases and the hand-solved
-dilemma numbers.
+dilemma numbers. The LP that `design_incentive` solved before it took the
+closed form is kept here as the reference kernel.
 """
 
 import itertools
@@ -15,7 +16,9 @@ import pytest
 from stgames.incentives import (BudgetSpec, IncentiveSchedule, budget_check,
                                 design_incentive, is_pareto_improving,
                                 modified_payoff)
-from stgames.strategic import StrategicGame, enumerate_pure_nash, is_nash
+from stgames.lp import LinearProgram, solve_lp
+from stgames.strategic import (StrategicGame, counterfactual_payoffs,
+                               enumerate_pure_nash, is_nash)
 
 PD = {("C", "C"): (3, 3), ("C", "D"): (0, 5),
       ("D", "C"): (5, 0), ("D", "D"): (1, 1)}
@@ -47,6 +50,32 @@ def design_oracle(game, target, baseline):
         rho[i] = max(best - tgt_pay[i], base_pay[i] - tgt_pay[i], 0.0)
     strict = bool(np.any(tgt_pay + rho > base_pay + 1e-9))
     return rho, strict
+
+
+def design_lp_reference(game, target, baseline):
+    """The minimum-transfer LP, one >= row per deviation and per agent's
+    baseline, solved by the dense simplex (the former kernel)."""
+    n = game.n_agents
+    base_pay = game.payoff(baseline)
+    tgt_pay = game.payoff(target)
+    rows, rhs = [], []
+    for i in range(n):
+        vec = counterfactual_payoffs(game, i, target)
+        for j in range(len(vec)):
+            if j == target[i]:
+                continue
+            row = np.zeros(n)
+            row[i] = 1.0
+            rows.append(row)
+            rhs.append(float(vec[j] - tgt_pay[i]))      # rho_i >= gain
+        row = np.zeros(n)
+        row[i] = 1.0
+        rows.append(row)
+        rhs.append(float(base_pay[i] - tgt_pay[i]))     # weak Pareto
+    sol = solve_lp(LinearProgram(np.ones(n), np.asarray(rows),
+                                 (">=",) * len(rows), np.asarray(rhs)))
+    assert sol.status == "optimal"
+    return np.maximum(sol.x, 0.0)
 
 
 def test_modified_payoff_adds_on_one_profile():
@@ -263,3 +292,49 @@ def test_design_matches_decoupled_oracle():
         else:
             assert design.status == "infeasible"
     assert oks >= 20
+
+
+def test_design_matches_lp_reference():
+    budget = BudgetSpec(limit=1e9, delta=0.5)
+    # dilemma games as the benchmark draws them (4-digit payoffs) and the
+    # fixture's: the closed form gives the LP's bits
+    rng = np.random.default_rng(15)
+    games = [pd_game()]
+    for _ in range(200):
+        t, r, p, s = np.round(rng.uniform((4.5, 2.5, 0.5, -1.0),
+                                          (6.0, 3.5, 1.5, 0.0)), 4).tolist()
+        games.append(StrategicGame.single(
+            (("C", "D"), ("C", "D")),
+            {("C", "C"): (r, r), ("C", "D"): (s, t),
+             ("D", "C"): (t, s), ("D", "D"): (p, p)}))
+    for g in games:
+        design = design_incentive(g, CC, DD, budget)
+        got = design.schedule.per_agent(g, CC)
+        assert got.tobytes() == design_lp_reference(g, CC, DD).tobytes()
+
+    # general games: the oracle's bits, and within one ulp of the LP, whose
+    # pivots may round the largest right-hand side it returns
+    rng = np.random.default_rng(1515)
+    oks = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 4))
+        k = int(rng.integers(2, 4))
+        g = random_game(rng, n, k)
+        g = StrategicGame(g.actions, {"default": g.payoffs["default"]
+                                      * rng.uniform(1.0, 1000.0)})
+        profiles = list(g.profiles())
+        target = profiles[int(rng.integers(len(profiles)))]
+        baseline = profiles[int(rng.integers(len(profiles)))]
+        design = design_incentive(g, target, baseline, budget)
+        rho_star, strict = design_oracle(g, target, baseline)
+        assert (design.status == "ok") == strict
+        if not strict:
+            continue
+        got = design.schedule.per_agent(g, target)
+        assert got.tobytes() == rho_star.tobytes()
+        ref = design_lp_reference(g, target, baseline)
+        near = (ref == got) | (ref == np.nextafter(got, np.inf)) \
+            | (ref == np.nextafter(got, -np.inf))
+        assert near.all()
+        oks += 1
+    assert oks >= 100

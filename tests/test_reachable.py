@@ -5,6 +5,10 @@ Reachability walks names over the module ASTs: it starts from everything
 assignment it meets by name, in any module. Import statements do not count
 as a mention, so a name re-exported from `__init__.py` is not reached by
 that alone.
+
+Every process compiles and imports each module it loads, so no module of
+the library (bar `__init__.py`, which re-exports) imports a name it never
+uses.
 """
 
 import ast
@@ -60,3 +64,25 @@ def test_every_public_name_is_reached_from_a_kind():
     assert unreached - ALLOWED == set(), "wire these into a kind or delete them"
     # a name that a kind now reaches, or that is gone, leaves the list
     assert ALLOWED - unreached == set(), "drop these from ALLOWED"
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement that no expression reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {f"{p.name}: {name}" for p in SRC.glob("*.py") if p.name != "__init__.py"
+              for name in _unused_imports(ast.parse(p.read_text()))}
+    assert unused == set()
+    # the check sees a leftover import
+    assert _unused_imports(ast.parse("from __future__ import annotations\n"
+                                     "import os.path\nfrom .lp import solve_lp as s\n")) \
+        == {"os", "s"}

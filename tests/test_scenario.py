@@ -114,6 +114,8 @@ def test_schema_error_paths_are_dotted():
     wide_trim["resilience"]["defense"]["trim"] = 3
     no_route = fixture("wardrop")
     no_route["wardrop"]["destination"] = "nowhere"
+    many_values = fixture("resilience")
+    many_values["resilience"]["initial_values"] = [0.5] * 65
     for doc, path in ((nan_payoff, "nash.game.payoffs[1].values[0]"),
                       (inf_slope, "wardrop.edges[0].b"),
                       (nan_value, "coop.values[0].value"),
@@ -130,7 +132,8 @@ def test_schema_error_paths_are_dotted():
                       (admissible_twice, "ttscale.admissible.lo[0]"),
                       (incentive_twice, "ttscale.incentives[2]"),
                       (wide_trim, "resilience.defense.trim"),
-                      (no_route, "wardrop")):
+                      (no_route, "wardrop"),
+                      (many_values, "resilience.initial_values")):
         with pytest.raises(SchemaError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert err.value.path == path
