@@ -35,8 +35,7 @@ from .coordination import (AdmissibleSetRule, CoordinatorPolicy, EpochDigest,
                            stackelberg_solve)
 from .resilience import (AdversaryModel, ConsensusRun, ConsensusScenario,
                          DefenseSpec, ResilienceMetrics, TrustMatrix,
-                         corrupt_reports, corrupted_observer,
-                         run_adversarial_dynamics, run_consensus_scenario,
+                         corrupt_reports, run_consensus_scenario,
                          trimmed_consensus_step, update_trust)
 from .scenario import (RunRecord, ScenarioConfig, Table, parse_scenario,
                        record_to_csv, record_to_jsonl, run_scenario,

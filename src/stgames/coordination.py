@@ -77,6 +77,8 @@ class CoordinatorPolicy:
             raise ValueError(f"unknown coordinator kind {kind!r}")
         if not candidates:
             raise ValueError("candidate set must be nonempty")
+        if len(set(candidates)) != len(candidates):
+            raise ValueError(f"repeated candidates in {list(candidates)}")
 
 
 def coordinator_update(policy: CoordinatorPolicy, game: StrategicGame,

@@ -18,11 +18,11 @@ Kinds:
                          action's coordinate only, Psi = softmax(q / tau)
 
 Observation model: agents see their own realized payoff and the opponents'
-realized actions (reported actions; a corruption hook may tamper with them).
-Identical (game, specs, horizon, seed) reproduce traces bit-identically.
+realized actions. Identical (game, specs, horizon, seed) reproduce traces
+bit-identically.
 
 Actions are integer indices into the payoff tables, in the trace and in
-the `observe` hook alike; action labels stay in `game.actions`. Inside
+the updates alike; action labels stay in `game.actions`. Inside
 `run_dynamics` each agent's vectors are plain float lists, which the
 helpers below take (arrays work too) and return. The helpers do the float
 operations of the formulas above in the same order, so a trace does not
@@ -85,6 +85,11 @@ class LearnerSpec:
             raise ValueError(f"unknown learner kind {kind!r}; valid: {KINDS}")
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
+        if initial_policy is not None:
+            pi = np.asarray(initial_policy, dtype=float)
+            if not (abs(pi.sum() - 1.0) <= 1e-9 and pi.min() >= 0):
+                raise ValueError(f"initial policy must be nonnegative and sum "
+                                 f"to 1, got {list(initial_policy)}")
 
 
 class LearningState:
@@ -103,19 +108,13 @@ class LearningState:
         policies, estimates, counts = [], [], []
         for i, spec in enumerate(specs):
             k = len(game.actions[i])
-            if spec.initial_policy is None:
-                pi = np.full(k, 1.0 / k)
-            else:
-                pi = np.asarray(spec.initial_policy, dtype=float)
-                if pi.shape != (k,) or pi.min() < 0 or abs(pi.sum() - 1.0) > 1e-9:
-                    raise ValueError(
-                        f"agent {i}: initial policy must be a distribution over {k} actions")
-            if spec.initial_estimate is None:
-                q = np.zeros(k)
-            else:
-                q = np.asarray(spec.initial_estimate, dtype=float)
-                if q.shape != (k,):
-                    raise ValueError(f"agent {i}: initial estimate needs length {k}")
+            pi = (np.full(k, 1.0 / k) if spec.initial_policy is None
+                  else np.asarray(spec.initial_policy, dtype=float))
+            q = (np.zeros(k) if spec.initial_estimate is None
+                 else np.asarray(spec.initial_estimate, dtype=float))
+            for name, v in (("policy", pi), ("estimate", q)):
+                if v.shape != (k,):
+                    raise ValueError(f"agent {i}: initial {name} needs length {k}")
             policies.append(pi)
             estimates.append(q)
             counts.append(np.zeros(k))
@@ -130,21 +129,21 @@ def softmax(q: np.ndarray, tau: float) -> np.ndarray:
 
 
 def estimation_target(spec: LearnerSpec, agent: int, table: np.ndarray,
-                      q, profile: tuple, seen: tuple, freqs) -> list:
+                      q, profile: tuple, freqs) -> list:
     """The kind-specific target vector G for one update.
 
     `table` is the agent's payoff table under the step's signal (one axis
-    per agent); `profile` is the realized and `seen` the observed profile,
-    both as action indices; `freqs` holds every agent's empirical action
-    frequencies (read by fictitious play only).
+    per agent); `profile` is the realized profile as action indices;
+    `freqs` holds every agent's empirical action frequencies (read by
+    fictitious play only).
     """
     if spec.kind == "fictitious-play":
         return contract_others(table, agent, freqs).tolist()
     if spec.kind == "payoff-estimation":
         g = list(q)
-        g[seen[agent]] = float(table[profile])
+        g[profile[agent]] = float(table[profile])
         return g
-    return table[seen[:agent] + (slice(None),) + seen[agent + 1:]].tolist()
+    return table[profile[:agent] + (slice(None),) + profile[agent + 1:]].tolist()
 
 
 def _relax(x, target, rate: float) -> list:
@@ -239,15 +238,12 @@ def _sample(u: float, pi) -> int:
 
 
 def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
-                 rng=None, signal_schedule=None, initial_state=None,
-                 observe=None) -> Trace:
+                 rng=None, signal_schedule=None, initial_state=None) -> Trace:
     """Run the coupled dynamics for `horizon` steps.
 
     `signal_schedule(t)` picks the signal per step (default: the game's only
-    signal). `observe(t, observer, profile) -> profile` lets a corruption
-    layer tamper with reported opponent actions (tuples of action indices);
-    payoff realization always follows the true profile. Exactly one of
-    seed/rng is used; passing rng continues an existing stream.
+    signal). Exactly one of seed/rng is used; passing rng continues an
+    existing stream.
 
     Draw order: step t uses the next n uniforms of the stream, one per
     agent in agent order, and nothing else draws from it, so a run consumes
@@ -301,10 +297,9 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
             freqs = [_frequencies(tally, total)
                      for tally, total in zip(counts, totals)]
         for i, spec, payoff_rate, policy_rate, est, pol in learners:
-            seen = idx if observe is None else tuple(observe(t, i, idx))
             q = step_payoff_estimate(
                 estimates[i],
-                estimation_target(spec, i, table[i], estimates[i], idx, seen, freqs),
+                estimation_target(spec, i, table[i], estimates[i], idx, freqs),
                 payoff_rate(t))
             pi = step_policy(spec, policies[i], q, policy_rate(t))
             estimates[i] = q

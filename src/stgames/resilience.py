@@ -24,9 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .learning import Trace, run_dynamics
-from .strategic import StrategicGame
-
 KINDS = ("constant-injection", "sign-flip", "replay", "channel-drop")
 
 
@@ -279,64 +276,3 @@ def run_consensus_scenario(scenario: ConsensusScenario, horizon: int,
     metrics = ResilienceMetrics(max_dev, diameters, recovery, honest)
     return ConsensusRun(out, metrics)
 
-
-# --- corruption of learning-dynamics observations ------------------------------
-
-def corrupted_observer(game: StrategicGame, adversary: AdversaryModel | None,
-                       seed=None):
-    """An `observe` hook for run_dynamics that tampers with reported actions.
-
-    Messages here are the actions opponents report having played, as
-    action indices: constant-injection pins a compromised agent's reported
-    action to index round(value); sign-flip reports the index-reversed
-    action k - 1 - a; replay reports the action from `lag` steps back;
-    channel-drop withholds the report, so observers hold the last index they
-    saw. Draws come from a dedicated generator, leaving the learning stream
-    untouched.
-    """
-    attack_rng = np.random.default_rng([0 if seed is None else seed, 0xAD])
-    history = []                     # true profiles per step
-    last_seen = {}                   # (observer, sender) -> last reported index
-    state = {"t": None, "dropped": None}
-
-    def observe(t, observer, profile):
-        if len(history) < t:
-            history.append(tuple(profile))
-        if adversary is None or not adversary.active_at(t - 1):
-            return profile
-        if state["t"] != t:          # one drop draw per sender per step
-            state["t"] = t
-            if adversary.kind == "channel-drop":
-                state["dropped"] = {s: attack_rng.random() < adversary.drop_prob
-                                    for s in adversary.compromised}
-        seen = list(profile)
-        for s in adversary.compromised:
-            if s == observer:
-                continue
-            k = len(game.actions[s])
-            if adversary.kind == "constant-injection":
-                seen[s] = min(max(int(round(adversary.value)), 0), k - 1)
-            elif adversary.kind == "sign-flip":
-                seen[s] = k - 1 - profile[s]
-            elif adversary.kind == "replay":
-                seen[s] = history[max(0, t - 1 - adversary.lag)][s]
-            elif state["dropped"].get(s, False):     # channel-drop
-                seen[s] = last_seen.get((observer, s), profile[s])
-                continue
-            last_seen[(observer, s)] = seen[s]
-        return tuple(seen)
-
-    return observe
-
-
-def run_adversarial_dynamics(game: StrategicGame, specs, horizon: int,
-                             adversary: AdversaryModel | None, seed=None,
-                             signal_schedule=None) -> Trace:
-    """run_dynamics with the reported-action channel under attack.
-
-    A None adversary reproduces the plain run bit-identically (the corruption
-    layer draws from its own generator and never touches the learning one).
-    """
-    observe = corrupted_observer(game, adversary, seed) if adversary is not None else None
-    return run_dynamics(game, specs, horizon, seed=seed,
-                        signal_schedule=signal_schedule, observe=observe)

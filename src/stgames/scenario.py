@@ -412,8 +412,8 @@ def _v_ttscale(node, path):
         raise CapacityError(f"{path}: {steps} learning steps (outer_steps x "
                             f"epoch_length) exceed {MAX_LEARN_STEPS}")
     inputs = {"game": game, "specs": specs,
-              "coordinator": CoordinatorPolicy(coordinator["kind"],
-                                               tuple(coordinator["candidates"])),
+              "coordinator": _make(cpath, CoordinatorPolicy, coordinator["kind"],
+                                   tuple(coordinator["candidates"])),
               "outer_steps": block["outer_steps"],
               "epoch_length": block["epoch_length"],
               "admissible": None, "incentives": None, "initial_signal": None}
@@ -631,6 +631,8 @@ def _v_resilience(node, path):
             value=rec.get("value", 0.0), lag=rec.get("lag", 1),
             drop_prob=rec.get("drop_prob", 0.5),
             window=tuple(rec.get("window", (0, block["horizon"]))))
+        if len(rec["agents"]) == n:          # distinct ids, each in range
+            _fail(f"{apath}.agents", "at least one honest agent required")
     trust = node.get("trust", "uniform")
     if isinstance(trust, str):
         block["trust"] = _need_str(trust, f"{path}.trust", ("uniform",))

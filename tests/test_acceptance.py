@@ -28,8 +28,7 @@ from stgames.incentives import (BudgetSpec, budget_check, design_incentive,
 from stgames.learning import LearnerSpec, diagnostics, run_dynamics
 from stgames.matching import MatchingMarket, deferred_acceptance, enumerate_stable
 from stgames.resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
-                                TrustMatrix, run_adversarial_dynamics,
-                                run_consensus_scenario)
+                                TrustMatrix, run_consensus_scenario)
 from stgames.scenario import parse_scenario, record_to_jsonl, run_scenario
 from stgames.strategic import StrategicGame, is_nash
 
@@ -500,19 +499,8 @@ def test_criterion_12_resilient_consensus(capsys):
                                            adv, seed=seed)
             assert naive.values[:, :4].max() > hi + 1e-9
 
-        # nominal equivalence, learning side: the corruption wrapper with no
-        # adversary reproduces the plain trace bit for bit
-        specs = [LearnerSpec("fictitious-play"),
-                 LearnerSpec("smoothed-best-response")]
-        plain = run_dynamics(PD, specs, 80, seed=12)
-        wrapped = run_adversarial_dynamics(PD, specs, 80, None, seed=12)
-        assert np.array_equal(plain.actions, wrapped.actions)
-        for i in range(2):
-            assert np.array_equal(plain.policies[i], wrapped.policies[i])
-            assert np.array_equal(plain.estimates[i], wrapped.estimates[i])
-
-        # nominal equivalence, consensus side: no adversary, no trimming,
-        # uniform fixed trust is plain averaging bit for bit
+        # nominal equivalence: no adversary, no trimming and uniform fixed
+        # trust is plain averaging bit for bit
         rng = np.random.default_rng(99)
         x = rng.normal(0.0, 2.0, size=6)
         run = run_consensus_scenario(

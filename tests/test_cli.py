@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -109,6 +110,27 @@ def test_step_caps_exit_before_running(tmp_path, capsys, kind, update, code, mes
     path.write_text(yaml.safe_dump(doc))
     assert cli.main([kind, "--config", str(path), "--quiet"]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, update, path", [
+    ("resilience", {"initial_values": [0.0, 1.0, 0.5],
+                    "adversary": {"agents": [0, 1, 2], "kind": "sign-flip"}},
+     "resilience.adversary.agents"),
+    ("ttscale", {"coordinator": {"kind": "round-robin",
+                                 "candidates": ["lo", "lo", "hi"]}},
+     "ttscale.coordinator"),
+    ("learn", {"learners": [{"kind": "fictitious-play", "initial_policy": [0.7, 0.7]},
+                            {"kind": "fictitious-play"}]},
+     "learn.learners[0]"),
+], ids=["all-compromised", "repeated-candidate", "not-a-distribution"])
+def test_run_time_faults_exit_1_with_a_path(tmp_path, capsys, kind, update, path):
+    doc = yaml.safe_load(pathlib.Path(fx(kind)).read_text())
+    doc[kind].update(update)
+    config = tmp_path / f"{kind}.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert cli.main([kind, "--config", str(config), "--quiet"]) == cli.EXIT_USAGE
+    assert re.search(rf"^error: {re.escape(path)}: ", capsys.readouterr().err,
+                     re.MULTILINE)
 
 
 def test_lp_capacity_exits_before_allocating(tmp_path):

@@ -9,6 +9,9 @@ that alone.
 Every process compiles and imports each module it loads, so no module of
 the library (bar `__init__.py`, which re-exports) imports a name it never
 uses.
+
+A name a kind does not reach is allowed only as a helper the test oracles
+read, so every allowed name is read by some other test file.
 """
 
 import ast
@@ -16,11 +19,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stgames"
 
-# no kind reaches these: small helpers the test oracles use, and adversarial
-# learning until `learn` takes an adversary block
+# no kind reaches these: small helpers the test oracles use
 ALLOWED = {"in_core", "excess", "members", "best_responses",
-           "apply_admissible_sets",
-           "corrupted_observer", "run_adversarial_dynamics"}
+           "apply_admissible_sets"}
 
 
 def _bindings(tree):
@@ -64,6 +65,15 @@ def test_every_public_name_is_reached_from_a_kind():
     assert unreached - ALLOWED == set(), "wire these into a kind or delete them"
     # a name that a kind now reaches, or that is gone, leaves the list
     assert ALLOWED - unreached == set(), "drop these from ALLOWED"
+
+
+def test_every_allowed_name_is_read_by_another_test():
+    here = Path(__file__).resolve()
+    read = set()
+    for path in here.parent.glob("test_*.py"):
+        if path != here:
+            read.update(_mentions(ast.parse(path.read_text())))
+    assert ALLOWED - read == set(), "no test reads these: delete them"
 
 
 def _unused_imports(tree):

@@ -115,6 +115,10 @@ BAD = [
     pytest.param(lambda: CoordinatorPolicy(kind="greedy", candidates=()),
                  ValueError, "candidate set must be nonempty",
                  id="CoordinatorPolicy"),
+    # round-robin would find the first copy of "lo" again and never reach "hi"
+    pytest.param(lambda: CoordinatorPolicy(kind="round-robin",
+                                           candidates=("lo", "lo", "hi")),
+                 ValueError, "repeated candidates", id="CoordinatorPolicy-repeated"),
     pytest.param(lambda: AdversaryModel(compromised=(0,), kind="replay", lag=0),
                  ValueError, "replay lag must be >= 1", id="AdversaryModel"),
     pytest.param(lambda: TrustMatrix(weights=np.eye(2) * 0.5,

@@ -1,5 +1,4 @@
-"""Byzantine message corruption, trust reweighting, trimmed consensus and
-the attacked-observation wrapper for learning runs."""
+"""Byzantine message corruption, trust reweighting and trimmed consensus."""
 
 import time
 
@@ -7,18 +6,10 @@ import numpy as np
 import pytest
 
 from stgames import resilience
-from stgames.learning import LearnerSpec, run_dynamics
 from stgames.resilience import (KINDS, AdversaryModel, ConsensusScenario,
                                 DefenseSpec, TrustMatrix, corrupt_reports,
-                                corrupted_observer, run_adversarial_dynamics,
                                 run_consensus_scenario, trimmed_consensus_step,
                                 update_trust)
-from stgames.strategic import StrategicGame
-
-PD = StrategicGame.single(
-    (("C", "D"), ("C", "D")),
-    {("C", "C"): (3, 3), ("C", "D"): (0, 5),
-     ("D", "C"): (5, 0), ("D", "D"): (1, 1)})
 
 
 def scenario(values):
@@ -225,60 +216,6 @@ def test_channel_drop_consensus_still_converges():
     again = run_consensus_scenario(scenario(x), 60, DefenseSpec(trim_f=0),
                                    adv, seed=5)
     assert np.array_equal(run.values, again.values)
-
-
-def test_observer_corruption_kinds():
-    # profiles are action indices: 0 is "C", 1 is "D"
-    pin = corrupted_observer(PD, AdversaryModel((1,), "constant-injection",
-                                                value=0.0), seed=0)
-    assert pin(1, 0, (1, 1)) == (1, 0)
-    # the compromised agent still sees its own action truthfully
-    assert pin(2, 1, (1, 1)) == (1, 1)
-
-    flip = corrupted_observer(PD, AdversaryModel((0,), "sign-flip"), seed=0)
-    assert flip(1, 1, (0, 1)) == (1, 1)
-    assert flip(2, 1, (1, 0)) == (0, 0)
-
-    echo = corrupted_observer(PD, AdversaryModel((1,), "replay", lag=1), seed=0)
-    assert echo(1, 0, (0, 1)) == (0, 1)     # nothing older to echo
-    assert echo(2, 0, (1, 0)) == (1, 1)     # reports last step's action
-
-    # seed 2's attack stream draws (0.81, 0.04): transmit, then drop
-    stale = corrupted_observer(PD, AdversaryModel((1,), "channel-drop",
-                                                  drop_prob=0.5), seed=2)
-    assert stale(1, 0, (0, 1)) == (0, 1)    # delivered and recorded
-    assert stale(2, 0, (0, 0)) == (0, 1)    # dropped: holds stale "D"
-
-
-def test_zero_adversary_is_bit_identical():
-    specs = [LearnerSpec("fictitious-play"), LearnerSpec("smoothed-best-response")]
-    plain = run_dynamics(PD, specs, 60, seed=7)
-    wrapped = run_adversarial_dynamics(PD, specs, 60, None, seed=7)
-    assert np.array_equal(plain.actions, wrapped.actions)
-    assert np.array_equal(plain.payoffs, wrapped.payoffs)
-    for i in range(2):
-        assert np.array_equal(plain.policies[i], wrapped.policies[i])
-        assert np.array_equal(plain.estimates[i], wrapped.estimates[i])
-
-    # an armed but never-active adversary also leaves the run untouched
-    dormant = AdversaryModel((1,), "sign-flip", window=(10 ** 6, 10 ** 6 + 5))
-    idle = run_adversarial_dynamics(PD, specs, 60, dormant, seed=7)
-    assert np.array_equal(plain.actions, idle.actions)
-    for i in range(2):
-        assert np.array_equal(plain.policies[i], idle.policies[i])
-
-
-def test_injection_poisons_estimates_not_payoffs():
-    # reports pin agent 1 to "C" while it actually defects
-    adv = AdversaryModel((1,), "constant-injection", value=0.0)
-    specs = [LearnerSpec("best-response"), LearnerSpec("best-response")]
-    trace = run_adversarial_dynamics(PD, specs, 80, adv, seed=3)
-    # counterfactuals against the faked "C": agent 0 believes D earns 5
-    assert trace.estimates[0][-1] == pytest.approx([3.0, 5.0])
-    assert (trace.actions[-10:, 1] == 1).all()
-    # realized payoffs follow true play, mutual defection worth 1 each
-    assert trace.payoffs[-1] == pytest.approx([1.0, 1.0])
-    assert trace.payoffs[-1][0] == PD.payoff(trace.actions[-1])[0]
 
 
 def test_consensus_of_64_agents_within_budget():

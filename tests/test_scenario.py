@@ -116,6 +116,17 @@ def test_schema_error_paths_are_dotted():
     no_route["wardrop"]["destination"] = "nowhere"
     many_values = fixture("resilience")
     many_values["resilience"]["initial_values"] = [0.5] * 65
+    # a run would fail on these three without a path
+    every_agent = fixture("resilience")
+    every_agent["resilience"]["initial_values"] = [0.0, 1.0, 0.5]
+    every_agent["resilience"]["adversary"] = {"agents": [0, 1, 2], "kind": "sign-flip"}
+    repeated_candidate = fixture("ttscale")
+    repeated_candidate["ttscale"]["coordinator"] = {"kind": "round-robin",
+                                                    "candidates": ["lo", "lo", "hi"]}
+    not_a_distribution = fixture("learn")
+    not_a_distribution["learn"]["learners"][0]["initial_policy"] = [0.7, 0.7]
+    negative_policy = fixture("ttscale")
+    negative_policy["ttscale"]["learners"][1]["initial_policy"] = [1.5, -0.5]
     for doc, path in ((nan_payoff, "nash.game.payoffs[1].values[0]"),
                       (inf_slope, "wardrop.edges[0].b"),
                       (nan_value, "coop.values[0].value"),
@@ -133,7 +144,11 @@ def test_schema_error_paths_are_dotted():
                       (incentive_twice, "ttscale.incentives[2]"),
                       (wide_trim, "resilience.defense.trim"),
                       (no_route, "wardrop"),
-                      (many_values, "resilience.initial_values")):
+                      (many_values, "resilience.initial_values"),
+                      (every_agent, "resilience.adversary.agents"),
+                      (repeated_candidate, "ttscale.coordinator"),
+                      (not_a_distribution, "learn.learners[0]"),
+                      (negative_policy, "ttscale.learners[1]")):
         with pytest.raises(SchemaError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert err.value.path == path
