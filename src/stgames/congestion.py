@@ -67,30 +67,31 @@ def enumerate_paths(network: CongestionNetwork):
     """Acyclic origin-destination paths as edge-index tuples, DFS order.
 
     Neighbors are explored in edge-declaration order; more than 32 paths is a
-    capacity error, zero paths a ValueError.
+    capacity error, zero paths a ValueError. The walk keeps its own stack,
+    so a path may have any number of edges.
     """
     by_tail = {}
     for idx, e in enumerate(network.edges):
         by_tail.setdefault(e.tail, []).append(idx)
-    paths = []
-
-    def walk(node, visited, trail):
-        if node == network.destination:
-            paths.append(tuple(trail))
+    paths, trail, visited = [], [], {network.origin}
+    # the out-edges still to try at each node of the trail, origin first
+    stack = [iter(by_tail.get(network.origin, ()))]
+    while stack:
+        idx = next(stack[-1], None)
+        if idx is None:
+            stack.pop()
+            if trail:
+                visited.remove(network.edges[trail.pop()].head)
+            continue
+        head = network.edges[idx].head
+        if head == network.destination:
+            paths.append(tuple(trail) + (idx,))
             if len(paths) > MAX_PATHS:
                 raise CapacityError(f"more than {MAX_PATHS} paths")
-            return
-        for idx in by_tail.get(node, ()):
-            head = network.edges[idx].head
-            if head in visited:
-                continue
+        elif head not in visited:
             visited.add(head)
             trail.append(idx)
-            walk(head, visited, trail)
-            trail.pop()
-            visited.remove(head)
-
-    walk(network.origin, {network.origin}, [])
+            stack.append(iter(by_tail.get(head, ())))
     if not paths:
         raise ValueError("no origin-destination path exists")
     return tuple(paths)

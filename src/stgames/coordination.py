@@ -112,7 +112,6 @@ class EpochRecord(NamedTuple):
 
 class TwoTimescaleResult(NamedTuple):
     epochs: list
-    traces: list                 # per-epoch Trace
     final_signal: str
     final_state: LearningState
 
@@ -160,7 +159,7 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
     signal = initial_signal if initial_signal is not None else coordinator.candidates[0]
     played.resolve_signal(signal)
     state = LearningState.fresh(game, specs)
-    epochs, traces = [], []
+    epochs = []
     digest = None
     for k in range(outer_steps):
         if k > 0:
@@ -177,8 +176,7 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
         digest = EpochDigest(signal, freqs, float(mean_pay.sum()),
                              tuple(float(v) for v in mean_pay))
         epochs.append(EpochRecord(k, signal, digest))
-        traces.append(trace)
-    return TwoTimescaleResult(epochs, traces, signal, state)
+    return TwoTimescaleResult(epochs, signal, state)
 
 
 # --- Stackelberg signal selection ---------------------------------------------

@@ -19,7 +19,8 @@ Kinds:
 
 Observation model: agents see their own realized payoff and the opponents'
 realized actions. Identical (game, specs, horizon, seed) reproduce traces
-bit-identically.
+bit-identically. A trace keeps every step's signal, actions and payoffs,
+and the policies and estimates of the last step only (its final state).
 
 Actions are integer indices into the payoff tables, in the trace and in
 the updates alike; action labels stay in `game.actions`. Inside
@@ -36,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ComputationError
 from .strategic import StrategicGame, contract_others, mixed_gap
 
 KINDS = ("best-response", "smoothed-best-response", "fictitious-play",
@@ -201,15 +203,7 @@ class Trace(NamedTuple):
     signals: list            # signal label per step
     actions: np.ndarray      # horizon x n action indices
     payoffs: np.ndarray      # horizon x n realized payoffs
-    policies: list           # per agent: (horizon x k) policy after each step
-    estimates: list          # per agent: (horizon x k) estimate after each step
     final_state: LearningState
-
-
-def _rows(buffer: array.array, horizon: int, dtype=float) -> np.ndarray:
-    """A flat history buffer as an array of `horizon` rows that owns its
-    data, so the growable buffer is freed."""
-    return np.frombuffer(buffer, dtype=dtype).reshape(horizon, -1).copy()
 
 
 def _frequencies(tally, total: float) -> list:
@@ -250,7 +244,10 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
     exactly horizon * n doubles and two runs sharing one `rng` see the same
     doubles as one run over both horizons. All validation, including the
     signal schedule of every step, happens before the first draw, so a run
-    that raises leaves a passed `rng` untouched.
+    that fails validation leaves a passed `rng` untouched. A run whose
+    policies or estimates stop being finite (an overflowing update, such as
+    `q / tau` at a tiny temperature) raises `ComputationError` after its
+    draws.
     """
     if len(specs) != game.n_agents:
         raise ValueError(f"need {game.n_agents} learner specs, got {len(specs)}")
@@ -276,12 +273,9 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
     tables = {sig: list(game.payoffs[sig]) for sig in dict.fromkeys(signals)}
     fictitious = any(spec.kind == "fictitious-play" for spec in specs)
     freqs = None
-    # growable flat buffers of C int64 / doubles, one row per step
-    actions = array.array("q")
-    est_hist = [array.array("d") for _ in range(n)]
-    pol_hist = [array.array("d") for _ in range(n)]
-    learners = [(i, spec, spec.payoff_rate.at, spec.policy_rate.at,
-                 est_hist[i], pol_hist[i]) for i, spec in enumerate(specs)]
+    actions = array.array("q")       # flat C int64, one row of n per step
+    learners = [(i, spec, spec.payoff_rate.at, spec.policy_rate.at)
+                for i, spec in enumerate(specs)]
     for t, sig, u in zip(range(t0 + 1, t0 + horizon + 1), signals,
                          _uniform_rows(rng, horizon, n)):
         table = tables[sig]
@@ -296,7 +290,7 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
         if fictitious:
             freqs = [_frequencies(tally, total)
                      for tally, total in zip(counts, totals)]
-        for i, spec, payoff_rate, policy_rate, est, pol in learners:
+        for i, spec, payoff_rate, policy_rate in learners:
             q = step_payoff_estimate(
                 estimates[i],
                 estimation_target(spec, i, table[i], estimates[i], idx, freqs),
@@ -304,21 +298,23 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
             pi = step_policy(spec, policies[i], q, policy_rate(t))
             estimates[i] = q
             policies[i] = pi
-            est.fromlist(q)
-            pol.fromlist(pi)
+    # a non-finite coordinate stays non-finite under these updates, so the
+    # final vectors show whether any step overflowed
+    for i, (pi, q) in enumerate(zip(policies, estimates)):
+        if not np.isfinite(pi + q).all():
+            raise ComputationError(f"agent {i}: policy or estimate is not "
+                                   f"finite after step {t0 + horizon}")
     state.t = t0 + horizon
     for c, tally in zip(state.counts, counts):
         c[:] = tally
     state.policies = [np.array(p) for p in policies]
     state.estimates = [np.array(q) for q in estimates]
-    actions = _rows(actions, horizon, np.int64)
+    actions = np.frombuffer(actions, dtype=np.int64).reshape(horizon, n).copy()
     payoffs = np.zeros((horizon, n))
     for sig in tables:
         rows = np.array([s == sig for s in signals])
         payoffs[rows] = game.payoffs[sig][(slice(None),) + tuple(actions[rows].T)].T
-    return Trace(signals, actions, payoffs,
-                 [_rows(h, horizon) for h in pol_hist],
-                 [_rows(h, horizon) for h in est_hist], state)
+    return Trace(signals, actions, payoffs, state)
 
 
 class Diagnostics(NamedTuple):

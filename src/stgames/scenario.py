@@ -408,7 +408,7 @@ def _v_ttscale(node, path):
              "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1, 10 ** 6),
              "coordinator": coordinator}
     steps = block["outer_steps"] * block["epoch_length"]
-    if steps > MAX_LEARN_STEPS:                # every epoch's trace is kept
+    if steps > MAX_LEARN_STEPS:                # bounds the run time
         raise CapacityError(f"{path}: {steps} learning steps (outer_steps x "
                             f"epoch_length) exceed {MAX_LEARN_STEPS}")
     inputs = {"game": game, "specs": specs,
@@ -456,10 +456,9 @@ def _v_ttscale(node, path):
             if "signal" in entry:
                 rec["signal"] = sig
             entries.append(rec)
-            one = IncentiveSchedule.on_profile(
-                game, profile_index(game.actions, rec["profile"]), rec["values"],
-                signal=sig)
-            incentives.transfers[sig] += one.transfers[sig]
+            # each cell is written once, to 0.0 + value
+            incentives.transfers[sig][(slice(None),) + profile_index(
+                game.actions, rec["profile"])] += rec["values"]
         block["incentives"] = entries
         inputs["incentives"] = incentives
     return block, inputs

@@ -404,3 +404,31 @@ def test_coalition_pair_checks_exit_3_at_once(tmp_path, capsys, agents, step):
                    "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
     assert cli.main(["coop", "--config", str(doc), "--quiet"]) == cli.EXIT_CAPACITY
     assert f"{step} check capped at 14 agents" in capsys.readouterr().err
+
+
+def test_long_wardrop_chain_exits_0(tmp_path, capsys):
+    # the only path has 1,200 edges; a walk that recursed once per edge
+    # died here with a RecursionError traceback
+    edges = "".join(f"    - {{tail: n{k}, head: n{k + 1}, a: 1.0, b: 0.5}}\n"
+                    for k in range(1200))
+    doc = tmp_path / "chain.yaml"
+    doc.write_text("kind: wardrop\nwardrop:\n  origin: n0\n  destination: n1200\n"
+                   f"  demand: 1.0\n  edges:\n{edges}")
+    assert cli.main(["wardrop", "--config", str(doc), "--quiet"]) == cli.EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_learning_that_stops_being_finite_exits_2(tmp_path, capsys):
+    # q / tau overflows at this temperature, which the schema accepts, and
+    # the policies become NaN
+    doc = yaml.safe_load(pathlib.Path(fx("learn")).read_text())
+    doc["learn"]["horizon"] = 5
+    doc["learn"]["learners"][0] = {"kind": "smoothed-best-response",
+                                   "temperature": 1e-320}
+    config = tmp_path / "learn.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert cli.main(["learn", "--config", str(config), "--quiet"]) == cli.EXIT_COMPUTATION
+    err = capsys.readouterr().err
+    assert re.search(r"^error: agent 0: policy or estimate is not finite", err,
+                     re.MULTILINE)
+    assert "Traceback" not in err

@@ -179,6 +179,67 @@ def test_path_capacity():
         enumerate_paths(CongestionNetwork.of(edges, "o", "d", 1.0))
 
 
+def recursive_paths(network):
+    """The recursive walk `enumerate_paths` replaced, kept as its
+    reference: one call per edge of the trail."""
+    by_tail = {}
+    for idx, e in enumerate(network.edges):
+        by_tail.setdefault(e.tail, []).append(idx)
+    paths = []
+
+    def walk(node, visited, trail):
+        if node == network.destination:
+            paths.append(tuple(trail))
+            if len(paths) > 32:
+                raise CapacityError("more than 32 paths")
+            return
+        for idx in by_tail.get(node, ()):
+            head = network.edges[idx].head
+            if head in visited:
+                continue
+            visited.add(head)
+            trail.append(idx)
+            walk(head, visited, trail)
+            trail.pop()
+            visited.remove(head)
+
+    walk(network.origin, {network.origin}, [])
+    if not paths:
+        raise ValueError("no origin-destination path exists")
+    return tuple(paths)
+
+
+def _outcome(enumerate_fn, network):
+    try:
+        return enumerate_fn(network)
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_path_enumeration_matches_recursive_walk():
+    # random digraphs with parallel edges, self-loops and cycles, from
+    # pathless to over the cap
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(400):
+        nodes = int(rng.integers(2, 9))
+        names = ["o", "d"] + [f"n{k}" for k in range(nodes - 2)]
+        edges = [(names[int(rng.integers(nodes))], names[int(rng.integers(nodes))],
+                  1.0, 0.0) for _ in range(int(rng.integers(1, 5 * nodes)))]
+        net = CongestionNetwork.of(edges, "o", "d", 1.0)
+        want = _outcome(recursive_paths, net)
+        assert _outcome(enumerate_paths, net) == want
+        seen.add(want[0] if isinstance(want[0], type) else len(want) > 1)
+    assert seen == {CapacityError, ValueError, True, False}
+
+
+def test_long_chain_enumerates_without_recursion():
+    edges = [(f"n{k}", f"n{k + 1}", 1.0, 0.0) for k in range(5000)]
+    chain = CongestionNetwork.of(edges + [("n0", "n5000", 9.0, 0.0)],
+                                 "n0", "n5000", 1.0)
+    assert enumerate_paths(chain) == (tuple(range(5000)), (5000,))
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         Edge("o", "d", -1.0, 0.0)

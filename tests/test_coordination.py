@@ -1,6 +1,7 @@
 """Slow-coordinator / fast-learner loop and leader-follower choice."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,22 +86,43 @@ def test_coordinator_kinds():
         CoordinatorPolicy("greedy", ())
 
 
-def test_single_epoch_is_plain_dynamics():
+def test_single_epoch_is_plain_dynamics(recorder):
     g = two_signal_pd()
     specs = [LearnerSpec("fictitious-play"),
              LearnerSpec("smoothed-best-response")]
     result = run_two_timescale(
         g, specs, CoordinatorPolicy("constant", ("lo",)),
         outer_steps=1, epoch_length=40, seed=12)
+    [epoch_trace] = recorder.traces
+    epoch_policies = recorder.histories(epoch_trace)[0]
     direct = run_dynamics(g, specs, 40, seed=12,
                           signal_schedule=lambda t: "lo")
-    epoch_trace = result.traces[0]
+    direct_policies = recorder.histories(direct)[0]
     assert np.array_equal(epoch_trace.actions, direct.actions)
     assert np.array_equal(epoch_trace.payoffs, direct.payoffs)
     for i in range(2):
-        assert np.array_equal(epoch_trace.policies[i], direct.policies[i])
+        assert np.array_equal(epoch_policies[i], direct_policies[i])
         assert np.array_equal(result.final_state.policies[i],
                               direct.final_state.policies[i])
+
+
+def test_result_holds_no_per_step_history():
+    # the result keeps epoch digests and the final state only; keeping
+    # every epoch's trace held about 1 MB here
+    g = two_signal_pd()
+    specs = [LearnerSpec("smoothed-best-response")] * 2
+    coordinator = CoordinatorPolicy("round-robin", ("lo", "hi"))
+    # a short run first, so what numpy builds on first use is not counted
+    run_two_timescale(g, specs, coordinator, outer_steps=2, epoch_length=10, seed=2)
+    tracemalloc.start()
+    try:
+        result = run_two_timescale(g, specs, coordinator, outer_steps=10,
+                                   epoch_length=1000, seed=2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.epochs) == 10
+    assert held < 0.1 * 2 ** 20
 
 
 def test_greedy_coordinator_locks_better_signal():

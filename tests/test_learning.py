@@ -216,7 +216,7 @@ def test_softmax_extremes():
     assert flat == pytest.approx([1 / 3] * 3, abs=1e-3)
 
 
-def test_trace_matches_manual_replay():
+def test_trace_matches_manual_replay(recorder):
     g = pennies()
     combos = [
         [LearnerSpec("fictitious-play"),
@@ -229,14 +229,15 @@ def test_trace_matches_manual_replay():
     ]
     for seed, specs in enumerate(combos):
         trace = run_dynamics(g, specs, horizon=60, seed=seed)
+        policies, estimates = recorder.histories(trace)
         acts, pols, ests = manual_run(g, specs, 60, seed)
         assert np.array_equal(trace.actions, acts)
         for i in range(2):
-            assert trace.policies[i] == pytest.approx(pols[i], abs=1e-12)
-            assert trace.estimates[i] == pytest.approx(ests[i], abs=1e-12)
+            assert policies[i] == pytest.approx(pols[i], abs=1e-12)
+            assert estimates[i] == pytest.approx(ests[i], abs=1e-12)
 
 
-def test_same_seed_reproduces_bitwise():
+def test_same_seed_reproduces_bitwise(recorder):
     g = pennies()
     specs = [LearnerSpec("fictitious-play"),
              LearnerSpec("smoothed-best-response")]
@@ -244,34 +245,40 @@ def test_same_seed_reproduces_bitwise():
     t2 = run_dynamics(g, specs, horizon=200, seed=99)
     assert np.array_equal(t1.actions, t2.actions)
     assert np.array_equal(t1.payoffs, t2.payoffs)
+    p1, p2 = recorder.histories(t1)[0], recorder.histories(t2)[0]
     for i in range(2):
-        assert np.array_equal(t1.policies[i], t2.policies[i])
+        assert np.array_equal(p1[i], p2[i])
 
 
-def test_zero_rates_freeze_state():
+def test_zero_rates_freeze_state(recorder):
     g = pd_game()
     frozen = RateSchedule("constant", 0.0)
     specs = [LearnerSpec("best-response", payoff_rate=frozen,
                          policy_rate=frozen)] * 2
-    trace = run_dynamics(g, specs, horizon=30, seed=1)
+    policies, estimates = recorder.histories(
+        run_dynamics(g, specs, horizon=30, seed=1))
     for i in range(2):
-        assert np.all(trace.policies[i] == 0.5)
-        assert np.all(trace.estimates[i] == 0.0)
+        assert policies[i].shape == estimates[i].shape == (30, 2)
+        assert np.all(policies[i] == 0.5)
+        assert np.all(estimates[i] == 0.0)
 
 
-def test_run_continuation_equals_single_run():
+def test_run_continuation_equals_single_run(recorder):
     g = pennies()
     specs = [LearnerSpec("fictitious-play",
                          policy_rate=RateSchedule("harmonic", 1.0))] * 2
     full = run_dynamics(g, specs, horizon=15, seed=5)
+    full_policies = recorder.histories(full)[0]
 
     rng = np.random.default_rng(5)
     head = run_dynamics(g, specs, horizon=10, rng=rng)
+    recorder.histories(head)
     tail = run_dynamics(g, specs, horizon=5, rng=rng,
                         initial_state=head.final_state)
+    tail_policies = recorder.histories(tail)[0]
     assert np.array_equal(tail.actions, full.actions[10:])
     for i in range(2):
-        assert np.array_equal(tail.policies[i], full.policies[i][10:])
+        assert np.array_equal(tail_policies[i], full_policies[i][10:])
 
 
 def test_run_validation():
@@ -370,8 +377,10 @@ def test_gap_series_memory_does_not_grow_with_samples_times_grid():
 #
 # sha256 digests of whole runs, recorded from the label-space loop that the
 # index-space kernel replaced. Every array a run returns goes into its
-# digest, so any change to the random stream, the sampling order or the
-# update arithmetic, down to the last bit, changes it. The digests were
+# digest, and so does every step's policy and estimate vector (taken by the
+# `recorder` fixture, as runs keep only the last), so any change to the
+# random stream, the sampling order or the update arithmetic, down to the
+# last bit, changes it. The digests were
 # taken with numpy 2.4 and its bundled OpenBLAS on x86-64; a BLAS kernel
 # or an exp implementation that rounds differently changes them too.
 
@@ -419,43 +428,44 @@ def _digest(arrays, labels=()):
     return h.hexdigest()
 
 
-def _trace_arrays(trace):
-    return ([trace.actions, trace.payoffs] + list(trace.policies)
-            + list(trace.estimates) + list(trace.final_state.counts))
+def _trace_arrays(rec, trace):
+    policies, estimates = rec.histories(trace)
+    return ([trace.actions, trace.payoffs] + policies + estimates
+            + list(trace.final_state.counts))
 
 
-def _run_digest(game, trace):
+def _run_digest(rec, game, trace):
     diag = diagnostics(game, trace, gap_stride=7)
-    return _digest(_trace_arrays(trace)
+    return _digest(_trace_arrays(rec, trace)
                    + [diag.external_regret, diag.gap_series], trace.signals)
 
 
-def _lock_kind(kind, **kw):
+def _lock_kind(rec, kind, **kw):
     g = mixed_game()
-    return _run_digest(g, run_dynamics(g, [rated(kind, **kw)] * 2, 400,
-                                       seed=11))
+    return _run_digest(rec, g, run_dynamics(g, [rated(kind, **kw)] * 2, 400,
+                                            seed=11))
 
 
-def _lock_harmonic():
+def _lock_harmonic(rec):
     g = mixed_game()
     specs = [LearnerSpec("fictitious-play",
                          policy_rate=RateSchedule("harmonic", 1.0)),
              LearnerSpec("replicator",
                          payoff_rate=RateSchedule("harmonic", 0.8),
                          policy_rate=RateSchedule("harmonic", 0.5))]
-    return _run_digest(g, run_dynamics(g, specs, 400, seed=12))
+    return _run_digest(rec, g, run_dynamics(g, specs, 400, seed=12))
 
 
-def _lock_two_signal():
+def _lock_two_signal(rec):
     g = two_signal_mixed_game()
     specs = [rated("fictitious-play"),
              rated("smoothed-best-response", temperature=0.4)]
     trace = run_dynamics(g, specs, 400, seed=13,
                          signal_schedule=lambda t: ("lo", "hi", "hi")[t % 3])
-    return _run_digest(g, trace)
+    return _run_digest(rec, g, trace)
 
 
-def _lock_two_timescale():
+def _lock_two_timescale(rec):
     g = two_signal_mixed_game()
     specs = [rated("fictitious-play"), rated("replicator")]
     rule = AdmissibleSetRule({"hi": ((0, 2), (0, 1))})     # (a, c), (x, y)
@@ -464,44 +474,44 @@ def _lock_two_timescale():
                                outer_steps=5, epoch_length=60, seed=15,
                                admissible=rule)
     arrays = []
-    for trace in result.traces:
-        arrays += _trace_arrays(trace)
+    for trace in rec.traces:
+        arrays += _trace_arrays(rec, trace)
     state = result.final_state
     arrays += list(state.policies) + list(state.estimates) + list(state.counts)
     return _digest(arrays, [e.signal for e in result.epochs])
 
 
-def _lock_three_agents():
+def _lock_three_agents(rec):
     g = three_agent_game()
     specs = [rated("fictitious-play"), LearnerSpec("fictitious-play"),
              rated("smoothed-best-response", temperature=0.7)]
-    return _run_digest(g, run_dynamics(g, specs, 400, seed=16))
+    return _run_digest(rec, g, run_dynamics(g, specs, 400, seed=16))
 
 
-def _lock_long_horizon():
+def _lock_long_horizon(rec):
     # more steps than one block of pre-drawn uniforms
     g = mixed_game()
     specs = [LearnerSpec("fictitious-play",
                          policy_rate=RateSchedule("harmonic", 1.0)),
              rated("smoothed-best-response", temperature=0.5)]
-    return _run_digest(g, run_dynamics(g, specs, 9000, seed=17))
+    return _run_digest(rec, g, run_dynamics(g, specs, 9000, seed=17))
 
 
 LOCKED_RUNS = {
     "best-response": (
-        lambda: _lock_kind("best-response"),
+        lambda rec: _lock_kind(rec, "best-response"),
         "b5c74334602368375c5962de669d1c372f826868450f7e48e8fcc9a28821d5be"),
     "smoothed-best-response": (
-        lambda: _lock_kind("smoothed-best-response", temperature=0.6),
+        lambda rec: _lock_kind(rec, "smoothed-best-response", temperature=0.6),
         "035dae08ad718bc1064a266142ef4b6c0a5bd1c8043ba1be461ff5e68b9a77a4"),
     "fictitious-play": (
-        lambda: _lock_kind("fictitious-play"),
+        lambda rec: _lock_kind(rec, "fictitious-play"),
         "41cb614b3bf8649cc89a0f1cf40612e574c517162654a6ce3d8ca221a4edb7b2"),
     "replicator": (
-        lambda: _lock_kind("replicator"),
+        lambda rec: _lock_kind(rec, "replicator"),
         "a80e4caeb07bf155b15b2f99c7162a41aaaee217a67937ed9380e823ecf493da"),
     "payoff-estimation": (
-        lambda: _lock_kind("payoff-estimation", temperature=0.8),
+        lambda rec: _lock_kind(rec, "payoff-estimation", temperature=0.8),
         "1786d1075d805fc89127dd5d7bb0a684c45eb9a627bfc5b565b374f60d777769"),
     "harmonic": (
         _lock_harmonic,
@@ -522,6 +532,6 @@ LOCKED_RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(LOCKED_RUNS))
-def test_behaviour_lock(name):
+def test_behaviour_lock(name, recorder):
     run, expected = LOCKED_RUNS[name]
-    assert run() == expected
+    assert run(recorder) == expected

@@ -11,9 +11,11 @@ import pytest
 import yaml
 
 from stgames.errors import CapacityError, SchemaError
+from stgames.incentives import IncentiveSchedule
 from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table,
                               parse_scenario, record_to_csv, record_to_jsonl,
                               run_scenario, write_outputs)
+from stgames.strategic import profile_index
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -329,6 +331,28 @@ def test_ttscale_runner():
     assert s["final_signal"] == "hi"
     assert s["signal_sequence"] == ["lo", "hi", "hi", "hi"]
     assert s["final_welfare"] > 2.5
+
+
+def test_ttscale_incentives_match_one_schedule_per_entry():
+    # the transfers equal the sum of one zero schedule per entry, the way
+    # they were once built, down to the sign of zero
+    doc = yaml.safe_load((FIXTURES / "ttscale.yaml").read_text())
+    entries = [{"profile": ["a", "b"], "values": [1.5, -0.0], "signal": "lo"},
+               {"profile": ["a", "b"], "values": [-2.25, 1e-300], "signal": "hi"},
+               {"profile": ["b", "b"], "values": [0.1, 3], "signal": "lo"}]
+    doc["ttscale"]["incentives"] = entries
+    cfg = parse_scenario(yaml.safe_dump(doc))
+    game = cfg.payload["game"]
+    want = IncentiveSchedule.zero(game)
+    for e in entries:
+        one = IncentiveSchedule.on_profile(game, profile_index(game.actions, e["profile"]),
+                                           e["values"], signal=e["signal"])
+        for sig in want.transfers:
+            want.transfers[sig] += one.transfers[sig]
+    got = cfg.payload["incentives"].transfers
+    assert got.keys() == want.transfers.keys()
+    for sig in got:
+        assert got[sig].tobytes() == want.transfers[sig].tobytes()
 
 
 def test_stackelberg_runner():
