@@ -79,10 +79,11 @@ def _run_config(kind, path, seed, out_dir, fmt):
 
 def _run_one(kind, path, seed, out_dir, fmt):
     """Worker body; returns (path, exit code, (summary, written) or message,
-    warnings). Errors are returned, not raised, and every warning is kept,
-    so one config never hides the results of the others."""
+    warnings). Errors are returned, not raised, and each distinct warning
+    is kept once per config, so one config never hides the results of the
+    others and a warning repeated every step prints one line."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("default")
         try:
             code, outcome = EXIT_OK, _run_config(kind, path, seed, out_dir, fmt)
         except CapacityError as exc:

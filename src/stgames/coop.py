@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
+from ._np import np
 
 from .errors import CapacityError, ComputationError
 from .lp import LinearProgram, solve_lp

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from typing import NamedTuple
 
-import numpy as np
+from ._np import np
 
 from .incentives import IncentiveSchedule, modified_payoff
 from .learning import LearningState, run_dynamics

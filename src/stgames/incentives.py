@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
+from ._np import np
 
 from .errors import ComputationError
 from .strategic import (StrategicGame, _check_profile, counterfactual_payoffs,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import array
 from typing import NamedTuple
 
-import numpy as np
+from ._np import np
 
 from .errors import ComputationError
 from .strategic import StrategicGame, contract_others, mixed_gap

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
+from ._np import np
 
 KINDS = ("constant-injection", "sign-flip", "replay", "channel-drop")
 

@@ -23,12 +23,12 @@ import time
 import warnings
 from typing import NamedTuple
 
-import numpy as np
 import yaml
 
 from . import coop as coopmod
 from . import congestion as netmod
 from . import matching as matchmod
+from ._np import np
 from .coordination import (COORDINATOR_KINDS, STACKELBERG_MODES,
                            AdmissibleSetRule, CoordinatorPolicy,
                            run_two_timescale, stackelberg_solve)
@@ -365,8 +365,8 @@ def _v_nash(node, path):
 def _v_learn(node, path):
     _need_map(node, path, required=("game", "horizon", "learners"),
               optional=("signal_schedule", "gap_stride"))
-    game_block, game = _validate_game(node["game"], f"{path}.game")
     horizon = _need_int(node["horizon"], f"{path}.horizon", 1, MAX_LEARN_STEPS)
+    game_block, game = _validate_game(node["game"], f"{path}.game")
     blocks, specs = _validate_learners(node["learners"], f"{path}.learners", game)
     block = {"game": game_block, "horizon": horizon, "learners": blocks}
     schedule = None
@@ -677,15 +677,19 @@ class RunRecord(NamedTuple):
 
 
 def _py(value):
-    """Coerce numpy scalars/arrays into plain Python for serialization."""
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_py(v) for v in value.tolist()]
+    """Coerce numpy scalars/arrays into plain Python for serialization.
+
+    A plain value is told apart by its type's module, so it never loads
+    numpy."""
+    if type(value).__module__ == "numpy":
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
+        if isinstance(value, np.bool_):
+            return bool(value)
+        if isinstance(value, np.ndarray):
+            return [_py(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_py(v) for v in value]
     if isinstance(value, dict):
@@ -1000,25 +1004,49 @@ def _summary_rows(record: RunRecord):
     return rows
 
 
+def _csv_files(record: RunRecord):
+    """(stem suffix, lines) per CSV data file: summary plus one per table.
+
+    Each line ends in LF and is formatted only when it is read.
+    """
+    def summary():
+        yield "key,value\n"
+        for key, value in _summary_rows(record):
+            if isinstance(value, (list, dict)):
+                value = json.dumps(_json_value(_py(value)), sort_keys=True)
+            yield f"{_csv_cell(key)},{_csv_cell(value)}\n"
+
+    def table_lines(table):
+        yield ",".join(str(c) for c in table.columns) + "\n"
+        for row in table.rows:
+            yield ",".join(_csv_cell(v) for v in row) + "\n"
+
+    return [("summary", summary())] + [(t.name, table_lines(t)) for t in record.tables]
+
+
+def _jsonl_files(record: RunRecord):
+    """(stem suffix, lines) per JSON-lines data file, like `_csv_files`."""
+    header = {"kind": record.kind, "digest": record.digest,
+              "seed": record.seed, "summary": _py(record.summary),
+              "tables": [t.name for t in record.tables]}
+
+    def line(obj):
+        return json.dumps(_json_value(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def table_lines(table):
+        for row in table.rows:
+            yield line({str(c): _py(v) for c, v in zip(table.columns, row)})
+
+    return [("summary", [line(header)])] + [(t.name, table_lines(t)) for t in record.tables]
+
+
 def record_to_csv(record: RunRecord) -> dict:
     """CSV texts keyed by file stem suffix: summary plus one per table.
 
     Comma delimiter, dot decimal, header row, LF endings; an empty table
     yields a header-only file. Floats carry 17 significant digits.
     """
-    out = {}
-    lines = ["key,value"]
-    for key, value in _summary_rows(record):
-        if isinstance(value, (list, dict)):
-            value = json.dumps(_json_value(_py(value)), sort_keys=True)
-        lines.append(f"{_csv_cell(key)},{_csv_cell(value)}")
-    out["summary"] = "\n".join(lines) + "\n"
-    for table in record.tables:
-        lines = [",".join(str(c) for c in table.columns)]
-        for row in table.rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        out[table.name] = "\n".join(lines) + "\n"
-    return out
+    return {suffix: "".join(lines) for suffix, lines in _csv_files(record)}
 
 
 def record_to_jsonl(record: RunRecord) -> dict:
@@ -1029,20 +1057,12 @@ def record_to_jsonl(record: RunRecord) -> dict:
     reads back to the same double (`0.1`, not 17 digits), so parsing them
     back reproduces the doubles exactly.
     """
-    out = {}
-    header = {"kind": record.kind, "digest": record.digest,
-              "seed": record.seed, "summary": _py(record.summary),
-              "tables": [t.name for t in record.tables]}
-    out["summary"] = json.dumps(_json_value(header), sort_keys=True,
-                                separators=(",", ":")) + "\n"
-    for table in record.tables:
-        lines = []
-        for row in table.rows:
-            body = {str(c): _py(v) for c, v in zip(table.columns, row)}
-            lines.append(json.dumps(_json_value(body), sort_keys=True,
-                                    separators=(",", ":")))
-        out[table.name] = "\n".join(lines) + ("\n" if lines else "")
-    return out
+    return {suffix: "".join(lines) for suffix, lines in _jsonl_files(record)}
+
+
+# lines joined into one write: large enough to amortize each call, small
+# enough that no data file is ever held whole in memory
+_WRITE_BLOCK = 256
 
 
 def write_outputs(record: RunRecord, out_dir, stem, fmt="csv"):
@@ -1055,18 +1075,20 @@ def write_outputs(record: RunRecord, out_dir, stem, fmt="csv"):
     import os
 
     if fmt == "csv":
-        parts, ext = record_to_csv(record), "csv"
+        files, ext = _csv_files(record), "csv"
     elif fmt == "jsonl":
-        parts, ext = record_to_jsonl(record), "jsonl"
+        files, ext = _jsonl_files(record), "jsonl"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     try:
         os.makedirs(out_dir, exist_ok=True)
         paths = []
-        for suffix, text in parts.items():
+        for suffix, lines in files:
             path = os.path.join(out_dir, f"{stem}.{suffix}.{ext}")
+            lines = iter(lines)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                while block := "".join(itertools.islice(lines, _WRITE_BLOCK)):
+                    fh.write(block)
             paths.append(path)
         from . import __version__
 

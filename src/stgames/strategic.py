@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-import numpy as np
+from ._np import np
 
 from .errors import CapacityError
 

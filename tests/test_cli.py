@@ -180,11 +180,39 @@ def test_coop_at_12_agents_within_budget(tmp_path):
     assert summary["nucleolus_stages"] <= 11
 
 
-def one_worker_run_imports(kind, module):
-    """Exit code of a one-worker run of the `kind` fixture in a fresh
-    interpreter, and whether that run imported `module`."""
+def test_resilience_export_peak_rss(tmp_path):
+    # 64 agents over 10^4 rounds write a 13 MB values file. The writers
+    # stream it in blocks of lines; built whole, as one list of lines and
+    # then one string, it took the run from 69 MB to 102 MB of peak RSS
+    # (Python 3.11, numpy 2.4, x86-64 Linux). VmHWM is the child's own
+    # peak: ru_maxrss also counts the parent's memory at the fork.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc")
+    doc = tmp_path / "res.yaml"
+    doc.write_text(yaml.safe_dump({"kind": "resilience", "seed": 3, "resilience": {
+        "initial_values": {"random": {"n": 64}}, "horizon": 10 ** 4,
+        "defense": {"trim": 1},
+        "adversary": {"agents": [5], "kind": "constant-injection", "value": 100.0}}}))
+    script = ("import re; from stgames import cli; "
+              f"rc = cli.main(['resilience', '--config', {str(doc)!r}, "
+              f"'--out', {str(tmp_path / 'out')!r}, '--quiet']); "
+              "status = open('/proc/self/status').read(); "
+              r"print(rc, re.search(r'VmHWM:\s*(\d+) kB', status)[1])")
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kb = map(int, proc.stdout.split())
+    assert rc == cli.EXIT_OK
+    assert (tmp_path / "out" / "res.values.csv").stat().st_size > 10 ** 7
+    assert peak_kb < 85 * 1024
+
+
+def one_worker_run_imports(kind, module, config=None):
+    """Exit code of a one-worker run of `config` (default: the `kind`
+    fixture) in a fresh interpreter, and whether that run imported
+    `module`."""
     script = ("import sys; from stgames import cli; "
-              f"rc = cli.main([{kind!r}, '--config', {fx(kind)!r}, "
+              f"rc = cli.main([{kind!r}, '--config', {config or fx(kind)!r}, "
               "'--jobs', '1', '--quiet']); "
               f"print(rc, {module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
@@ -201,6 +229,49 @@ def test_one_worker_run_skips_dataclasses_import():
     # the library's records are NamedTuples and __slots__ classes, which
     # cost a fraction of what `dataclasses` spends building a class
     assert one_worker_run_imports("nash", "dataclasses") == ["0", "False"]
+
+
+# numpy is bound lazily (stgames/_np.py): `numpy._core` is imported only
+# once numpy itself executes
+
+def fresh_interpreter(script):
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_library_executes_no_numpy():
+    # fails on any module-level use of `np.`
+    assert fresh_interpreter("import sys, stgames, stgames.cli; "
+                             "print('numpy._core' in sys.modules)") == ["False"]
+
+
+def test_numpy_imported_first_is_the_module_the_library_uses():
+    assert fresh_interpreter("import sys, numpy, stgames; "
+                             "print(stgames._np.np is sys.modules['numpy'])") == ["True"]
+
+
+def test_match_run_executes_no_numpy():
+    assert one_worker_run_imports("match", "numpy._core") == ["0", "False"]
+
+
+@pytest.mark.parametrize("kind, update, code", [
+    ("nash", {"eps0": 1}, cli.EXIT_USAGE),            # unknown key
+    ("learn", {"horizon": 0}, cli.EXIT_USAGE),         # checked before the game
+    ("match", {"left": [list(range(9))] * 9}, cli.EXIT_CAPACITY),
+])
+def test_rejected_document_executes_no_numpy(tmp_path, kind, update, code):
+    doc = yaml.safe_load(pathlib.Path(fx(kind)).read_text())
+    doc[kind].update(update)
+    config = tmp_path / f"{kind}.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert one_worker_run_imports(kind, "numpy._core", str(config)) == [
+        str(code), "False"]
+
+
+def test_nash_run_executes_numpy():
+    assert one_worker_run_imports("nash", "numpy._core") == ["0", "True"]
 
 
 def test_traced_benchmark_binds_to_the_library(tmp_path):
@@ -384,6 +455,24 @@ def test_each_config_prints_its_own_warnings(tmp_path, capsys):
         assert '"skipped_signals": ["B"]' in out.out
         assert out.err.splitlines() == [
             f"warning: candidate 'B' has no pure equilibrium; skipped ({skip})"]
+
+
+def test_repeated_warning_prints_once_per_config(tmp_path, capsys):
+    # q / tau overflows at every step; each distinct warning prints once
+    doc = yaml.safe_load(pathlib.Path(fx("learn")).read_text())
+    doc["learn"]["horizon"] = 2000
+    doc["learn"]["learners"] = [{"kind": "smoothed-best-response",
+                                 "temperature": 1e-320}] * 2
+    config = tmp_path / "learn.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    for copies in (1, 2):
+        rc = cli.main(["learn", *["--config", str(config)] * copies, "--quiet"])
+        assert rc == cli.EXIT_COMPUTATION
+        err = capsys.readouterr().err.splitlines()
+        warned = [ln for ln in err if ln.startswith("warning: ")]
+        assert len(warned) == 2 * copies
+        assert len(set(warned)) == 2
+        assert all(ln.endswith(f" ({config})") for ln in warned)
 
 
 def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):

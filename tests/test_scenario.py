@@ -7,12 +7,13 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 import yaml
 
 from stgames.errors import CapacityError, SchemaError
 from stgames.incentives import IncentiveSchedule
-from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table,
+from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table, _py,
                               parse_scenario, record_to_csv, record_to_jsonl,
                               run_scenario, write_outputs)
 from stgames.strategic import profile_index
@@ -441,6 +442,51 @@ def test_jsonl_export_roundtrips_floats():
     empty = RunRecord("nash", "d", None, {}, (Table.of("t", ("a",), []),))
     assert record_to_jsonl(empty)["t"] == ""
     assert record_to_csv(empty)["t"] == "a\n"
+
+
+def reference_py(value):
+    """`_py` as it was before it checked a value's module first."""
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, np.ndarray):
+        return [reference_py(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [reference_py(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): reference_py(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(-3), np.int8(7), np.uint32(9), np.float64(0.1), np.float32(1.5),
+    np.bool_(True), np.bool_(False), np.arange(4), np.eye(2), np.array([True]),
+    np.zeros((2, 0)), [np.float64(2.5), (np.int32(1), [np.bool_(False)])],
+    {"a": np.arange(3.0), 2: {"b": np.int16(4)}, np.int64(5): "c"},
+    0, -7, 2.5, float("nan"), True, None, "text", [], (), {}, [1, (2.0, "x")],
+    {"k": [True, {"n": None}]},
+])
+def test_py_matches_reference(value):
+    got, want = _py(value), reference_py(value)
+    assert json.dumps(got) == json.dumps(want)
+    assert repr(got) == repr(want)
+
+
+def test_written_files_match_record_texts(tmp_path):
+    # tables longer than one write block, with quoted cells
+    rows = [(k, k / 7, f"a,{k}" if k % 3 else None, k % 2 == 0) for k in range(1000)]
+    rec = RunRecord("nash", "d", 3, {"x": [1.5, 2]},
+                    (Table.of("t", ("i", "v", "s", "b"), rows),
+                     Table.of("empty", ("a",), [])))
+    for fmt, texts in (("csv", record_to_csv(rec)), ("jsonl", record_to_jsonl(rec))):
+        paths = write_outputs(rec, tmp_path / fmt, "r", fmt=fmt)
+        assert [pathlib.Path(p).name for p in paths] == [
+            f"r.{suffix}.{fmt}" for suffix in ("summary", "t", "empty")] + ["r.meta.json"]
+        for path, suffix in zip(paths, texts):
+            assert pathlib.Path(path).read_bytes() == texts[suffix].encode("utf-8")
 
 
 def test_write_outputs_reruns_byte_identical(tmp_path):
