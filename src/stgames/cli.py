@@ -5,7 +5,9 @@ and shared output options. Exit codes: 0 success, 1 usage or schema problems,
 2 a computation that failed to converge or had no solution, 3 a capacity
 limit (problem too large for the implemented methods). Each config reports
 its own warnings and outcome (a summary line on stdout or an error line on
-stderr), and the exit code is the largest over the configs.
+stderr), and the exit code is the largest over the configs. With `--out`,
+configs whose result files would share a name are refused, exit 1, before
+any runs.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stem(path):
+    """The name a config's result files start with: its file name, less
+    the extension."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def _run_config(kind, path, seed, out_dir, fmt):
     """Parse, run and export one config; returns (summary dict, written paths)."""
     try:
@@ -72,8 +80,7 @@ def _run_config(kind, path, seed, out_dir, fmt):
     record = run_scenario(cfg)
     written = []
     if out_dir is not None:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        written = write_outputs(record, out_dir, stem, fmt=fmt)
+        written = write_outputs(record, out_dir, _stem(path), fmt=fmt)
     return record.summary, written
 
 
@@ -121,6 +128,17 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
+    if args.out is not None:
+        # configs that share a stem would overwrite each other's files,
+        # at once with several workers
+        first = {}
+        for path in args.config:
+            stem = _stem(path)
+            if stem in first:
+                print(f"error: configs {first[stem]} and {path} would both write "
+                      f"{os.path.join(args.out, stem)}.*", file=sys.stderr)
+                return EXIT_USAGE
+            first[stem] = path
     tasks = [(args.command, path, args.seed, args.out, args.format)
              for path in args.config]
     # The pool forks every worker up front: never more than there are

@@ -11,6 +11,10 @@ CSV, where floats carry 17 significant digits, or as JSON lines, where they
 carry the shortest repr that reads back to the same double; either way a
 parse-back is lossless. The record embeds a digest of the canonicalized
 config.
+
+The library modules are bound here as modules and their names read at call
+time (`stratmod.StrategicGame`), so importing this module executes none of
+them: a run executes only the modules its kind calls (see `_np.lazy`).
 """
 
 from __future__ import annotations
@@ -25,23 +29,16 @@ from typing import NamedTuple
 
 import yaml
 
-from . import coop as coopmod
 from . import congestion as netmod
+from . import coop as coopmod
+from . import coordination as coordmod
+from . import incentives as incmod
+from . import learning as learnmod
 from . import matching as matchmod
+from . import resilience as resmod
+from . import strategic as stratmod
 from ._np import np
-from .coordination import (COORDINATOR_KINDS, STACKELBERG_MODES,
-                           AdmissibleSetRule, CoordinatorPolicy,
-                           run_two_timescale, stackelberg_solve)
 from .errors import CapacityError, SchemaError
-from .incentives import BudgetSpec, IncentiveSchedule, design_incentive
-from .learning import KINDS as LEARNER_KINDS
-from .learning import (SCHEDULES, LearnerSpec, RateSchedule, diagnostics,
-                       run_dynamics)
-from .resilience import KINDS as ADVERSARY_KINDS
-from .resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
-                         TrustMatrix, run_consensus_scenario)
-from .strategic import (DEFAULT_SIGNAL, StrategicGame, enumerate_pure_nash,
-                        profile_index, welfare_and_poa)
 
 
 # learning steps one `learn` horizon, or one `ttscale` run over all its
@@ -239,7 +236,7 @@ def _validate_game(node, path):
         actions.append(labels)
     payoffs = node["payoffs"]
     if isinstance(payoffs, list):
-        tables = {DEFAULT_SIGNAL: _validate_profile_entries(
+        tables = {stratmod.DEFAULT_SIGNAL: _validate_profile_entries(
             payoffs, actions, f"{path}.payoffs")}
     elif isinstance(payoffs, dict):
         tables = {str(sig): _validate_profile_entries(
@@ -250,7 +247,7 @@ def _validate_game(node, path):
     block = {"actions": [list(a) for a in actions],
              "payoffs": {sig: {" ".join(k): v for k, v in table.items()}
                          for sig, table in tables.items()}}
-    return block, _make(f"{path}.payoffs", StrategicGame.from_tables,
+    return block, _make(f"{path}.payoffs", stratmod.StrategicGame.from_tables,
                         actions, tables)
 
 
@@ -258,17 +255,18 @@ def _validate_learner(node, path, n_actions):
     _need_map(node, path, required=("kind",),
               optional=("payoff_rate", "policy_rate", "temperature",
                         "initial_policy", "initial_estimate"))
-    block = {"kind": _need_str(node["kind"], f"{path}.kind", LEARNER_KINDS)}
+    block = {"kind": _need_str(node["kind"], f"{path}.kind", learnmod.KINDS)}
     spec = dict(block)
     for key in ("payoff_rate", "policy_rate"):
         if key in node:
             r = _need_map(node[key], f"{path}.{key}", required=("schedule",),
                           optional=("value",))
             block[key] = {"schedule": _need_str(r["schedule"], f"{path}.{key}.schedule",
-                                                SCHEDULES),
+                                                learnmod.SCHEDULES),
                           "value": _need_number(r.get("value", 1.0),
                                                 f"{path}.{key}.value", 0.0, 1.0)}
-            spec[key] = RateSchedule(block[key]["schedule"], block[key]["value"])
+            spec[key] = learnmod.RateSchedule(block[key]["schedule"],
+                                              block[key]["value"])
     if "temperature" in node:
         block["temperature"] = spec["temperature"] = _need_number(
             node["temperature"], f"{path}.temperature")
@@ -276,7 +274,7 @@ def _validate_learner(node, path, n_actions):
         if key in node:
             block[key] = _need_vector(node[key], f"{path}.{key}", n_actions)
             spec[key] = tuple(block[key])
-    return block, _make(path, LearnerSpec, **spec)
+    return block, _make(path, learnmod.LearnerSpec, **spec)
 
 
 def _validate_learners(node, path, game):
@@ -399,7 +397,8 @@ def _v_ttscale(node, path):
     blocks, specs = _validate_learners(node["learners"], f"{path}.learners", game)
     cpath = f"{path}.coordinator"
     coord = _need_map(node["coordinator"], cpath, required=("kind", "candidates"))
-    coordinator = {"kind": _need_str(coord["kind"], f"{cpath}.kind", COORDINATOR_KINDS),
+    coordinator = {"kind": _need_str(coord["kind"], f"{cpath}.kind",
+                                     coordmod.COORDINATOR_KINDS),
                    "candidates": [_need_signal(c, f"{cpath}.candidates[{i}]", game)
                                   for i, c in enumerate(_need_list(
                                       coord["candidates"], f"{cpath}.candidates", 1))]}
@@ -412,8 +411,8 @@ def _v_ttscale(node, path):
         raise CapacityError(f"{path}: {steps} learning steps (outer_steps x "
                             f"epoch_length) exceed {MAX_LEARN_STEPS}")
     inputs = {"game": game, "specs": specs,
-              "coordinator": _make(cpath, CoordinatorPolicy, coordinator["kind"],
-                                   tuple(coordinator["candidates"])),
+              "coordinator": _make(cpath, coordmod.CoordinatorPolicy,
+                                   coordinator["kind"], tuple(coordinator["candidates"])),
               "outer_steps": block["outer_steps"],
               "epoch_length": block["epoch_length"],
               "admissible": None, "incentives": None, "initial_signal": None}
@@ -440,10 +439,10 @@ def _v_ttscale(node, path):
             indices[sig] = tuple(tuple(map(game.actions[i].index, labels))
                                  for i, labels in enumerate(sets))
         block["admissible"] = allowed
-        inputs["admissible"] = AdmissibleSetRule(indices)
+        inputs["admissible"] = coordmod.AdmissibleSetRule(indices)
     if "incentives" in node:
         entries, seen = [], set()
-        incentives = IncentiveSchedule.zero(game)
+        incentives = incmod.IncentiveSchedule.zero(game)
         for i, entry in enumerate(_need_list(node["incentives"], f"{path}.incentives", 1)):
             epath = f"{path}.incentives[{i}]"
             _need_map(entry, epath, required=("profile", "values"), optional=("signal",))
@@ -457,7 +456,7 @@ def _v_ttscale(node, path):
                 rec["signal"] = sig
             entries.append(rec)
             # each cell is written once, to 0.0 + value
-            incentives.transfers[sig][(slice(None),) + profile_index(
+            incentives.transfers[sig][(slice(None),) + stratmod.profile_index(
                 game.actions, rec["profile"])] += rec["values"]
         block["incentives"] = entries
         inputs["incentives"] = incentives
@@ -473,7 +472,7 @@ def _v_stackelberg(node, path):
                                                    f"{path}.candidates", 1))]
     block = {"game": game_block, "candidates": candidates,
              "mode": _need_str(node.get("mode", "optimistic"), f"{path}.mode",
-                               STACKELBERG_MODES)}
+                               coordmod.STACKELBERG_MODES)}
     objective = None
     if "leader_objective" in node:
         lo, lpath = node["leader_objective"], f"{path}.leader_objective"
@@ -561,10 +560,11 @@ def _v_incentive(node, path):
     signal = _need_signal(node.get("signal"), f"{path}.signal", game)
     if "signal" in node:
         block["signal"] = signal
-    return block, {"game": game, "target": profile_index(game.actions, block["target"]),
-                   "baseline": profile_index(game.actions, block["baseline"]),
+    return block, {"game": game,
+                   "target": stratmod.profile_index(game.actions, block["target"]),
+                   "baseline": stratmod.profile_index(game.actions, block["baseline"]),
                    "signal": signal,
-                   "budget": _make(f"{path}.budget", BudgetSpec,
+                   "budget": _make(f"{path}.budget", incmod.BudgetSpec,
                                    block["budget"]["limit"], block["budget"]["delta"],
                                    None if horizon == "infinite" else horizon)}
 
@@ -604,15 +604,15 @@ def _v_resilience(node, path):
         block["defense"]["trust_eta"] = _need_number(defense["trust_eta"],
                                                      f"{path}.defense.trust_eta", 0.0)
     inputs = {"initial": initial, "horizon": block["horizon"], "adversary": None,
-              "defense": DefenseSpec(block["defense"]["trim"],
-                                     block["defense"].get("trust_eta"))}
+              "defense": resmod.DefenseSpec(block["defense"]["trim"],
+                                            block["defense"].get("trust_eta"))}
     if "adversary" in node:
         apath = f"{path}.adversary"
         adv = _need_map(node["adversary"], apath, required=("agents", "kind"),
                         optional=("value", "lag", "drop_prob", "window"))
         rec = {"agents": [_need_int(a, f"{apath}.agents[{i}]", 0, n - 1)
                           for i, a in enumerate(_need_list(adv["agents"], f"{apath}.agents", 1))],
-               "kind": _need_str(adv["kind"], f"{apath}.kind", ADVERSARY_KINDS)}
+               "kind": _need_str(adv["kind"], f"{apath}.kind", resmod.KINDS)}
         if "value" in adv:
             rec["value"] = _need_number(adv["value"], f"{apath}.value")
         if "lag" in adv:
@@ -626,7 +626,8 @@ def _v_resilience(node, path):
             rec["window"] = [_need_int(w[k], f"{apath}.window[{k}]", 0) for k in (0, 1)]
         block["adversary"] = rec
         inputs["adversary"] = _make(
-            apath, AdversaryModel, compromised=tuple(rec["agents"]), kind=rec["kind"],
+            apath, resmod.AdversaryModel, compromised=tuple(rec["agents"]),
+            kind=rec["kind"],
             value=rec.get("value", 0.0), lag=rec.get("lag", 1),
             drop_prob=rec.get("drop_prob", 0.5),
             window=tuple(rec.get("window", (0, block["horizon"]))))
@@ -635,13 +636,14 @@ def _v_resilience(node, path):
     trust = node.get("trust", "uniform")
     if isinstance(trust, str):
         block["trust"] = _need_str(trust, f"{path}.trust", ("uniform",))
-        inputs["trust"] = TrustMatrix.uniform(n)
+        inputs["trust"] = resmod.TrustMatrix.uniform(n)
     else:
         if len(_need_list(trust, f"{path}.trust")) != n:
             _fail(f"{path}.trust", f"needs {n} rows")
         block["trust"] = [_need_vector(row, f"{path}.trust[{i}]", n, 0.0)
                           for i, row in enumerate(trust)]
-        inputs["trust"] = _make(f"{path}.trust", TrustMatrix.from_weights, block["trust"])
+        inputs["trust"] = _make(f"{path}.trust", resmod.TrustMatrix.from_weights,
+                                block["trust"])
     reports = inputs["trust"].adjacency.sum(axis=1).tolist()     # before any drop
     if 2 * block["defense"]["trim"] + 1 > min(reports):
         _fail(f"{path}.defense.trim", f"agent {reports.index(min(reports))}: "
@@ -751,8 +753,8 @@ def _run_match(cfg, market, proposing, stable_set):
 
 
 def _run_nash(cfg, game, signal, eps):
-    equilibria = enumerate_pure_nash(game, signal=signal, eps=eps)
-    welfare = welfare_and_poa(game, signal=signal)
+    equilibria = stratmod.enumerate_pure_nash(game, signal=signal, eps=eps)
+    welfare = stratmod.welfare_and_poa(game, signal=signal)
     summary = {"signal": signal, "eps": eps,
                "equilibria": [_labels(game, e) for e in equilibria],
                "welfare_optimum": welfare.optimal_welfare,
@@ -776,9 +778,9 @@ def _run_nash(cfg, game, signal, eps):
 
 
 def _run_learn(cfg, game, specs, horizon, schedule, gap_stride):
-    trace = run_dynamics(game, specs, horizon, seed=cfg.seed,
-                         signal_schedule=schedule)
-    diag = diagnostics(game, trace, gap_stride=gap_stride)
+    trace = learnmod.run_dynamics(game, specs, horizon, seed=cfg.seed,
+                                  signal_schedule=schedule)
+    diag = learnmod.diagnostics(game, trace, gap_stride=gap_stride)
     summary = {"horizon": horizon,
                "final_profile": _labels(game, trace.actions[-1].tolist()),
                "external_regret": _py(diag.external_regret),
@@ -802,7 +804,7 @@ def _run_learn(cfg, game, specs, horizon, schedule, gap_stride):
 
 def _run_ttscale(cfg, game, specs, coordinator, outer_steps, epoch_length,
                  admissible, incentives, initial_signal):
-    result = run_two_timescale(
+    result = coordmod.run_two_timescale(
         game, specs, coordinator, outer_steps=outer_steps,
         epoch_length=epoch_length, seed=cfg.seed,
         admissible=admissible, incentives=incentives,
@@ -821,8 +823,8 @@ def _run_ttscale(cfg, game, specs, coordinator, outer_steps, epoch_length,
 
 
 def _run_stackelberg(cfg, game, candidates, mode, objective):
-    report = stackelberg_solve(game, candidates, mode=mode,
-                               leader_objective=objective)
+    report = coordmod.stackelberg_solve(game, candidates, mode=mode,
+                                        leader_objective=objective)
     follower = None
     for out in report.outcomes:
         if out.candidate == report.best_candidate and not out.skipped:
@@ -883,8 +885,8 @@ def _run_wardrop(cfg, network, extra_edge, tolls):
 
 
 def _run_incentive(cfg, game, target, baseline, budget, signal):
-    design = design_incentive(game, target, baseline=baseline, budget=budget,
-                              signal=signal)
+    design = incmod.design_incentive(game, target, baseline=baseline,
+                                     budget=budget, signal=signal)
     summary = {"status": design.status,
                "target": _labels(game, target), "baseline": _labels(game, baseline)}
     tables = []
@@ -904,10 +906,10 @@ def _run_incentive(cfg, game, target, baseline, budget, signal):
 def _run_resilience(cfg, initial, trust, horizon, defense, adversary):
     values = initial(cfg.seed)
     n = len(values)
-    scenario = ConsensusScenario(initial_values=tuple(float(v) for v in values),
-                                 trust=trust)
-    run = run_consensus_scenario(scenario, horizon, defense,
-                                 adversary=adversary, seed=cfg.seed)
+    scenario = resmod.ConsensusScenario(
+        initial_values=tuple(float(v) for v in values), trust=trust)
+    run = resmod.run_consensus_scenario(scenario, horizon, defense,
+                                        adversary=adversary, seed=cfg.seed)
     summary = {"horizon": horizon, "agents": n,
                "final_values": _py(run.values[-1]),
                "final_diameter": float(run.metrics.diameter_series[-1]),

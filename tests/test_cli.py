@@ -207,18 +207,28 @@ def test_resilience_export_peak_rss(tmp_path):
     assert peak_kb < 85 * 1024
 
 
-def one_worker_run_imports(kind, module, config=None):
-    """Exit code of a one-worker run of `config` (default: the `kind`
-    fixture) in a fresh interpreter, and whether that run imported
-    `module`."""
-    script = ("import sys; from stgames import cli; "
-              f"rc = cli.main([{kind!r}, '--config', {config or fx(kind)!r}, "
-              "'--jobs', '1', '--quiet']); "
-              f"print(rc, {module!r} in sys.modules)")
+def fresh_interpreter(script):
     proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def one_worker_run(kind, probe, config=None):
+    """The exit code of a one-worker run of `config` (default: the `kind`
+    fixture) in a fresh interpreter, then the words that the expression
+    `probe` prints after it."""
+    return fresh_interpreter(
+        "import sys, types; from stgames import cli; "
+        f"rc = cli.main([{kind!r}, '--config', {config or fx(kind)!r}, "
+        "'--jobs', '1', '--quiet']); "
+        f"print(rc, {probe})")
+
+
+def one_worker_run_imports(kind, module, config=None):
+    """Exit code of a one-worker run, and whether that run imported
+    `module`."""
+    return one_worker_run(kind, f"{module!r} in sys.modules", config)
 
 
 def test_one_worker_run_skips_pool_import():
@@ -233,13 +243,6 @@ def test_one_worker_run_skips_dataclasses_import():
 
 # numpy is bound lazily (stgames/_np.py): `numpy._core` is imported only
 # once numpy itself executes
-
-def fresh_interpreter(script):
-    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
-
 
 def test_importing_the_library_executes_no_numpy():
     # fails on any module-level use of `np.`
@@ -272,6 +275,45 @@ def test_rejected_document_executes_no_numpy(tmp_path, kind, update, code):
 
 def test_nash_run_executes_numpy():
     assert one_worker_run_imports("nash", "numpy._core") == ["0", "True"]
+
+
+# So are the library modules: each is in sys.modules from `import stgames`
+# on, as a lazy subclass of ModuleType until it executes. The type check
+# reads no attribute, so it loads nothing.
+KERNELS = ("lp", "strategic", "coop", "matching", "congestion", "learning",
+           "incentives", "coordination", "resilience")
+EXECUTED = ("*(m for m in %r if type(sys.modules['stgames.' + m]) "
+            "is types.ModuleType)" % (KERNELS,))
+
+
+@pytest.mark.parametrize("kind, modules", [
+    ("coop", {"coop", "lp"}),
+    ("match", {"matching"}),
+    ("nash", {"strategic"}),
+    ("learn", {"learning", "strategic"}),
+    ("ttscale", {"coordination", "incentives", "learning", "strategic"}),
+    ("stackelberg", {"coordination", "incentives", "learning", "strategic"}),
+    ("wardrop", {"congestion"}),
+    ("incentive", {"incentives", "strategic"}),
+    ("resilience", {"resilience"}),
+])
+def test_run_executes_only_the_modules_its_kind_calls(kind, modules):
+    rc, *executed = one_worker_run(kind, EXECUTED)
+    assert rc == "0"
+    assert set(executed) == modules
+
+
+def test_importing_the_cli_executes_no_kernel_module():
+    assert fresh_interpreter("import sys, types, stgames, stgames.cli; "
+                             f"print({EXECUTED})") == []
+
+
+def test_rejected_document_executes_no_kernel_module(tmp_path):
+    doc = yaml.safe_load(pathlib.Path(fx("nash")).read_text())
+    doc["nash"]["eps0"] = 1                          # unknown key
+    config = tmp_path / "nash.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert one_worker_run("nash", EXECUTED, str(config)) == [str(cli.EXIT_USAGE)]
 
 
 def test_traced_benchmark_binds_to_the_library(tmp_path):
@@ -379,6 +421,30 @@ def test_parallel_jobs(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out.count("shapley") == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_configs_sharing_a_stem_are_refused_before_any_runs(tmp_path, capsys, jobs):
+    # both would write out/g.*: the second config's files replaced the
+    # first's, and two workers wrote the same files at once
+    configs = []
+    for name, seed in (("c1", 1), ("c2", 2)):
+        (tmp_path / name).mkdir()
+        configs.append(str(tmp_path / name / "g.yaml"))
+        pathlib.Path(configs[-1]).write_text(
+            (FIXTURES / "nash.yaml").read_text() + f"seed: {seed}\n")
+    out = tmp_path / "out"
+    argv = ["nash", "--config", configs[0], "--config", configs[1], "--jobs", jobs]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    std = capsys.readouterr()
+    assert std.out == ""
+    [line] = std.err.splitlines()
+    assert line == (f"error: configs {configs[0]} and {configs[1]} would both "
+                    f"write {out / 'g'}.*")
+    assert not out.exists()
+    # with no files to write, both run
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("g.yaml: {") == 2
 
 
 def test_seeded_rerun_writes_identical_files(tmp_path, capsys):
