@@ -69,29 +69,68 @@ def enumerate_paths(network: CongestionNetwork):
     Neighbors are explored in edge-declaration order; more than 32 paths is a
     capacity error, zero paths a ValueError. The walk keeps its own stack,
     so a path may have any number of edges.
+
+    The walk enters a node only if the destination can be reached from it
+    without the trail's nodes (the backtracking bound of Read & Tarjan
+    1975), so every branch it takes ends in a path: the work before the cap
+    is at most O(MAX_PATHS * nodes * edges), and the paths come out in the
+    order of the unpruned walk. Each node of the trail keeps a witness, the
+    nodes of one such path onward; a head that is the next node of its
+    tail's witness passes without a search, so a chain costs linear time.
     """
+    edges, dest = network.edges, network.destination
     by_tail = {}
-    for idx, e in enumerate(network.edges):
+    for idx, e in enumerate(edges):
         by_tail.setdefault(e.tail, []).append(idx)
+    succ = {tail: tuple(dict.fromkeys(edges[idx].head for idx in out))
+            for tail, out in by_tail.items()}
+
+    def witness(node, visited):
+        """The nodes after `node` on a path to the destination that avoids
+        `visited`, as (nodes, 0), or None when there is none."""
+        parent, todo = {node: None}, [node]
+        while todo:
+            cur = todo.pop()
+            for nxt in succ.get(cur, ()):
+                if nxt == dest:
+                    path = [nxt]
+                    while cur != node:
+                        path.append(cur)
+                        cur = parent[cur]
+                    return tuple(reversed(path)), 0
+                if nxt not in parent and nxt not in visited:
+                    parent[nxt] = cur
+                    todo.append(nxt)
+        return None
+
     paths, trail, visited = [], [], {network.origin}
-    # the out-edges still to try at each node of the trail, origin first
+    # per node of the trail, origin first: the out-edges still to try, and
+    # its witness as (nodes, position of the next node)
     stack = [iter(by_tail.get(network.origin, ()))]
+    ahead = [None]
     while stack:
         idx = next(stack[-1], None)
         if idx is None:
             stack.pop()
+            ahead.pop()
             if trail:
-                visited.remove(network.edges[trail.pop()].head)
+                visited.remove(edges[trail.pop()].head)
             continue
-        head = network.edges[idx].head
-        if head == network.destination:
+        head = edges[idx].head
+        if head == dest:
             paths.append(tuple(trail) + (idx,))
             if len(paths) > MAX_PATHS:
                 raise CapacityError(f"more than {MAX_PATHS} paths")
-        elif head not in visited:
+            continue
+        if head in visited:
+            continue
+        w = ahead[-1]
+        w = (w[0], w[1] + 1) if w and w[0][w[1]] == head else witness(head, visited)
+        if w is not None:
             visited.add(head)
             trail.append(idx)
             stack.append(iter(by_tail.get(head, ())))
+            ahead.append(w)
     if not paths:
         raise ValueError("no origin-destination path exists")
     return tuple(paths)

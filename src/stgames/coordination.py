@@ -15,7 +15,8 @@ from ._np import np
 
 from .incentives import IncentiveSchedule, modified_payoff
 from .learning import LearningState, run_dynamics
-from .strategic import StrategicGame, enumerate_pure_nash, expected_payoffs
+from .strategic import (StrategicGame, _total, enumerate_pure_nash,
+                        expected_payoffs)
 
 COORDINATOR_KINDS = ("constant", "round-robin", "greedy")
 STACKELBERG_MODES = ("optimistic", "pessimistic")
@@ -32,22 +33,19 @@ class AdmissibleSetRule(NamedTuple):
 
 def _restrict(game: StrategicGame, rule: AdmissibleSetRule | None, signal):
     """The subgame held to `rule`'s admissible sets at `signal` (`game` if
-    it keeps every action in order) and the index arrays of the kept actions."""
+    it keeps every action in order) and the index lists of the kept actions."""
     if rule is None or signal not in rule.allowed:
-        return game, [np.arange(len(a)) for a in game.actions]
+        return game, [range(len(a)) for a in game.actions]
     allowed = rule.allowed[signal]
     if len(allowed) != game.n_agents:
         raise ValueError(f"rule at {signal!r} must cover all agents")
     for i, idx in enumerate(allowed):
         if not len(idx):
             raise ValueError(f"agent {i}: admissible set empty at {signal!r}")
-    actions = tuple(tuple(labels[j] for j in idx)
-                    for labels, idx in zip(game.actions, allowed))
-    keep = [np.asarray(idx, dtype=np.intp) for idx in allowed]
-    if actions == game.actions:
+    keep = [list(idx) for idx in allowed]
+    if keep == [list(range(len(a))) for a in game.actions]:
         return game, keep
-    sel = np.ix_(np.arange(game.n_agents), *keep)
-    return StrategicGame(actions, {s: tab[sel] for s, tab in game.payoffs.items()}), keep
+    return game.subgame(keep), keep
 
 
 def apply_admissible_sets(game: StrategicGame, rule: AdmissibleSetRule,
@@ -197,7 +195,7 @@ class StackelbergReport(NamedTuple):
 
 
 def total_welfare_objective(game: StrategicGame, candidate, profile) -> float:
-    return float(game.payoff(profile, candidate).sum())
+    return _total(game.payoff(profile, candidate))
 
 
 def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",

@@ -8,24 +8,22 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._np import np
-
 from .errors import ComputationError
-from .strategic import (StrategicGame, _check_profile, counterfactual_payoffs,
-                        is_nash)
+from .strategic import (StrategicGame, _check_profile, _max, _total,
+                        counterfactual_payoffs, is_nash)
 
 TOL = 1e-9
 
 
 class IncentiveSchedule(NamedTuple):
-    """Per-signal transfer tables shaped like the game's payoff tables."""
+    """Per-signal transfers: signal -> {profile: per-agent transfer tuple}.
+    A profile left out pays nothing."""
 
-    transfers: dict        # signal -> ndarray (n, grid...)
+    transfers: dict        # signal -> {profile (action indices): transfers}
 
     @staticmethod
     def zero(game: StrategicGame) -> "IncentiveSchedule":
-        return IncentiveSchedule(
-            {sig: np.zeros_like(tab) for sig, tab in game.payoffs.items()})
+        return IncentiveSchedule({sig: {} for sig in game.signals})
 
     @staticmethod
     def on_profile(game: StrategicGame, profile, per_agent,
@@ -34,40 +32,48 @@ class IncentiveSchedule(NamedTuple):
         sig = game.resolve_signal(signal)
         profile = _check_profile(game.actions, profile)
         sched = IncentiveSchedule.zero(game)
-        vec = np.asarray(per_agent, dtype=float)
-        if vec.shape != (game.n_agents,):
-            raise ValueError(f"need {game.n_agents} transfers, got {vec.shape}")
-        sched.transfers[sig][(slice(None),) + profile] = vec
+        vec = tuple(float(v) for v in per_agent)
+        if len(vec) != game.n_agents:
+            raise ValueError(f"need {game.n_agents} transfers, got {len(vec)}")
+        sched.transfers[sig][profile] = vec
         return sched
 
-    def per_agent(self, game: StrategicGame, profile, signal=None) -> np.ndarray:
+    def per_agent(self, game: StrategicGame, profile, signal=None) -> tuple:
         sig = game.resolve_signal(signal)
         profile = _check_profile(game.actions, profile)
-        return self.transfers[sig][(slice(None),) + profile].copy()
+        return self.transfers[sig].get(profile, (0.0,) * game.n_agents)
 
 
 def modified_payoff(game: StrategicGame, schedule: IncentiveSchedule) -> StrategicGame:
-    """The game with payoffs J + rho; the input game is untouched."""
-    for sig in game.payoffs:
+    """The game with payoffs J + rho; the input game is untouched. Every
+    payoff gets a transfer added, 0.0 at a profile that pays none, as when
+    the schedule was a whole table (so a -0.0 payoff there becomes 0.0)."""
+    n = game.n_agents
+    zero = (0.0,) * n
+    tables = {}
+    for sig in game.signals:
         if sig not in schedule.transfers:
             raise ValueError(f"schedule missing signal {sig!r}")
-        if schedule.transfers[sig].shape != game.payoffs[sig].shape:
-            raise ValueError(f"schedule shape mismatch at signal {sig!r}")
-    return StrategicGame(game.actions,
-                         {sig: game.payoffs[sig] + schedule.transfers[sig]
-                          for sig in game.payoffs})
+        paid = schedule.transfers[sig]
+        for profile, vec in paid.items():
+            _check_profile(game.actions, profile)
+            if len(vec) != n:
+                raise ValueError(f"signal {sig!r}, profile {profile}: "
+                                 f"need {n} transfers, got {len(vec)}")
+        tables[sig] = [tuple(x + t for x, t in zip(row, paid.get(profile, zero)))
+                       for profile, row in zip(game.profiles(), game.rows(sig))]
+    return StrategicGame.from_rows(game.actions, tables)
 
 
-def is_pareto_improving(baseline: np.ndarray, induced: np.ndarray,
-                        tol: float = TOL) -> bool:
+def is_pareto_improving(baseline, induced, tol: float = TOL) -> bool:
     """Weak improvement for everyone, strict (> tol) for at least one."""
-    baseline = np.asarray(baseline, dtype=float)
-    induced = np.asarray(induced, dtype=float)
-    if baseline.shape != induced.shape:
+    baseline = [float(v) for v in baseline]
+    induced = [float(v) for v in induced]
+    if len(baseline) != len(induced):
         raise ValueError("payoff vectors must have equal length")
-    if np.any(induced < baseline - tol):
+    if any(y < x - tol for x, y in zip(baseline, induced)):
         return False
-    return bool(np.any(induced > baseline + tol))
+    return any(y > x + tol for x, y in zip(baseline, induced))
 
 
 class BudgetSpec:
@@ -108,7 +114,7 @@ def budget_check(budget: BudgetSpec, game: StrategicGame,
         if len(set(profiles)) != 1:
             raise ValueError("infinite-horizon budget check needs a single "
                              "stationary profile")
-        per_step = float(schedule.per_agent(game, profiles[0], sig).sum())
+        per_step = _total(schedule.per_agent(game, profiles[0], sig))
         spent = per_step / (1.0 - budget.delta)
         return BudgetReport(spent, spent <= budget.limit + TOL, "closed-form")
     if len(profiles) != budget.horizon:
@@ -118,7 +124,7 @@ def budget_check(budget: BudgetSpec, game: StrategicGame,
     spent = 0.0
     for t, profile in enumerate(profiles):
         if profile not in price:
-            price[profile] = float(schedule.per_agent(game, profile, sig).sum())
+            price[profile] = _total(schedule.per_agent(game, profile, sig))
         spent += (budget.delta ** t) * price[profile]
     return BudgetReport(spent, spent <= budget.limit + TOL, "finite")
 
@@ -153,10 +159,9 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
 
     # rho_i is the largest of agent i's right-hand sides (deviation gains,
     # baseline shortfall) and 0; staying at target[i] is a gain of exactly 0
-    rho = np.array([max(0.0, float(base_pay[i] - tgt_pay[i]),
-                        float(counterfactual_payoffs(game, i, target, sig).max()
-                              - tgt_pay[i]))
-                    for i in range(n)])
+    rho = tuple(max(0.0, base_pay[i] - tgt_pay[i],
+                    _max(counterfactual_payoffs(game, i, target, sig)) - tgt_pay[i])
+                for i in range(n))
     schedule = IncentiveSchedule.on_profile(game, target, rho, sig)
 
     modified = modified_payoff(game, schedule)
@@ -165,11 +170,11 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
     check = is_nash(modified, target, TOL, sig)
     if not check.is_nash:
         raise ComputationError("synthesized transfers fail the equilibrium check")
-    induced = tgt_pay + rho
+    induced = [t + r for t, r in zip(tgt_pay, rho)]
     if not is_pareto_improving(base_pay, induced):
         return IncentiveDesign("infeasible", None, None, None,
                                "no strict Pareto improvement at minimal transfers")
-    per_period = float(rho.sum())
+    per_period = _total(rho)
     report = budget_check(budget, game, schedule, [target] * (budget.horizon or 1), sig)
     if not report.within:
         return IncentiveDesign("infeasible", None, per_period, report.spent,

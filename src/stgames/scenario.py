@@ -455,9 +455,10 @@ def _v_ttscale(node, path):
             if "signal" in entry:
                 rec["signal"] = sig
             entries.append(rec)
-            # each cell is written once, to 0.0 + value
-            incentives.transfers[sig][(slice(None),) + stratmod.profile_index(
-                game.actions, rec["profile"])] += rec["values"]
+            # each profile is paid once, 0.0 + value: the bits of a value
+            # added to a zero table, down to the sign of zero
+            incentives.transfers[sig][stratmod.profile_index(
+                game.actions, rec["profile"])] = tuple(0.0 + v for v in rec["values"])
         block["incentives"] = entries
         inputs["incentives"] = incentives
     return block, inputs
@@ -767,10 +768,10 @@ def _run_nash(cfg, game, signal, eps):
         summary["poa_reason"] = welfare.reason
     eq_set = set(equilibria)
     n = game.n_agents
-    pays = game.payoffs[signal].reshape(n, -1).T.tolist()
-    rows = [labels + tuple(pay) + (profile in eq_set,)
+    rows = [labels + pay + (profile in eq_set,)
             for profile, labels, pay in zip(game.profiles(),
-                                            itertools.product(*game.actions), pays)]
+                                            itertools.product(*game.actions),
+                                            game.rows(signal))]
     cols = tuple(f"action_{i}" for i in range(n)) + \
         tuple(f"payoff_{i}" for i in range(n)) + ("is_nash",)
     return RunRecord("nash", cfg.digest, cfg.seed, summary,

@@ -5,11 +5,28 @@ signal value; single-signal games use the default label. Profiles are tuples
 of action indices, one per agent (`profile_index` maps labels to indices),
 and all argmax tie handling is exact float comparison with smallest-index
 preference.
+
+A table is kept as one tuple of Python floats: the n per-agent payoffs of
+each profile in turn, profiles in lexicographic action-index order (the
+order of `profiles()` and `rows()`). So the payoff of agent i at the
+profile in position p of that order is entry p * n + i, and agent i's
+payoffs along its own actions, the others pinned, are one strided slice.
+Only this module reads that layout. The pure-profile kernels (`payoff`,
+`best_responses`, `is_nash`, `enumerate_pure_nash`, `welfare_and_poa`) run
+on the tuples in plain Python and never load numpy. Their floats follow
+the operation order of the numpy kernels they replaced, so they give the
+same bits: a sum over agents is added left to right from 0.0, a maximum is
+the first one, and NaN payoffs are skipped where `np.fmax` skipped them.
+
+`payoffs` is the numpy view the mixed-strategy kernels and learning read:
+per signal a read-only, C-ordered float64 array of shape
+(n, |X_0|, ..., |X_{n-1}|), built from the tuple on first read and cached.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from ._np import np
@@ -22,30 +39,23 @@ MAX_GRID = 10 ** 6
 
 
 class StrategicGame:
-    __slots__ = ("actions", "payoffs")
+    __slots__ = ("actions", "_tables", "_views")
 
     def __init__(self, actions: tuple, payoffs: dict):
-        self.actions = actions    # per-agent tuples of action labels
-        self.payoffs = payoffs    # signal -> ndarray of shape (n, |X_0|, ..., |X_{n-1}|)
-        n = len(actions)
-        if not 2 <= n <= MAX_AGENTS:
-            raise CapacityError(f"agent count {n} outside 2..{MAX_AGENTS}")
-        if not payoffs:
-            raise ValueError("at least one signal table required")
-        grid = 1
-        for labels in actions:
-            if len(labels) == 0:
-                raise ValueError("every agent needs at least one action")
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate action labels in {labels}")
-            grid *= len(labels)
-        if grid > MAX_GRID:
-            raise CapacityError(f"profile grid {grid} exceeds {MAX_GRID}")
-        shape = (n,) + tuple(len(x) for x in actions)
+        """`payoffs` maps each signal to an array of shape
+        (n, |X_0|, ..., |X_{n-1}|): entry (i, a_0, ..., a_{n-1}) is agent
+        i's payoff at profile (a_0, ..., a_{n-1})."""
+        shape = _table_shape(actions, payoffs)
+        tables = {}
         for sig, table in payoffs.items():
+            table = np.asarray(table, dtype=float)
             if table.shape != shape:
                 raise ValueError(
                     f"signal {sig!r}: payoff table shape {table.shape}, want {shape}")
+            tables[sig] = tuple(table.reshape(shape[0], -1).T.ravel().tolist())
+        self.actions = actions
+        self._tables = tables
+        self._views = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -54,30 +64,64 @@ class StrategicGame:
         """Build from {signal: {profile tuple: per-agent payoff sequence}}."""
         actions = tuple(tuple(a) for a in actions)
         n = len(actions)
-        payoffs = {}
+        full = math.prod(len(x) for x in actions)
+        rows = {}
         for sig, entries in tables.items():
-            arr = np.zeros((n,) + tuple(len(x) for x in actions))
-            seen = set()
+            table = rows[str(sig)] = [None] * full
             for profile, values in entries.items():
-                idx = profile_index(actions, profile)
-                if idx in seen:
+                pos = _position(actions, profile_index(actions, profile))
+                if table[pos] is not None:
                     raise ValueError(f"signal {sig!r}: duplicate profile {profile}")
-                seen.add(idx)
-                vals = np.asarray(values, dtype=float)
-                if vals.shape != (n,):
+                table[pos] = [float(v) for v in values]
+                if len(table[pos]) != n:
                     raise ValueError(
-                        f"profile {profile}: expected {n} payoffs, got {vals.shape}")
-                arr[(slice(None),) + idx] = vals
-            full = int(np.prod([len(x) for x in actions]))
-            if len(seen) != full:
-                raise ValueError(
-                    f"signal {sig!r}: {len(seen)} of {full} profiles specified")
-            payoffs[str(sig)] = arr
-        return StrategicGame(actions, payoffs)
+                        f"profile {profile}: expected {n} payoffs, got {len(table[pos])}")
+            if None in table:
+                raise ValueError(f"signal {sig!r}: {full - table.count(None)} of "
+                                 f"{full} profiles specified")
+        return StrategicGame.from_rows(actions, rows)
 
     @staticmethod
     def single(actions, table) -> "StrategicGame":
         return StrategicGame.from_tables(actions, {DEFAULT_SIGNAL: table})
+
+    @staticmethod
+    def from_rows(actions, tables) -> "StrategicGame":
+        """Build from {signal: rows}, one row of per-agent payoffs for each
+        profile in `profiles()` order."""
+        actions = tuple(tuple(a) for a in actions)
+        size = math.prod(_table_shape(actions, tables))
+        n = len(actions)
+        flats = {}
+        for sig, rows in tables.items():
+            flat = []
+            for row in rows:
+                if len(row) != n:
+                    raise ValueError(f"signal {sig!r}: a row of {len(row)} payoffs, want {n}")
+                flat.extend(row)
+            if len(flat) != size:
+                raise ValueError(f"signal {sig!r}: {len(flat) // n} rows, want {size // n}")
+            flats[sig] = tuple(map(float, flat))
+        game = object.__new__(StrategicGame)
+        game.actions, game._tables, game._views = actions, flats, None
+        return game
+
+    def subgame(self, keep) -> "StrategicGame":
+        """The game in which agent i plays only the actions `keep[i]`, in
+        that order."""
+        if len(keep) != self.n_agents:
+            raise ValueError(f"{len(keep)} action sets for {self.n_agents} agents")
+        for i, (labels, idx) in enumerate(zip(self.actions, keep)):
+            for j in idx:
+                if not _is_index(j) or not 0 <= j < len(labels):
+                    raise IndexError(
+                        f"agent {i}: action index {j!r} outside 0..{len(labels) - 1}")
+        keep = [[int(j) for j in idx] for idx in keep]
+        n = self.n_agents
+        starts = [_position(self.actions, p) * n for p in itertools.product(*keep)]
+        return StrategicGame.from_rows(
+            [[labels[j] for j in idx] for labels, idx in zip(self.actions, keep)],
+            {sig: [flat[k:k + n] for k in starts] for sig, flat in self._tables.items()})
 
     # -- basics ----------------------------------------------------------------
 
@@ -87,28 +131,98 @@ class StrategicGame:
 
     @property
     def signals(self) -> tuple:
-        return tuple(self.payoffs)
+        return tuple(self._tables)
+
+    @property
+    def payoffs(self) -> dict:
+        """signal -> read-only ndarray of shape (n, |X_0|, ..., |X_{n-1}|)."""
+        if self._views is None:
+            shape = (self.n_agents,) + tuple(len(a) for a in self.actions)
+            self._views = {}
+            for sig, flat in self._tables.items():
+                view = np.array(flat).reshape(-1, shape[0]).T.copy().reshape(shape)
+                view.flags.writeable = False
+                self._views[sig] = view
+        return self._views
 
     def resolve_signal(self, signal=None) -> str:
         if signal is None:
-            if len(self.payoffs) == 1:
-                return next(iter(self.payoffs))
+            if len(self._tables) == 1:
+                return next(iter(self._tables))
             raise ValueError(
-                f"signal required, game has {sorted(self.payoffs)}")
-        if signal not in self.payoffs:
+                f"signal required, game has {sorted(self._tables)}")
+        if signal not in self._tables:
             raise ValueError(
-                f"unknown signal {signal!r}; valid: {sorted(self.payoffs)}")
+                f"unknown signal {signal!r}; valid: {sorted(self._tables)}")
         return signal
 
     def profiles(self):
         """All profiles in lexicographic action-index order."""
         return itertools.product(*(range(len(a)) for a in self.actions))
 
-    def payoff(self, profile, signal=None) -> np.ndarray:
-        """Per-agent payoff vector at a pure profile."""
-        sig = self.resolve_signal(signal)
-        profile = _check_profile(self.actions, profile)
-        return self.payoffs[sig][(slice(None),) + profile].copy()
+    def rows(self, signal=None):
+        """The per-agent payoff tuple of each profile, in `profiles()` order."""
+        flat = self._tables[self.resolve_signal(signal)]
+        return zip(*[iter(flat)] * self.n_agents)
+
+    def payoff(self, profile, signal=None) -> tuple:
+        """Per-agent payoffs at a pure profile."""
+        flat = self._tables[self.resolve_signal(signal)]
+        k = _position(self.actions, _check_profile(self.actions, profile)) * self.n_agents
+        return flat[k:k + self.n_agents]
+
+
+def _table_shape(actions, tables) -> tuple:
+    """The payoff table shape (n, |X_0|, ..., |X_{n-1}|) of a game over
+    `actions`, once the agent count, the labels and the grid are checked."""
+    n = len(actions)
+    if not 2 <= n <= MAX_AGENTS:
+        raise CapacityError(f"agent count {n} outside 2..{MAX_AGENTS}")
+    if not tables:
+        raise ValueError("at least one signal table required")
+    for labels in actions:
+        if len(labels) == 0:
+            raise ValueError("every agent needs at least one action")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate action labels in {labels}")
+    grid = math.prod(len(labels) for labels in actions)
+    if grid > MAX_GRID:
+        raise CapacityError(f"profile grid {grid} exceeds {MAX_GRID}")
+    return (n,) + tuple(len(labels) for labels in actions)
+
+
+def _position(actions, profile) -> int:
+    """The position of a checked profile in lexicographic profile order."""
+    p = 0
+    for labels, a in zip(actions, profile):
+        p = p * len(labels) + a
+    return p
+
+
+def _column(game: StrategicGame, flat, agent: int, profile) -> tuple:
+    """`agent`'s payoffs over its own actions, the others held at `profile`
+    (checked), from one flat table."""
+    n = game.n_agents
+    step = n * math.prod(len(labels) for labels in game.actions[agent + 1:])
+    start = _position(game.actions, profile) * n - profile[agent] * step + agent
+    return flat[start:start + step * len(game.actions[agent]):step]
+
+
+def _total(values) -> float:
+    """The sum of at most `MAX_AGENTS` floats, left to right from 0.0: the
+    order of numpy's sum, whether of one vector or over a table's agent
+    axis, at fewer than 8 terms."""
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
+def _max(values) -> float:
+    """The largest of `values`, or NaN when any is NaN, as numpy's `max`."""
+    if any(v != v for v in values):
+        return math.nan
+    return max(values)
 
 
 def profile_index(actions, profile) -> tuple:
@@ -121,17 +235,24 @@ def profile_index(actions, profile) -> tuple:
     return tuple(labels.index(label) for labels, label in zip(actions, profile))
 
 
+def _is_index(a) -> bool:
+    """Whether `a` is an int or a numpy integer; a value whose type is not
+    numpy's reads nothing of numpy."""
+    return isinstance(a, int) or (type(a).__module__ == "numpy"
+                                  and isinstance(a, np.integer))
+
+
 def _check_profile(actions, profile) -> tuple:
-    """`profile` as a tuple, once it holds one action index per agent, each
-    in range (a negative index would wrap to another action)."""
+    """`profile` as a tuple of ints, once it holds one action index per
+    agent, each in range (a negative index would wrap to another action)."""
     profile = tuple(profile)
     if len(profile) != len(actions):
         raise ValueError(f"profile length {len(profile)} != agent count {len(actions)}")
     for i, (labels, a) in enumerate(zip(actions, profile)):
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < len(labels):
+        if not _is_index(a) or not 0 <= a < len(labels):
             raise ValueError(
                 f"agent {i}: action index {a!r} outside 0..{len(labels) - 1}")
-    return profile
+    return tuple(map(int, profile))
 
 
 class NashCheck(NamedTuple):
@@ -153,20 +274,20 @@ class WelfareReport(NamedTuple):
 
 
 def counterfactual_payoffs(game: StrategicGame, agent: int, profile,
-                           signal=None) -> np.ndarray:
-    """Payoff vector over `agent`'s actions with the others pinned."""
-    if not isinstance(agent, (int, np.integer)) or not 0 <= agent < game.n_agents:
+                           signal=None) -> tuple:
+    """Payoffs over `agent`'s actions with the others pinned."""
+    if not _is_index(agent) or not 0 <= agent < game.n_agents:
         raise ValueError(f"agent {agent!r} outside 0..{game.n_agents - 1}")
-    sig = game.resolve_signal(signal)
-    profile = _check_profile(game.actions, profile)
-    sel = (agent,) + profile[:agent] + (slice(None),) + profile[agent + 1:]
-    return game.payoffs[sig][sel].copy()
+    flat = game._tables[game.resolve_signal(signal)]
+    return _column(game, flat, int(agent), _check_profile(game.actions, profile))
 
 
 def best_responses(game: StrategicGame, agent: int, profile, signal=None):
-    """All payoff-maximizing actions for `agent`; exact float ties."""
+    """All payoff-maximizing actions for `agent`; exact float ties, and
+    none where a payoff is NaN."""
     vec = counterfactual_payoffs(game, agent, profile, signal)
-    return tuple(np.flatnonzero(vec == vec.max()).tolist())
+    best = _max(vec)
+    return tuple(j for j, v in enumerate(vec) if v == best)
 
 
 def is_nash(game: StrategicGame, profile, eps: float = 0.0,
@@ -177,44 +298,64 @@ def is_nash(game: StrategicGame, profile, eps: float = 0.0,
         raise ValueError(f"eps must be >= 0, got {eps}")
     sig = game.resolve_signal(signal)
     base = game.payoff(profile, sig)
+    profile = _check_profile(game.actions, profile)
+    flat = game._tables[sig]
     for i in range(game.n_agents):
-        vec = counterfactual_payoffs(game, i, profile, sig)
-        for j in range(len(vec)):
-            if vec[j] > base[i] + eps:
-                return NashCheck(False, i, j, float(vec[j] - base[i]))
+        for j, v in enumerate(_column(game, flat, i, profile)):
+            if v > base[i] + eps:
+                return NashCheck(False, i, j, v - base[i])
     return NashCheck(True)
 
 
 def enumerate_pure_nash(game: StrategicGame, signal=None, eps: float = 0.0):
-    """Pure (eps-)equilibria in lexicographic profile order: `is_nash`'s
-    comparison as one boolean mask per agent (`np.fmax` skips NaN payoffs,
-    as that comparison does)."""
+    """Pure (eps-)equilibria in lexicographic profile order: the profiles
+    where no agent's best payoff along its own actions beats its payoff
+    plus `eps`. NaN payoffs are skipped in that best payoff, as `np.fmax`
+    skips them, and a NaN payoff is never beaten, as `is_nash` never
+    counts it."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    sig = game.resolve_signal(signal)
-    stable = True
-    for i, tab in enumerate(game.payoffs[sig]):
-        stable = stable & ~(np.fmax.reduce(tab, axis=i, keepdims=True) > tab + eps)
-    return list(map(tuple, np.argwhere(stable).tolist()))
+    flat = game._tables[game.resolve_signal(signal)]
+    n = game.n_agents
+    grid = len(flat) // n
+    stable = bytearray(b"\x01") * grid
+    stride = grid                   # profiles between two actions of agent i
+    for i, labels in enumerate(game.actions):
+        stride //= len(labels)
+        span = stride * len(labels)
+        col = flat[i::n]            # agent i's payoff at every profile
+        for block in range(0, grid, span):
+            for p in range(block, block + stride):
+                fiber = col[p:p + span:stride]
+                best = max(fiber)   # skips NaN unless the first is NaN
+                if best != best:
+                    best = max((v for v in fiber if v == v), default=best)
+                for j, v in enumerate(fiber):
+                    if best > v + eps:
+                        stable[p + j * stride] = 0
+    return list(itertools.compress(game.profiles(), stable))
 
 
 def welfare_and_poa(game: StrategicGame, signal=None) -> WelfareReport:
     """Utilitarian optimum vs worst pure equilibrium, maximize convention.
 
     Games without a pure equilibrium (or with a zero-welfare worst
-    equilibrium) yield an undefined ratio rather than an exception.
+    equilibrium) yield an undefined ratio rather than an exception. The
+    optimum is the first profile of greatest welfare, or the first of NaN
+    welfare, as `np.argmax` picks.
     """
     sig = game.resolve_signal(signal)
-    table = game.payoffs[sig]
-    welfare = table.sum(axis=0)
-    flat = int(np.argmax(welfare))
-    opt_profile = tuple(int(a) for a in np.unravel_index(flat, welfare.shape))
-    opt = float(welfare[opt_profile])
+    welfare = [_total(row) for row in game.rows(sig)]
+    best = next((p for p, w in enumerate(welfare) if w != w), None)
+    if best is None:
+        best = welfare.index(max(welfare))
+    opt_profile = next(itertools.islice(game.profiles(), best, None))
+    opt = welfare[best]
     eqs = tuple(enumerate_pure_nash(game, sig))
     if not eqs:
         return WelfareReport("maximize", opt, opt_profile, (), None, None,
                              False, "no pure equilibrium")
-    worst = min(float(welfare[e]) for e in eqs)
+    worst = min(welfare[_position(game.actions, e)] for e in eqs)
     if worst == 0.0:
         return WelfareReport("maximize", opt, opt_profile, eqs, worst, None,
                              False, "zero-welfare equilibrium")

@@ -273,8 +273,14 @@ def test_rejected_document_executes_no_numpy(tmp_path, kind, update, code):
         str(code), "False"]
 
 
-def test_nash_run_executes_numpy():
-    assert one_worker_run_imports("nash", "numpy._core") == ["0", "True"]
+@pytest.mark.parametrize("kind, executes", [
+    ("nash", False), ("stackelberg", False), ("incentive", False),
+    ("learn", True), ("ttscale", True),
+])
+def test_run_executes_numpy_only_for_mixed_kernels(kind, executes):
+    # pure profiles run on the games' float tuples; learning reads their
+    # numpy view, so `learn` and `ttscale` show the probe sees numpy load
+    assert one_worker_run_imports(kind, "numpy._core") == ["0", str(executes)]
 
 
 # So are the library modules: each is in sys.modules from `import stgames`
@@ -571,6 +577,30 @@ def test_long_wardrop_chain_exits_0(tmp_path, capsys):
                    f"  demand: 1.0\n  edges:\n{edges}")
     assert cli.main(["wardrop", "--config", str(doc), "--quiet"]) == cli.EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_dead_end_clique_exits_within_budget(tmp_path):
+    # the origin reaches d directly and through y; y also leads into a
+    # complete digraph of 14 nodes whose only way out leads back to y, and
+    # the extra edge leads from the clique back to the origin. The path
+    # walk, which the schema check runs for the network and again with the
+    # extra edge, once visited every simple path in the clique, for hours.
+    # The run is a subprocess, so a walk that hangs fails at the budget.
+    clique = [f"c{i}" for i in range(14)]
+    pairs = [("o", "d"), ("o", "y"), ("y", "d"), ("y", "c0")] \
+        + [(u, v) for u in clique for v in clique if u != v] + [(u, "y") for u in clique]
+    doc = {"kind": "wardrop",
+           "wardrop": {"origin": "o", "destination": "d", "demand": 1.0,
+                       "edges": [{"tail": t, "head": h, "a": 1.0, "b": 0.5}
+                                 for t, h in pairs],
+                       "extra_edge": {"tail": "c13", "head": "o", "a": 0.0, "b": 0.0},
+                       "tolls": True}}
+    config = tmp_path / "clique.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    proc = subprocess.run([sys.executable, "-m", "stgames.cli", "wardrop", "--config",
+                           str(config), "--out", str(tmp_path / "out"), "--quiet"],
+                          env=child_env(), capture_output=True, text=True, timeout=5)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
 
 
 def test_learning_that_stops_being_finite_exits_2(tmp_path, capsys):

@@ -233,6 +233,50 @@ def test_path_enumeration_matches_recursive_walk():
     assert seen == {CapacityError, ValueError, True, False}
 
 
+def test_pruned_walk_matches_recursive_walk_on_dead_ends():
+    # dense random digraphs whose edges into d leave from at most two nodes,
+    # so most branches are dead ends (some only once the trail blocks them);
+    # from pathless to over the cap
+    rng = np.random.default_rng(1975)
+    seen = set()
+    for _ in range(300):
+        nodes = int(rng.integers(3, 9))
+        names = ["o"] + [f"n{k}" for k in range(nodes - 2)]
+        into_d = set(rng.choice(names, size=int(rng.integers(1, 3))).tolist())
+        density = rng.uniform(0.2, 1.0)
+        edges = [(u, v, 1.0, 0.0) for u in names for v in names + ["d"]
+                 if u != v and (v != "d" or u in into_d) and rng.random() < density]
+        rng.shuffle(edges)
+        if not edges:
+            continue
+        net = CongestionNetwork.of(edges, "o", "d", 1.0)
+        want = _outcome(recursive_paths, net)
+        assert _outcome(enumerate_paths, net) == want
+        seen.add(want[0] if isinstance(want[0], type) else len(want) > 1)
+    assert seen == {CapacityError, ValueError, True, False}
+
+
+def dead_end_clique(k, back_to_trail):
+    """Origin o with a direct edge to d and a two-edge path o-y-d; y also
+    leads into a complete digraph of k nodes, which never leads on to d, or
+    leads on only back to y, a node of the trail."""
+    edges = [("o", "d", 1.0, 0.0), ("o", "y", 1.0, 0.0), ("y", "d", 1.0, 0.0),
+             ("y", "c0", 1.0, 0.0)]
+    edges += [(f"c{i}", f"c{j}", 1.0, 0.0) for i in range(k) for j in range(k) if i != j]
+    if back_to_trail:
+        edges += [(f"c{i}", "y", 1.0, 0.0) for i in range(k)]
+    return CongestionNetwork.of(edges, "o", "d", 1.0)
+
+
+@pytest.mark.parametrize("back_to_trail", [False, True])
+def test_dead_end_clique_matches_recursive_walk(back_to_trail):
+    # the unpruned walk visits every simple path of the clique: 0.02 s at
+    # k = 8, about k-fold more per node (the CLI test pins k = 14)
+    for k in (1, 2, 6):
+        net = dead_end_clique(k, back_to_trail)
+        assert enumerate_paths(net) == recursive_paths(net) == ((0,), (1, 2))
+
+
 def test_long_chain_enumerates_without_recursion():
     edges = [(f"n{k}", f"n{k + 1}", 1.0, 0.0) for k in range(5000)]
     chain = CongestionNetwork.of(edges + [("n0", "n5000", 9.0, 0.0)],

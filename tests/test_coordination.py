@@ -145,10 +145,12 @@ def test_greedy_coordinator_locks_better_signal():
 def test_incentives_inside_the_loop():
     g = two_signal_pd()
     transfers = IncentiveSchedule.zero(g)
-    arr = transfers.transfers["lo"]
-    arr[0, 0] += (3.0, 3.0)     # (C,C) pays 6: beats the 5 from defecting
-    arr[0, 1, 0] += 2.0         # C against D pays 2: beats mutual defection
-    arr[1, 0, 1] += 2.0
+    paid = transfers.transfers["lo"]
+    # agent 0 gets 3 at (C, C) and (C, D) and 2 at (D, C); agent 1 gets 2
+    # at (C, D)
+    paid[0, 0] = (3.0, 0.0)
+    paid[0, 1] = (3.0, 2.0)
+    paid[1, 0] = (2.0, 0.0)
     specs = [LearnerSpec("best-response")] * 2
     result = run_two_timescale(
         g, specs, CoordinatorPolicy("constant", ("lo",)),
@@ -236,7 +238,7 @@ def test_leader_reports_full_game_indices_under_reordered_sets():
 
     def welfare(game, candidate, profile):
         seen.append((game, profile))
-        return float(game.payoff(profile, candidate).sum())
+        return sum(game.payoff(profile, candidate))
 
     full = stackelberg_solve(g, ("default",))
     assert full.outcomes[0].equilibria == ((1, 1), (2, 0))     # (y, y), (z, x)

@@ -16,6 +16,7 @@ import pytest
 from stgames.incentives import (BudgetSpec, IncentiveSchedule, budget_check,
                                 design_incentive, is_pareto_improving,
                                 modified_payoff)
+from stgames.errors import ComputationError
 from stgames.lp import LinearProgram, solve_lp
 from stgames.strategic import (StrategicGame, counterfactual_payoffs,
                                enumerate_pure_nash, is_nash)
@@ -36,10 +37,18 @@ def random_game(rng, n, k):
     return StrategicGame.single(actions, table)
 
 
+def schedule_of(game, tables):
+    """The schedule paying at each profile that profile's slice of a whole
+    transfer table per signal, shaped like the game's payoff tables."""
+    return IncentiveSchedule({sig: {p: tuple(table[(slice(None),) + p].tolist())
+                                    for p in game.profiles()}
+                              for sig, table in tables.items()})
+
+
 def design_oracle(game, target, baseline):
     """Decoupled minimum transfers and whether strict improvement is possible."""
-    tgt_pay = game.payoff(target)
-    base_pay = game.payoff(baseline)
+    tgt_pay = np.asarray(game.payoff(target))
+    base_pay = np.asarray(game.payoff(baseline))
     rho = np.zeros(game.n_agents)
     for i in range(game.n_agents):
         best = -np.inf
@@ -95,11 +104,25 @@ def test_modified_payoff_validation():
     g = pd_game()
     with pytest.raises(ValueError):
         modified_payoff(g, IncentiveSchedule({}))
-    with pytest.raises(ValueError):
-        modified_payoff(g, IncentiveSchedule(
-            {"default": np.zeros((2, 3, 3))}))
+    with pytest.raises(ValueError, match="agent 1: action index 2"):
+        modified_payoff(g, IncentiveSchedule({"default": {(0, 2): (1.0, 1.0)}}))
+    with pytest.raises(ValueError, match="need 2 transfers, got 3"):
+        modified_payoff(g, IncentiveSchedule({"default": {CC: (1.0, 1.0, 1.0)}}))
     with pytest.raises(ValueError):
         IncentiveSchedule.on_profile(g, CC, (1.0, 2.0, 3.0))
+
+
+def test_modified_payoff_adds_a_whole_table():
+    # every payoff gets a transfer added, 0.0 where none is paid: the bits
+    # of the payoff table plus a whole transfer table, down to signs of zero
+    rng = np.random.default_rng(9)
+    table = rng.choice([0.0, -0.0, 1.5, -2.0], size=(2, 3, 2))
+    g = StrategicGame((("a0", "a1", "a2"), ("b0", "b1")), {"default": table})
+    paid = np.zeros_like(table)
+    paid[:, 1, 0] = (-0.0, 0.5)
+    mod = modified_payoff(g, IncentiveSchedule.on_profile(g, (1, 0), (-0.0, 0.5)))
+    assert np.signbit(table).any()
+    assert mod.payoffs["default"].tobytes() == (table + paid).tobytes()
 
 
 def test_negated_schedule_restores_tables():
@@ -110,18 +133,17 @@ def test_negated_schedule_restores_tables():
     table = {p: rng.integers(-12, 12, size=2) / 4.0
              for p in itertools.product(*actions)}
     g = StrategicGame.single(actions, table)
-    sched = IncentiveSchedule(
-        {"default": rng.integers(-12, 12,
-                                 size=g.payoffs["default"].shape) / 4.0})
-    neg = IncentiveSchedule({"default": -sched.transfers["default"]})
+    paid = rng.integers(-12, 12, size=g.payoffs["default"].shape) / 4.0
+    sched = schedule_of(g, {"default": paid})
+    neg = schedule_of(g, {"default": -paid})
     back = modified_payoff(modified_payoff(g, sched), neg)
     assert np.array_equal(back.payoffs["default"], g.payoffs["default"])
 
 
 def test_constant_shift_keeps_equilibria():
     g = pd_game()
-    sched = IncentiveSchedule(
-        {"default": np.stack([np.full((2, 2), 7.0), np.full((2, 2), -2.0)])})
+    sched = schedule_of(
+        g, {"default": np.stack([np.full((2, 2), 7.0), np.full((2, 2), -2.0)])})
     mod = modified_payoff(g, sched)
     assert enumerate_pure_nash(mod) == enumerate_pure_nash(g)
 
@@ -133,7 +155,7 @@ def test_constant_shift_keeps_equilibria():
         shape = game.payoffs["default"].shape
         consts = rng.uniform(-5, 5, size=n)
         layer = np.stack([np.full(shape[1:], c) for c in consts])
-        shifted = modified_payoff(game, IncentiveSchedule({"default": layer}))
+        shifted = modified_payoff(game, schedule_of(game, {"default": layer}))
         assert enumerate_pure_nash(shifted) == enumerate_pure_nash(game)
 
 
@@ -173,14 +195,14 @@ def test_budget_closed_form_and_finite():
 def test_budget_check_prices_each_profile_once():
     g = pd_game()
     sched = IncentiveSchedule.on_profile(g, CC, (0.5, 0.25))
-    sched.transfers["default"][:, 1, 1] = (0.125, 0.3)
+    sched.transfers["default"][DD] = (0.125, 0.3)
     rng = np.random.default_rng(6)
     traj = [CC, DD, CD]
     traj = [traj[k] for k in rng.integers(0, 3, size=500)]
     budget = BudgetSpec(10.0, 0.99, horizon=500)
     want = 0.0              # one schedule lookup per step, the old loop
     for t, profile in enumerate(traj):
-        want += 0.99 ** t * float(sched.per_agent(g, profile).sum())
+        want += 0.99 ** t * float(np.sum(sched.per_agent(g, profile)))
     assert budget_check(budget, g, sched, traj).spent == want
 
     # 10**6 steps of one profile took about 4 s with a lookup per step
@@ -251,7 +273,7 @@ def test_design_minimality_matches_grid_search():
         design = design_incentive(g, target, baseline, budget)
         if design.status != "ok":
             continue
-        tgt, base = g.payoff(target), g.payoff(baseline)
+        tgt, base = np.asarray(g.payoff(target)), np.asarray(g.payoff(baseline))
         gain = np.zeros(2)
         for i in range(2):
             for alt in range(len(g.actions[i])):
@@ -309,7 +331,7 @@ def test_design_matches_lp_reference():
              ("D", "C"): (t, s), ("D", "D"): (p, p)}))
     for g in games:
         design = design_incentive(g, CC, DD, budget)
-        got = design.schedule.per_agent(g, CC)
+        got = np.asarray(design.schedule.per_agent(g, CC))
         assert got.tobytes() == design_lp_reference(g, CC, DD).tobytes()
 
     # general games: the oracle's bits, and within one ulp of the LP, whose
@@ -330,7 +352,7 @@ def test_design_matches_lp_reference():
         assert (design.status == "ok") == strict
         if not strict:
             continue
-        got = design.schedule.per_agent(g, target)
+        got = np.asarray(design.schedule.per_agent(g, target))
         assert got.tobytes() == rho_star.tobytes()
         ref = design_lp_reference(g, target, baseline)
         near = (ref == got) | (ref == np.nextafter(got, np.inf)) \
@@ -338,3 +360,97 @@ def test_design_matches_lp_reference():
         assert near.all()
         oks += 1
     assert oks >= 100
+
+
+# --- the numpy kernel of earlier releases, kept as the reference -------------
+
+def design_incentive_numpy(game, target, baseline, budget, signal=None):
+    """`design_incentive` as it ran on numpy payoff tables: a whole transfer
+    table added to the game's, the equilibrium and Pareto checks as array
+    comparisons, and numpy sums. It reads the game's numpy view only.
+    Returns (status, transfers or None, per-period, discounted, reason)."""
+    sig = game.resolve_signal(signal)
+    table = game.payoffs[sig]
+    n = game.n_agents
+
+    def deviations(tab, i):
+        return tab[(i,) + target[:i] + (slice(None),) + target[i + 1:]]
+
+    base_pay = table[(slice(None),) + baseline]
+    tgt_pay = table[(slice(None),) + target]
+    rho = np.array([max(0.0, float(base_pay[i] - tgt_pay[i]),
+                        float(deviations(table, i).max() - tgt_pay[i]))
+                    for i in range(n)])
+    transfers = np.zeros_like(table)
+    transfers[(slice(None),) + target] = rho
+    modified = table + transfers
+    stay = modified[(slice(None),) + target]
+    for i in range(n):
+        vec = deviations(modified, i)
+        if any(vec[j] > stay[i] + 1e-9 for j in range(len(vec))):
+            raise ComputationError("synthesized transfers fail the equilibrium check")
+    induced = tgt_pay + rho
+    if np.any(induced < base_pay - 1e-9) or not np.any(induced > base_pay + 1e-9):
+        return ("infeasible", None, None, None,
+                "no strict Pareto improvement at minimal transfers")
+    per_period = float(rho.sum())
+    price = float(transfers[(slice(None),) + target].sum())
+    if budget.horizon is None:
+        spent = price / (1.0 - budget.delta)
+    else:
+        spent = 0.0
+        for t in range(budget.horizon):
+            spent += (budget.delta ** t) * price
+    if not spent <= budget.limit + 1e-9:
+        return ("infeasible", None, per_period, spent,
+                f"discounted spend {spent} exceeds budget {budget.limit}")
+    return ("ok", tuple(rho.tolist()), per_period, spent, "")
+
+
+def _design_bits(run):
+    try:
+        result = run()
+    except ComputationError as exc:
+        return "error", str(exc)
+    return tuple(float.hex(v) if isinstance(v, float) else
+                 tuple(map(float.hex, v)) if isinstance(v, tuple) else v
+                 for v in result)
+
+
+def test_design_matches_numpy_reference():
+    # 2-6 agents, two or three signals, payoffs with exact ties, +-0.0 and
+    # (every fifth game) NaN, budgets on both sides of the spend
+    rng = np.random.default_rng(2021)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.25, 3.0, -2.5])
+    statuses = []
+    for trial in range(300):
+        n = 2 + trial % 5
+        ks = tuple(int(k) for k in rng.integers(1, 4 if n < 5 else 3, size=n))
+        actions = tuple(tuple(f"a{j}" for j in range(k)) for k in ks)
+        tables = {}
+        for sig in ("calm", "storm", "fog")[:2 + trial % 2]:
+            table = rng.choice(pool, size=(n,) + ks)
+            mixed = rng.random(size=table.shape) < 0.4
+            table[mixed] = rng.normal(scale=3.0, size=int(mixed.sum()))
+            if trial % 5 == 0:
+                table[rng.random(size=table.shape) < 0.2] = np.nan
+            tables[sig] = table
+        game = StrategicGame(actions, tables)
+        profiles = list(game.profiles())
+        target = profiles[int(rng.integers(len(profiles)))]
+        baseline = profiles[int(rng.integers(len(profiles)))]
+        sig = game.signals[int(rng.integers(len(game.signals)))]
+        horizon = (None, 1, 4)[trial % 3]
+        budget = BudgetSpec(float(rng.choice([0.5, 4.0, 1e9])),
+                            float(rng.choice([0.5, 0.9])), horizon)
+        want = _design_bits(lambda: design_incentive_numpy(
+            game, target, baseline, budget, sig))
+
+        def library():
+            d = design_incentive(game, target, baseline, budget, sig)
+            paid = d.schedule.per_agent(game, target, sig) if d.schedule else None
+            return (d.status, paid, d.per_period_spend, d.discounted_spend, d.reason)
+
+        assert _design_bits(library) == want, trial
+        statuses.append(want[0])
+    assert statuses.count("ok") > 20 and statuses.count("infeasible") > 20

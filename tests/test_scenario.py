@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from stgames.errors import CapacityError, SchemaError
-from stgames.incentives import IncentiveSchedule
+from stgames.incentives import modified_payoff
 from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table, _py,
                               parse_scenario, record_to_csv, record_to_jsonl,
                               run_scenario, write_outputs)
@@ -335,8 +335,9 @@ def test_ttscale_runner():
 
 
 def test_ttscale_incentives_match_one_schedule_per_entry():
-    # the transfers equal the sum of one zero schedule per entry, the way
-    # they were once built, down to the sign of zero
+    # each entry pays 0.0 + value at its profile, the bits of a value added
+    # to a zero table as the transfers were once built, down to the sign of
+    # zero; and the game played is the payoff table plus that whole table
     doc = yaml.safe_load((FIXTURES / "ttscale.yaml").read_text())
     entries = [{"profile": ["a", "b"], "values": [1.5, -0.0], "signal": "lo"},
                {"profile": ["a", "b"], "values": [-2.25, 1e-300], "signal": "hi"},
@@ -344,16 +345,18 @@ def test_ttscale_incentives_match_one_schedule_per_entry():
     doc["ttscale"]["incentives"] = entries
     cfg = parse_scenario(yaml.safe_dump(doc))
     game = cfg.payload["game"]
-    want = IncentiveSchedule.zero(game)
+    want = {sig: {} for sig in game.signals}
+    dense = {sig: np.zeros_like(table) for sig, table in game.payoffs.items()}
     for e in entries:
-        one = IncentiveSchedule.on_profile(game, profile_index(game.actions, e["profile"]),
-                                           e["values"], signal=e["signal"])
-        for sig in want.transfers:
-            want.transfers[sig] += one.transfers[sig]
+        profile = profile_index(game.actions, e["profile"])
+        want[e["signal"]][profile] = tuple(float.hex(0.0 + v) for v in e["values"])
+        dense[e["signal"]][(slice(None),) + profile] += e["values"]
     got = cfg.payload["incentives"].transfers
-    assert got.keys() == want.transfers.keys()
-    for sig in got:
-        assert got[sig].tobytes() == want.transfers[sig].tobytes()
+    assert {sig: {p: tuple(map(float.hex, vec)) for p, vec in paid.items()}
+            for sig, paid in got.items()} == want
+    played = modified_payoff(game, cfg.payload["incentives"])
+    for sig, table in game.payoffs.items():
+        assert played.payoffs[sig].tobytes() == (table + dense[sig]).tobytes()
 
 
 def test_stackelberg_runner():

@@ -9,10 +9,11 @@ from stgames import learning
 from stgames.errors import CapacityError
 from stgames.incentives import IncentiveSchedule
 from stgames.learning import LearnerSpec, RateSchedule, diagnostics, run_dynamics
-from stgames.strategic import (NashCheck, StrategicGame, best_responses,
-                               contract_others, counterfactual_payoffs,
-                               enumerate_pure_nash, expected_payoffs, is_nash,
-                               mixed_gap, profile_index, welfare_and_poa)
+from stgames.strategic import (NashCheck, StrategicGame, WelfareReport,
+                               best_responses, contract_others,
+                               counterfactual_payoffs, enumerate_pure_nash,
+                               expected_payoffs, is_nash, mixed_gap,
+                               profile_index, welfare_and_poa)
 
 # tables are keyed by labels; every other profile is action indices, so in
 # the dilemma 0 is C and 1 is D
@@ -153,7 +154,7 @@ def test_expected_payoffs_against_enumeration():
             prob = 1.0
             for i, a in enumerate(profile):
                 prob *= mixed[i][a]
-            want += prob * g.payoff(profile)
+            want += prob * np.asarray(g.payoff(profile))
         got = expected_payoffs(g, mixed)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -292,13 +293,25 @@ def test_mixed_gap_vanishes_at_mixed_equilibrium():
 def test_mixed_gap_skips_nan_gains():
     # agent 0's NaN payoff makes its gain NaN; like Python's max, the gap
     # skips it and reports agent 1's gain, row by row in a batch
-    g = pennies()
-    g.payoffs["default"][0, 1, 1] = np.nan
+    table = pennies().payoffs["default"].copy()
+    table[0, 1, 1] = np.nan
+    g = StrategicGame(pennies().actions, {"default": table})
     batch = [np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([[0.5, 0.5], [0.5, 0.5]])]
     want = [mixed_gap_reference(g, [b[s] for b in batch]) for s in range(2)]
     assert want == [0.8, pytest.approx(0.6)]
     assert mixed_gap(g, batch).tobytes() == np.asarray(want).tobytes()
     assert mixed_gap(g, [b[0] for b in batch]) == want[0]
+
+
+def test_payoff_view_is_read_only():
+    # a write would leave the view and the tables the kernels read apart
+    g = pd_game()
+    view = g.payoffs["default"]
+    assert view.flags.c_contiguous and view.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        view[0, 1, 1] = 9.0
+    assert g.payoffs["default"] is view
+    assert g.payoff((1, 1)) == (1.0, 1.0)
 
 
 def test_signal_tables():
@@ -420,3 +433,111 @@ def test_index_kernels_match_label_loop_reference():
                             deviation=game.actions[check.agent][check.deviation])
                     assert check == want, (trial, profile)
     assert found > 500
+
+
+# --- the numpy kernels of earlier releases, kept as references -----------------
+#
+# `enumerate_pure_nash`, `is_nash`, `best_responses` and `welfare_and_poa`
+# ran on the numpy payoff tables before the tables became tuples of floats.
+# They read the game's numpy view, share no code with the library's plain
+# Python kernels, and the library must reproduce their bits.
+
+def _enumerate_pure_nash_numpy(game, signal, eps):
+    stable = True
+    for i, tab in enumerate(game.payoffs[signal]):
+        stable = stable & ~(np.fmax.reduce(tab, axis=i, keepdims=True) > tab + eps)
+    return list(map(tuple, np.argwhere(stable).tolist()))
+
+
+def _deviations_numpy(table, agent, profile):
+    return table[(agent,) + profile[:agent] + (slice(None),) + profile[agent + 1:]]
+
+
+def _is_nash_numpy(game, profile, eps, signal):
+    table = game.payoffs[signal]
+    base = table[(slice(None),) + profile]
+    for i in range(game.n_agents):
+        vec = _deviations_numpy(table, i, profile)
+        for j in range(len(vec)):
+            if vec[j] > base[i] + eps:
+                return NashCheck(False, i, j, float(vec[j] - base[i]))
+    return NashCheck(True)
+
+
+def _best_responses_numpy(game, agent, profile, signal):
+    vec = _deviations_numpy(game.payoffs[signal], agent, profile)
+    return tuple(np.flatnonzero(vec == vec.max()).tolist())
+
+
+def _welfare_and_poa_numpy(game, signal):
+    welfare = game.payoffs[signal].sum(axis=0)
+    flat = int(np.argmax(welfare))
+    opt_profile = tuple(int(a) for a in np.unravel_index(flat, welfare.shape))
+    opt = float(welfare[opt_profile])
+    eqs = tuple(_enumerate_pure_nash_numpy(game, signal, 0.0))
+    if not eqs:
+        return WelfareReport("maximize", opt, opt_profile, (), None, None,
+                             False, "no pure equilibrium")
+    worst = min(float(welfare[e]) for e in eqs)
+    if worst == 0.0:
+        return WelfareReport("maximize", opt, opt_profile, eqs, worst, None,
+                             False, "zero-welfare equilibrium")
+    return WelfareReport("maximize", opt, opt_profile, eqs, worst,
+                         opt / worst, True)
+
+
+def _bits(value):
+    """`value` with every float as its hex string (so -0.0 and 0.0 differ)."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _numpy_reference_corpus():
+    """Seeded games of 2-6 agents and two or three signals. Payoffs mix
+    small integers (exact ties), +-0.0, magnitudes from 1e-3 to 1e16 (so a
+    sum's order shows in its bits) and, in every fifth game, NaN; in every
+    seventh they are all +-0.0 (so a sum's start shows in its sign)."""
+    rng = np.random.default_rng(2020)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 1e16, -1e16, 1e-3])
+    for trial in range(150):
+        n = 2 + trial % 5
+        ks = tuple(int(k) for k in rng.integers(1, {2: 6, 3: 5, 4: 4}.get(n, 3), size=n))
+        actions = tuple(tuple(f"{'pqrstu'[i]}{j}" for j in range(k))
+                        for i, k in enumerate(ks))
+        tables = {}
+        for sig in ("calm", "storm", "fog")[:2 + trial % 2]:
+            table = rng.choice(pool, size=(n,) + ks)
+            mixed = rng.random(size=table.shape) < 0.3
+            table[mixed] = rng.normal(scale=10.0, size=int(mixed.sum()))
+            if trial % 7 == 3:
+                table = rng.choice(pool[:2], size=table.shape)
+            if trial % 5 == 0:
+                table[rng.random(size=table.shape) < 0.15] = np.nan
+            tables[sig] = table
+        yield StrategicGame(actions, tables)
+
+
+def test_pure_kernels_match_numpy_reference():
+    found = nan_games = 0
+    for game in _numpy_reference_corpus():
+        nan_games += any(np.isnan(t).any() for t in game.payoffs.values())
+        for sig in game.signals:
+            assert _bits(welfare_and_poa(game, sig)) \
+                == _bits(_welfare_and_poa_numpy(game, sig))
+            for eps in (0.0, 0.5, 1.0):
+                got = enumerate_pure_nash(game, sig, eps)
+                assert got == _enumerate_pure_nash_numpy(game, sig, eps)
+                found += len(got)
+            for profile in game.profiles():
+                want = game.payoffs[sig][(slice(None),) + profile].tolist()
+                assert _bits(game.payoff(profile, sig)) == _bits(tuple(want))
+                for eps in (0.0, 0.5):
+                    assert _bits(is_nash(game, profile, eps, sig)) \
+                        == _bits(_is_nash_numpy(game, profile, eps, sig))
+                for i in range(game.n_agents):
+                    assert best_responses(game, i, profile, sig) \
+                        == _best_responses_numpy(game, i, profile, sig)
+    assert found > 1000 and nan_games >= 20
