@@ -13,6 +13,7 @@ network with slopes doubled.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from ._np import np
@@ -164,7 +165,11 @@ def _descend(inc, a_vec, b_vec, demand):
 
     Pairwise shifts from the costliest used path to the cheapest path with
     exact line search; terminates when the total gap is below 1e-9 and every
-    used path is within 5e-8 of the cheapest. Returns the path flows.
+    used path is within 5e-8 of the cheapest. Returns the path flows. The
+    flows stay within the demand, but a latency, the gap or the line search's
+    curvature may overflow (a gap that is not finite never counts as
+    converged); the descent then stops at once with a ComputationError that
+    names which.
     """
     h = np.zeros(inc.shape[0])
     h[0] = demand
@@ -181,6 +186,10 @@ def _descend(inc, a_vec, b_vec, demand):
             return h
         diff = inc[p_max] - inc[p_min]
         denom = float(b_vec @ (diff * diff))
+        if not math.isfinite(gap + denom):
+            what = ("a path latency" if not np.isfinite(lat).all() else
+                    "the gap" if not math.isfinite(gap) else "the line-search curvature")
+            raise ComputationError(f"flow-shift descent overflowed: {what} is not finite")
         if denom > 0:
             t = min(h[p_max], worst / denom)
         else:
@@ -223,9 +232,9 @@ class PoaReport(NamedTuple):
     reason: str = ""
 
 
-def price_of_anarchy(network: CongestionNetwork) -> PoaReport:
-    eq = wardrop_equilibrium(network)
-    so = system_optimum(network)
+def price_of_anarchy(eq: FlowAssignment, so: FlowAssignment) -> PoaReport:
+    """Total cost of the Wardrop equilibrium `eq` over that of the system
+    optimum `so`, both assignments of one network."""
     if so.total_cost <= 1e-12:
         return PoaReport(False, None, eq.total_cost, so.total_cost,
                          "zero-cost optimum")
@@ -244,10 +253,9 @@ class BraessReport(NamedTuple):
     augmented: FlowAssignment
 
 
-def braess_delta(network: CongestionNetwork, extra: Edge) -> BraessReport:
-    """Equilibrium cost change from adding one edge."""
-    base = wardrop_equilibrium(network)
-    augmented = wardrop_equilibrium(network.with_edge(extra))
+def braess_delta(base: FlowAssignment, augmented: FlowAssignment) -> BraessReport:
+    """Equilibrium cost change from adding one edge, from the Wardrop
+    equilibria of the network without it (`base`) and with it."""
     return BraessReport(base.per_unit_cost, augmented.per_unit_cost,
                         augmented.per_unit_cost - base.per_unit_cost,
                         base, augmented)
@@ -262,20 +270,18 @@ class TollReport(NamedTuple):
     latency_per_unit_cost: float
 
 
-def marginal_cost_tolls(network: CongestionNetwork) -> TollReport:
-    """Tolls b_e * f_e* that make the system optimum an equilibrium.
+def marginal_cost_tolls(network: CongestionNetwork, so: FlowAssignment) -> TollReport:
+    """Tolls b_e * f_e* that make the system optimum `so` of `network` an equilibrium.
 
     The tolled network adds each toll to the edge's free-flow latency; the
     report carries the largest edge-flow deviation of the tolled equilibrium
     from the system optimum, and the tolled flows re-priced at latency alone
     (tolls are transfers, not travel time).
     """
-    so = system_optimum(network)
     _, a_vec, b_vec = _arrays(network, ())
     tolls = b_vec * so.edge_flows
     tolled = CongestionNetwork(
-        tuple(Edge(e.tail, e.head, e.a + tolls[i], e.b)
-              for i, e in enumerate(network.edges)),
+        tuple(Edge(e.tail, e.head, e.a + t, e.b) for e, t in zip(network.edges, tolls)),
         network.origin, network.destination, network.demand)
     eq = wardrop_equilibrium(tolled)
     gap = float(np.max(np.abs(eq.edge_flows - so.edge_flows)))

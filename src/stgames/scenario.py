@@ -754,8 +754,10 @@ def _run_match(cfg, market, proposing, stable_set):
 
 
 def _run_nash(cfg, game, signal, eps):
-    equilibria = stratmod.enumerate_pure_nash(game, signal=signal, eps=eps)
-    welfare = stratmod.welfare_and_poa(game, signal=signal)
+    exact = stratmod.enumerate_pure_nash(game, signal=signal)
+    equilibria = stratmod.enumerate_pure_nash(game, signal=signal, eps=eps) \
+        if eps > 0 else exact
+    welfare = stratmod.welfare_and_poa(game, exact, signal=signal)
     summary = {"signal": signal, "eps": eps,
                "equilibria": [_labels(game, e) for e in equilibria],
                "welfare_optimum": welfare.optimal_welfare,
@@ -852,7 +854,7 @@ def _run_stackelberg(cfg, game, candidates, mode, objective):
 def _run_wardrop(cfg, network, extra_edge, tolls):
     eq = netmod.wardrop_equilibrium(network)
     so = netmod.system_optimum(network)
-    poa = netmod.price_of_anarchy(network)
+    poa = netmod.price_of_anarchy(eq, so)
     summary = {"equilibrium_cost": eq.total_cost,
                "equilibrium_per_unit_cost": eq.per_unit_cost,
                "optimum_cost": so.total_cost,
@@ -870,12 +872,13 @@ def _run_wardrop(cfg, network, extra_edge, tolls):
               Table.of("optimum_paths", ("path", "flow", "latency"),
                        path_rows(so))]
     if extra_edge is not None:
-        report = netmod.braess_delta(network, extra_edge)
+        report = netmod.braess_delta(
+            eq, netmod.wardrop_equilibrium(network.with_edge(extra_edge)))
         summary["augmented_per_unit_cost"] = report.augmented_per_unit_cost
         summary["braess_delta"] = report.delta
         summary["paradox"] = report.delta > 0
     if tolls:
-        toll = netmod.marginal_cost_tolls(network)
+        toll = netmod.marginal_cost_tolls(network, so)
         summary["tolled_latency_cost"] = toll.latency_cost
         summary["tolled_per_unit_cost"] = toll.latency_per_unit_cost
         summary["toll_flow_gap"] = toll.max_edge_flow_gap

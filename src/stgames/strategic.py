@@ -12,11 +12,12 @@ order of `profiles()` and `rows()`). So the payoff of agent i at the
 profile in position p of that order is entry p * n + i, and agent i's
 payoffs along its own actions, the others pinned, are one strided slice.
 Only this module reads that layout. The pure-profile kernels (`payoff`,
-`best_responses`, `is_nash`, `enumerate_pure_nash`, `welfare_and_poa`) run
-on the tuples in plain Python and never load numpy. Their floats follow
-the operation order of the numpy kernels they replaced, so they give the
-same bits: a sum over agents is added left to right from 0.0, a maximum is
-the first one, and NaN payoffs are skipped where `np.fmax` skipped them.
+`best_responses`, `is_nash`, `enumerate_pure_nash`, and `welfare_and_poa`
+over the equilibria that one found) run on the tuples in plain Python and
+never load numpy. Their floats follow the operation order of the numpy
+kernels they replaced, so they give the same bits: a sum over agents is
+added left to right from 0.0, a maximum is the first one, and NaN payoffs
+are skipped where `np.fmax` skipped them.
 
 `payoffs` is the numpy view the mixed-strategy kernels and learning read:
 per signal a read-only, C-ordered float64 array of shape
@@ -336,22 +337,21 @@ def enumerate_pure_nash(game: StrategicGame, signal=None, eps: float = 0.0):
     return list(itertools.compress(game.profiles(), stable))
 
 
-def welfare_and_poa(game: StrategicGame, signal=None) -> WelfareReport:
+def welfare_and_poa(game: StrategicGame, equilibria, signal=None) -> WelfareReport:
     """Utilitarian optimum vs worst pure equilibrium, maximize convention.
 
-    Games without a pure equilibrium (or with a zero-welfare worst
-    equilibrium) yield an undefined ratio rather than an exception. The
-    optimum is the first profile of greatest welfare, or the first of NaN
-    welfare, as `np.argmax` picks.
+    `equilibria` are the pure equilibria `enumerate_pure_nash` found at
+    eps = 0; none (or a zero-welfare worst one) yields an undefined ratio
+    rather than an exception. The optimum is the first profile of greatest
+    welfare, or the first of NaN welfare, as `np.argmax` picks.
     """
-    sig = game.resolve_signal(signal)
-    welfare = [_total(row) for row in game.rows(sig)]
+    welfare = [_total(row) for row in game.rows(signal)]
     best = next((p for p, w in enumerate(welfare) if w != w), None)
     if best is None:
         best = welfare.index(max(welfare))
     opt_profile = next(itertools.islice(game.profiles(), best, None))
     opt = welfare[best]
-    eqs = tuple(enumerate_pure_nash(game, sig))
+    eqs = tuple(equilibria)
     if not eqs:
         return WelfareReport("maximize", opt, opt_profile, (), None, None,
                              False, "no pure equilibrium")

@@ -372,7 +372,7 @@ def test_criterion_07_braess_and_pigou(capsys):
         assert abs(base.per_unit_cost - 1.5) <= 1e-4
         assert abs(base.per_unit_cost - base_oracle) <= 1e-4
 
-        report = braess_delta(BRAESS, SHORTCUT)
+        report = braess_delta(base, wardrop_equilibrium(BRAESS.with_edge(SHORTCUT)))
         aug_a, aug_b = _coeffs(BRAESS_AUGMENTED)
         aug_oracle = grid_cost_three_paths(BRAESS_AUG_INC, aug_a, aug_b, 1.0,
                                            potential=True)
@@ -381,7 +381,7 @@ def test_criterion_07_braess_and_pigou(capsys):
         assert abs(report.delta - 0.5) <= 1e-4
         assert abs(report.delta - (aug_oracle - base_oracle)) <= 2e-4
 
-        poa = price_of_anarchy(PIGOU)
+        poa = price_of_anarchy(wardrop_equilibrium(PIGOU), system_optimum(PIGOU))
         assert poa.defined
         assert abs(poa.ratio - 4 / 3) <= 1e-6
 
@@ -392,11 +392,11 @@ def test_criterion_07_braess_and_pigou(capsys):
 def test_criterion_08_marginal_cost_tolls_restore_optimum(capsys):
     def body():
         for net in (PIGOU, BRAESS_AUGMENTED):
-            toll = marginal_cost_tolls(net)
-            gap = np.max(np.abs(toll.tolled_equilibrium.edge_flows
-                                - system_optimum(net).edge_flows))
+            so = system_optimum(net)
+            toll = marginal_cost_tolls(net, so)
+            gap = np.max(np.abs(toll.tolled_equilibrium.edge_flows - so.edge_flows))
             assert gap <= 1e-6
-        toll = marginal_cost_tolls(BRAESS_AUGMENTED)
+        toll = marginal_cost_tolls(BRAESS_AUGMENTED, system_optimum(BRAESS_AUGMENTED))
         assert abs(toll.latency_per_unit_cost - 1.5) <= 1e-6
 
     criterion(capsys, 8, "tolled flows equal the system optimum", 5.0, body)

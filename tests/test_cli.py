@@ -603,6 +603,23 @@ def test_dead_end_clique_exits_within_budget(tmp_path):
     assert proc.returncode == cli.EXIT_OK, proc.stderr
 
 
+def test_overflowing_wardrop_exits_2_at_once(tmp_path, capsys):
+    # the schema accepts any finite demand; at this one the descent's gap
+    # overflows on the first shift, and a descent that did not stop there
+    # would take its 500,000 shifts, about 13 s, to fail. (PyYAML reads
+    # `1.0e308`, with no sign, as a string.)
+    text = (FIXTURES / "wardrop.yaml").read_text()
+    config = tmp_path / "wardrop.yaml"
+    config.write_text(text.replace("demand: 1.0\n", "demand: 1.0e+308\n"))
+    start = time.perf_counter()
+    assert cli.main(["wardrop", "--config", str(config), "--quiet"]) == cli.EXIT_COMPUTATION
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert re.search(r"^error: flow-shift descent overflowed: the gap is not finite",
+                     err, re.MULTILINE)
+    assert "Traceback" not in err
+
+
 def test_learning_that_stops_being_finite_exits_2(tmp_path, capsys):
     # q / tau overflows at this temperature, which the schema accepts, and
     # the policies become NaN

@@ -13,7 +13,8 @@ from stgames.congestion import (BraessReport, CongestionNetwork, Edge,
                                 braess_delta, enumerate_paths,
                                 marginal_cost_tolls, price_of_anarchy,
                                 system_optimum, wardrop_equilibrium)
-from stgames.errors import CapacityError
+from stgames import congestion
+from stgames.errors import CapacityError, ComputationError
 
 PIGOU = CongestionNetwork.of(
     [("o", "d", 1.0, 0.0), ("o", "d", 0.0, 1.0)], "o", "d", 1.0)
@@ -96,7 +97,7 @@ def test_pigou_equilibrium_all_on_variable_link():
 
 
 def test_pigou_price_of_anarchy():
-    rep = price_of_anarchy(PIGOU)
+    rep = price_of_anarchy(wardrop_equilibrium(PIGOU), system_optimum(PIGOU))
     assert rep.defined
     assert rep.ratio == pytest.approx(4.0 / 3.0, abs=1e-6)
 
@@ -112,7 +113,8 @@ def test_pigou_matches_grid():
 
 
 def test_braess_paradox_costs():
-    rep = braess_delta(BRAESS, SHORTCUT)
+    rep = braess_delta(wardrop_equilibrium(BRAESS),
+                       wardrop_equilibrium(BRAESS.with_edge(SHORTCUT)))
     assert rep.base_per_unit_cost == pytest.approx(1.5, abs=1e-6)
     assert rep.augmented_per_unit_cost == pytest.approx(2.0, abs=1e-6)
     assert rep.delta == pytest.approx(0.5, abs=1e-6)
@@ -125,7 +127,8 @@ def test_braess_paradox_costs():
 def test_braess_matches_grid():
     a, b = _coeffs(BRAESS)
     base_grid = grid_cost_two_paths(BRAESS_INC, a, b, 1.0, potential=True)
-    rep = braess_delta(BRAESS, SHORTCUT)
+    rep = braess_delta(wardrop_equilibrium(BRAESS),
+                       wardrop_equilibrium(BRAESS.with_edge(SHORTCUT)))
     assert rep.base_per_unit_cost == pytest.approx(base_grid, abs=1e-4)
 
     aug = BRAESS.with_edge(SHORTCUT)
@@ -142,12 +145,13 @@ def test_braess_matches_grid():
 
 def test_tolls_restore_system_optimum():
     for network in (PIGOU, BRAESS.with_edge(SHORTCUT)):
-        rep = marginal_cost_tolls(network)
+        rep = marginal_cost_tolls(network, system_optimum(network))
         assert rep.max_edge_flow_gap <= 1e-6
         assert np.max(np.abs(rep.tolled_equilibrium.edge_flows
                              - rep.system_optimum.edge_flows)) <= 1e-6
 
-    rep = marginal_cost_tolls(BRAESS.with_edge(SHORTCUT))
+    aug = BRAESS.with_edge(SHORTCUT)
+    rep = marginal_cost_tolls(aug, system_optimum(aug))
     # with tolls in place the travel time drops back to the pre-shortcut 1.5
     assert rep.latency_per_unit_cost == pytest.approx(1.5, abs=1e-6)
     assert rep.tolls == pytest.approx([0.5, 0.0, 0.0, 0.5, 0.0], abs=1e-6)
@@ -295,9 +299,28 @@ def test_input_validation():
 
 def test_poa_undefined_on_free_network():
     free = CongestionNetwork.of([("o", "d", 0.0, 0.0)], "o", "d", 1.0)
-    rep = price_of_anarchy(free)
+    rep = price_of_anarchy(wardrop_equilibrium(free), system_optimum(free))
     assert not rep.defined
     assert rep.reason == "zero-cost optimum"
+
+
+@pytest.mark.parametrize("network, what", [
+    # total cost demand * latency passes the double range
+    (CongestionNetwork.of(BRAESS.edges, "o", "d", 1.0e308), "the gap"),
+    # each edge's latency is finite, the path's sum of two is not
+    (CongestionNetwork.of([("o", "m", 0.0, 1.0e308), ("m", "d", 0.0, 1.0e308),
+                           ("o", "d", 1.0, 0.0)], "o", "d", 1.5), "a path latency"),
+    # latencies and gap are finite, the line search's curvature is not; its
+    # step of 0 would leave all flow on the dearer link
+    (CongestionNetwork.of([("o", "d", 0.0, 1.0e308), ("o", "d", 1.0, 1.0e308)],
+                          "o", "d", 1.0), "the line-search curvature")])
+def test_overflowing_descent_stops_at_once(monkeypatch, network, what):
+    # one shift allowed: an overflow found on the first pass is reported as
+    # such, after numpy's own warning, not as a descent out of shifts
+    monkeypatch.setattr(congestion, "MAX_SHIFTS", 1)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(ComputationError, match=f"overflowed: {what} is not finite"):
+        wardrop_equilibrium(network)
 
 
 def test_returned_flows_minimize_their_objectives():
@@ -359,5 +382,5 @@ def test_random_parallel_links():
         used = lat[eq.edge_flows > 1e-6]
         if len(used) > 1:
             assert np.ptp(used) <= 1e-5
-        rep = marginal_cost_tolls(net)
+        rep = marginal_cost_tolls(net, so)
         assert rep.max_edge_flow_gap <= 1e-5

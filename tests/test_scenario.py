@@ -1,5 +1,6 @@
 """Strict YAML schema, per-kind scenario runners, and deterministic export."""
 
+import collections
 import csv
 import hashlib
 import io
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from stgames import congestion, strategic
 from stgames.errors import CapacityError, SchemaError
 from stgames.incentives import modified_payoff
 from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table, _py,
@@ -389,6 +391,32 @@ def test_wardrop_runner():
     assert s["paradox"] is True
     assert s["tolled_per_unit_cost"] == pytest.approx(1.5, abs=1e-9)
     assert s["toll_flow_gap"] <= 1e-6
+
+
+def test_each_run_solves_each_problem_once(monkeypatch):
+    # `scenario` reads `netmod.*` and `stratmod.*` at call time, so a spy on
+    # the module attribute sees every call of a parse and a run
+    calls = collections.Counter()
+    for module, name in ((congestion, "_descend"), (congestion, "enumerate_paths"),
+                         (strategic, "enumerate_pure_nash")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    # the base equilibrium, the optimum, and the equilibria with the extra
+    # edge and with tolls; a walk for each network the schema check and the
+    # runs see
+    run_scenario(load("wardrop"))
+    assert calls == {"_descend": 4, "enumerate_paths": 6}
+    calls.clear()
+    run_scenario(load("nash"))
+    assert calls == {"enumerate_pure_nash": 1}
+    calls.clear()
+    doc = yaml.safe_load((FIXTURES / "nash.yaml").read_text())
+    doc["nash"]["eps"] = 1.5
+    run_scenario(parse_scenario(yaml.safe_dump(doc)))
+    assert calls == {"enumerate_pure_nash": 2}
 
 
 def test_incentive_runner():

@@ -117,7 +117,8 @@ def test_constant_shift_preserves_best_responses():
 
 
 def test_welfare_ratio_on_dilemma():
-    rep = welfare_and_poa(pd_game())
+    game = pd_game()
+    rep = welfare_and_poa(game, enumerate_pure_nash(game))
     assert rep.defined
     assert rep.optimal_welfare == pytest.approx(6.0)
     assert rep.optimal_profile == (0, 0)
@@ -126,14 +127,14 @@ def test_welfare_ratio_on_dilemma():
 
 
 def test_welfare_ratio_undefined_cases():
-    rep = welfare_and_poa(pennies())
+    rep = welfare_and_poa(pennies(), enumerate_pure_nash(pennies()))
     assert not rep.defined and rep.ratio is None
     assert rep.reason == "no pure equilibrium"
 
     table = {("a", "x"): (0, 0), ("a", "y"): (-1, -1),
              ("b", "x"): (-1, -1), ("b", "y"): (-2, -2)}
     g = StrategicGame.single((("a", "b"), ("x", "y")), table)
-    rep = welfare_and_poa(g)
+    rep = welfare_and_poa(g, enumerate_pure_nash(g))
     assert not rep.defined
     assert rep.reason == "zero-welfare equilibrium"
     assert rep.worst_equilibrium_welfare == pytest.approx(0.0)
@@ -525,7 +526,7 @@ def test_pure_kernels_match_numpy_reference():
     for game in _numpy_reference_corpus():
         nan_games += any(np.isnan(t).any() for t in game.payoffs.values())
         for sig in game.signals:
-            assert _bits(welfare_and_poa(game, sig)) \
+            assert _bits(welfare_and_poa(game, enumerate_pure_nash(game, sig), sig)) \
                 == _bits(_welfare_and_poa_numpy(game, sig))
             for eps in (0.0, 0.5, 1.0):
                 got = enumerate_pure_nash(game, sig, eps)
