@@ -44,8 +44,8 @@ _HOME = {name: module for module, names in (
                    "ResilienceMetrics TrustMatrix corrupt_reports "
                    "run_consensus_scenario trimmed_consensus_step "
                    "update_trust"),
-    ("scenario", "RunRecord ScenarioConfig Table parse_scenario record_to_csv "
-                 "record_to_jsonl run_scenario write_outputs"),
+    ("scenario", "RunRecord ScenarioConfig Table parse_scenario run_scenario "
+                 "write_outputs"),
 ) for name in names.split()}
 
 for _module in dict.fromkeys(_HOME.values()):

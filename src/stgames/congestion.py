@@ -214,14 +214,16 @@ def _assignment(network, paths, kind, slope):
                           total / network.demand, gap)
 
 
-def wardrop_equilibrium(network: CongestionNetwork) -> FlowAssignment:
-    """User equilibrium: every used path has minimal latency (within 1e-7)."""
-    return _assignment(network, enumerate_paths(network), "equilibrium", 1.0)
+def wardrop_equilibrium(network: CongestionNetwork, paths) -> FlowAssignment:
+    """User equilibrium over `paths`, the network's `enumerate_paths`:
+    every used path has minimal latency (within 1e-7)."""
+    return _assignment(network, paths, "equilibrium", 1.0)
 
 
-def system_optimum(network: CongestionNetwork) -> FlowAssignment:
-    """Total-cost minimizer; the descent runs on marginal costs a + 2 b f."""
-    return _assignment(network, enumerate_paths(network), "system-optimum", 2.0)
+def system_optimum(network: CongestionNetwork, paths) -> FlowAssignment:
+    """Total-cost minimizer over `paths`, the network's `enumerate_paths`;
+    the descent runs on marginal costs a + 2 b f."""
+    return _assignment(network, paths, "system-optimum", 2.0)
 
 
 class PoaReport(NamedTuple):
@@ -273,17 +275,18 @@ class TollReport(NamedTuple):
 def marginal_cost_tolls(network: CongestionNetwork, so: FlowAssignment) -> TollReport:
     """Tolls b_e * f_e* that make the system optimum `so` of `network` an equilibrium.
 
-    The tolled network adds each toll to the edge's free-flow latency; the
-    report carries the largest edge-flow deviation of the tolled equilibrium
-    from the system optimum, and the tolled flows re-priced at latency alone
-    (tolls are transfers, not travel time).
+    The tolled network adds each toll to the edge's free-flow latency, so it
+    has the same edges in the same order and its equilibrium runs over the
+    paths of `so`. The report carries the largest edge-flow deviation of the
+    tolled equilibrium from the system optimum, and the tolled flows
+    re-priced at latency alone (tolls are transfers, not travel time).
     """
     _, a_vec, b_vec = _arrays(network, ())
     tolls = b_vec * so.edge_flows
     tolled = CongestionNetwork(
         tuple(Edge(e.tail, e.head, e.a + t, e.b) for e, t in zip(network.edges, tolls)),
         network.origin, network.destination, network.demand)
-    eq = wardrop_equilibrium(tolled)
+    eq = wardrop_equilibrium(tolled, so.paths)
     gap = float(np.max(np.abs(eq.edge_flows - so.edge_flows)))
     latency_cost = float(eq.edge_flows @ (a_vec + b_vec * eq.edge_flows))
     return TollReport(tolls, eq, so, gap, latency_cost,

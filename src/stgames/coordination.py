@@ -168,7 +168,7 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
                              signal_schedule=lambda t: signal,
                              initial_state=_project_state(state, keep))
         _embed_state(state, trace.final_state, keep)
-        freqs = tuple(tuple((c - b) / epoch_length)
+        freqs = tuple(tuple(((c - b) / epoch_length).tolist())
                       for c, b in zip(state.counts, before))
         mean_pay = trace.payoffs.mean(axis=0)
         digest = EpochDigest(signal, freqs, float(mean_pay.sum()),

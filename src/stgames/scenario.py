@@ -6,11 +6,12 @@ rejected with their full path, types are checked, and size caps raise
 capacity errors before any computation starts. Each kind's validator builds
 the library objects its runner needs while it walks the document, so a
 constructor's complaint is reported at the field that caused it. Runs
-produce a RunRecord (summary metrics plus named trace tables) exported as
-CSV, where floats carry 17 significant digits, or as JSON lines, where they
-carry the shortest repr that reads back to the same double; either way a
-parse-back is lossless. The record embeds a digest of the canonicalized
-config.
+produce a RunRecord: summary metrics plus named tables of columns, all of
+plain Python values (never numpy scalars). `write_outputs`, the one
+serializer, streams CSV, where floats carry 17 significant digits, or JSON
+lines, where they carry the shortest repr that reads back to the same
+double; either way a parse-back is lossless. The record embeds a digest of
+the canonicalized config.
 
 The library modules are bound here as modules and their names read at call
 time (`stratmod.StrategicGame`), so importing this module executes none of
@@ -492,20 +493,20 @@ def _v_stackelberg(node, path):
                     _need_map(entry, epath, required=("profile", "value"))
                     profile = _need_profile(entry["profile"], f"{epath}.profile",
                                             game.actions)
-                    if profile in rows:
+                    key = stratmod.profile_index(game.actions, profile)
+                    if key in rows:
                         _fail(epath, f"duplicate profile {profile}")
-                    rows[profile] = _need_number(entry["value"], f"{epath}.value")
+                    rows[key] = _need_number(entry["value"], f"{epath}.value")
             block["leader_objective"] = {"table": {
-                sig: {" ".join(p): v for p, v in rows.items()}
+                sig: {" ".join(_labels(game, p)): v for p, v in rows.items()}
                 for sig, rows in table.items()}}
 
             def objective(g, signal, profile):
-                labels = _labels(g, profile)
                 try:
-                    return table[signal][tuple(labels)]
+                    return table[signal][profile]
                 except KeyError:
                     _fail(f"{lpath}.table.{signal}",
-                          f"no value for follower equilibrium {labels}")
+                          f"no value for follower equilibrium {_labels(g, profile)}")
 
     return block, {"game": game, "candidates": tuple(candidates),
                    "mode": block["mode"], "objective": objective}
@@ -532,12 +533,12 @@ def _v_wardrop(node, path):
     network = _make(path, netmod.CongestionNetwork,
                     tuple(netmod.Edge(**e) for e in block["edges"]),
                     block["origin"], block["destination"], block["demand"])
-    _make(path, netmod.enumerate_paths, network)      # none, or too many
-    inputs = {"network": network, "extra_edge": None, "tolls": False}
+    inputs = {"network": network, "augmented": None, "tolls": False,
+              "paths": _make(path, netmod.enumerate_paths, network)}  # none, or too many
     if "extra_edge" in node:
         block["extra_edge"] = edge(node["extra_edge"], f"{path}.extra_edge")
-        inputs["extra_edge"] = netmod.Edge(**block["extra_edge"])
-        netmod.enumerate_paths(network.with_edge(inputs["extra_edge"]))   # too many
+        augmented = network.with_edge(netmod.Edge(**block["extra_edge"]))
+        inputs["augmented"] = (augmented, netmod.enumerate_paths(augmented))  # too many
     if "tolls" in node:
         block["tolls"] = inputs["tolls"] = _need_bool(node["tolls"], f"{path}.tolls")
     return block, inputs
@@ -655,14 +656,12 @@ def _v_resilience(node, path):
 # --- run records -----------------------------------------------------------------
 
 class Table(NamedTuple):
-    """One named trace table: column names plus row tuples."""
+    """One named trace table: its column names, and in `data` one sequence
+    of cells per column (a list, a range or a tuple), all the same length.
+    A cell is a str, int, float, bool or None."""
     name: str
     columns: tuple
-    rows: tuple
-
-    @staticmethod
-    def of(name, columns, rows):
-        return Table(name, tuple(columns), tuple(tuple(r) for r in rows))
+    data: tuple
 
 
 class RunRecord(NamedTuple):
@@ -679,33 +678,16 @@ class RunRecord(NamedTuple):
         raise KeyError(name)
 
 
-def _py(value):
-    """Coerce numpy scalars/arrays into plain Python for serialization.
-
-    A plain value is told apart by its type's module, so it never loads
-    numpy."""
-    if type(value).__module__ == "numpy":
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
-        if isinstance(value, np.bool_):
-            return bool(value)
-        if isinstance(value, np.ndarray):
-            return [_py(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _py(v) for k, v in value.items()}
-    return value
-
-
 def _labels(game, profile):
     """A profile of action indices as the list of its action labels."""
     return [labels[a] for labels, a in zip(game.actions, profile)]
 
 
 # --- per-kind runners --------------------------------------------------------------
+#
+# Each runner builds its tables' columns from the kernels' results, with
+# `.tolist()` on arrays, so every summary value and table cell is plain
+# Python and the writers format them as they are.
 
 def _run_coop(cfg, game, compute):
     summary = {"agents": game.n}
@@ -717,23 +699,20 @@ def _run_coop(cfg, game, compute):
     if "surplus" in compute:
         summary["cooperative_surplus"] = coopmod.cooperative_surplus(game)
     if "shapley" in compute:
-        phi = coopmod.shapley(game)
-        summary["shapley"] = _py(phi)
-        tables.append(Table.of("shapley", ("agent", "value"),
-                               [(i, float(phi[i])) for i in range(game.n)]))
+        summary["shapley"] = phi = coopmod.shapley(game).tolist()
+        tables.append(Table("shapley", ("agent", "value"), (range(game.n), phi)))
     if "core" in compute:
         rep = coopmod.core_nonempty(game)
         summary["core_nonempty"] = rep.nonempty
         if rep.certificate is not None:
-            summary["core_point"] = _py(rep.certificate)
+            summary["core_point"] = rep.certificate.tolist()
         summary["core_lp_optimum"] = rep.lp_optimum
     if "nucleolus" in compute:
         rep = coopmod.nucleolus(game)
-        summary["nucleolus"] = _py(rep.allocation)
+        summary["nucleolus"] = allocation = rep.allocation.tolist()
         summary["nucleolus_stages"] = rep.stages
-        tables.append(Table.of("nucleolus", ("agent", "value"),
-                               [(i, float(rep.allocation[i]))
-                                for i in range(game.n)]))
+        tables.append(Table("nucleolus", ("agent", "value"),
+                            (range(game.n), allocation)))
     return RunRecord("coop", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
@@ -742,14 +721,13 @@ def _run_match(cfg, market, proposing, stable_set):
     summary = {"proposing": proposing,
                "stable": matchmod.is_stable(market, result),
                "pairs": [list(pair) for pair in result.pairs]}
-    tables = [Table.of("matching", ("left", "right"), result.pairs)]
+    tables = [Table("matching", ("left", "right"), tuple(zip(*result.pairs)))]
     if stable_set:
         stable = matchmod.enumerate_stable(market)
         summary["stable_count"] = len(stable)
-        tables.append(Table.of(
-            "stable_set", ("index", "pairs"),
-            [(k, json.dumps([list(pair) for pair in m.pairs]))
-             for k, m in enumerate(stable)]))
+        tables.append(Table("stable_set", ("index", "pairs"), (
+            range(len(stable)),
+            [json.dumps([list(pair) for pair in m.pairs]) for m in stable])))
     return RunRecord("match", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
@@ -770,14 +748,14 @@ def _run_nash(cfg, game, signal, eps):
         summary["poa_reason"] = welfare.reason
     eq_set = set(equilibria)
     n = game.n_agents
-    rows = [labels + pay + (profile in eq_set,)
-            for profile, labels, pay in zip(game.profiles(),
-                                            itertools.product(*game.actions),
-                                            game.rows(signal))]
+    labels = [[names[p[i]] for p in game.profiles()]
+              for i, names in enumerate(game.actions)]
+    data = (*labels, *game.payoff_columns(signal),
+            [p in eq_set for p in game.profiles()])
     cols = tuple(f"action_{i}" for i in range(n)) + \
         tuple(f"payoff_{i}" for i in range(n)) + ("is_nash",)
     return RunRecord("nash", cfg.digest, cfg.seed, summary,
-                     (Table.of("profiles", cols, rows),))
+                     (Table("profiles", cols, data),))
 
 
 def _run_learn(cfg, game, specs, horizon, schedule, gap_stride):
@@ -786,22 +764,18 @@ def _run_learn(cfg, game, specs, horizon, schedule, gap_stride):
     diag = learnmod.diagnostics(game, trace, gap_stride=gap_stride)
     summary = {"horizon": horizon,
                "final_profile": _labels(game, trace.actions[-1].tolist()),
-               "external_regret": _py(diag.external_regret),
+               "external_regret": diag.external_regret.tolist(),
                "max_regret": float(diag.external_regret.max()),
                "final_gap": float(diag.gap_series[-1])}
     n = game.n_agents
-    # one zip over per-agent columns makes each row tuple directly, with no
-    # per-step list or tuple in between
     labels = [[names[a] for a in trace.actions[:, i].tolist()]
               for i, names in enumerate(game.actions)]
-    rows = list(zip(itertools.count(1), trace.signals, *labels,
-                    *trace.payoffs.T.tolist()))
     cols = ("step", "signal") + tuple(f"action_{i}" for i in range(n)) \
         + tuple(f"payoff_{i}" for i in range(n))
-    tables = [Table.of("trace", cols, rows),
-              Table.of("gap", ("step", "gap"),
-                       [(int(t), float(g))
-                        for t, g in zip(diag.gap_times, diag.gap_series)])]
+    tables = [Table("trace", cols, (range(1, horizon + 1), trace.signals, *labels,
+                                    *trace.payoffs.T.tolist())),
+              Table("gap", ("step", "gap"),
+                    (diag.gap_times, diag.gap_series.tolist()))]
     return RunRecord("learn", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
@@ -812,16 +786,17 @@ def _run_ttscale(cfg, game, specs, coordinator, outer_steps, epoch_length,
         epoch_length=epoch_length, seed=cfg.seed,
         admissible=admissible, incentives=incentives,
         initial_signal=initial_signal)
+    epochs = result.epochs
     summary = {"outer_steps": outer_steps,
                "epoch_length": epoch_length,
                "final_signal": result.final_signal,
-               "signal_sequence": [e.signal for e in result.epochs],
-               "final_welfare": result.epochs[-1].digest.mean_welfare}
-    rows = [(e.index, e.signal, e.digest.mean_welfare,
-             json.dumps(_py(e.digest.frequencies)))
-            for e in result.epochs]
-    tables = [Table.of("epochs", ("epoch", "signal", "mean_welfare",
-                                  "action_frequencies"), rows)]
+               "signal_sequence": [e.signal for e in epochs],
+               "final_welfare": epochs[-1].digest.mean_welfare}
+    data = ([e.index for e in epochs], [e.signal for e in epochs],
+            [e.digest.mean_welfare for e in epochs],
+            [json.dumps(e.digest.frequencies) for e in epochs])
+    tables = [Table("epochs", ("epoch", "signal", "mean_welfare",
+                               "action_frequencies"), data)]
     return RunRecord("ttscale", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
@@ -836,24 +811,23 @@ def _run_stackelberg(cfg, game, candidates, mode, objective):
                     follower = _labels(game, eq)
                     break
             break
+    outcomes = report.outcomes
     summary = {"mode": mode, "signal": report.best_candidate,
                "leader_value": report.leader_value,
                "follower_profile": follower,
-               "skipped_signals": [o.candidate for o in report.outcomes
-                                   if o.skipped]}
-    rows = [(o.candidate,
-             json.dumps([_labels(game, e) for e in o.equilibria]),
-             o.value, o.skipped)
-            for o in report.outcomes]
+               "skipped_signals": [o.candidate for o in outcomes if o.skipped]}
+    data = ([o.candidate for o in outcomes],
+            [json.dumps([_labels(game, e) for e in o.equilibria]) for o in outcomes],
+            [o.value for o in outcomes], [o.skipped for o in outcomes])
     return RunRecord("stackelberg", cfg.digest, cfg.seed, summary,
-                     (Table.of("candidates",
-                               ("signal", "equilibria", "leader_value", "skipped"),
-                               rows),))
+                     (Table("candidates",
+                            ("signal", "equilibria", "leader_value", "skipped"),
+                            data),))
 
 
-def _run_wardrop(cfg, network, extra_edge, tolls):
-    eq = netmod.wardrop_equilibrium(network)
-    so = netmod.system_optimum(network)
+def _run_wardrop(cfg, network, paths, augmented, tolls):
+    eq = netmod.wardrop_equilibrium(network, paths)
+    so = netmod.system_optimum(network, paths)
     poa = netmod.price_of_anarchy(eq, so)
     summary = {"equilibrium_cost": eq.total_cost,
                "equilibrium_per_unit_cost": eq.per_unit_cost,
@@ -863,17 +837,16 @@ def _run_wardrop(cfg, network, extra_edge, tolls):
     if not poa.defined:
         summary["poa_reason"] = poa.reason
 
-    def path_rows(fa):
-        return [(json.dumps(list(fa.paths[k])), float(fa.path_flows[k]),
-                 float(fa.path_latencies[k])) for k in range(len(fa.paths))]
+    def path_columns(fa):
+        return ([json.dumps(list(p)) for p in fa.paths],
+                fa.path_flows.tolist(), fa.path_latencies.tolist())
 
-    tables = [Table.of("equilibrium_paths", ("path", "flow", "latency"),
-                       path_rows(eq)),
-              Table.of("optimum_paths", ("path", "flow", "latency"),
-                       path_rows(so))]
-    if extra_edge is not None:
-        report = netmod.braess_delta(
-            eq, netmod.wardrop_equilibrium(network.with_edge(extra_edge)))
+    tables = [Table("equilibrium_paths", ("path", "flow", "latency"),
+                    path_columns(eq)),
+              Table("optimum_paths", ("path", "flow", "latency"),
+                    path_columns(so))]
+    if augmented is not None:
+        report = netmod.braess_delta(eq, netmod.wardrop_equilibrium(*augmented))
         summary["augmented_per_unit_cost"] = report.augmented_per_unit_cost
         summary["braess_delta"] = report.delta
         summary["paradox"] = report.delta > 0
@@ -882,9 +855,9 @@ def _run_wardrop(cfg, network, extra_edge, tolls):
         summary["tolled_latency_cost"] = toll.latency_cost
         summary["tolled_per_unit_cost"] = toll.latency_per_unit_cost
         summary["toll_flow_gap"] = toll.max_edge_flow_gap
-        tables.append(Table.of("tolls", ("edge", "toll"),
-                               [(json.dumps([e.tail, e.head]), float(t))
-                                for e, t in zip(network.edges, toll.tolls)]))
+        tables.append(Table("tolls", ("edge", "toll"), (
+            [json.dumps([e.tail, e.head]) for e in network.edges],
+            toll.tolls.tolist())))
     return RunRecord("wardrop", cfg.digest, cfg.seed, summary, tuple(tables))
 
 
@@ -896,12 +869,11 @@ def _run_incentive(cfg, game, target, baseline, budget, signal):
     tables = []
     if design.status == "ok":
         payments = design.schedule.per_agent(game, target, signal)
-        summary["payments"] = _py(payments)
+        summary["payments"] = list(payments)
         summary["per_period_spend"] = design.per_period_spend
         summary["discounted_spend"] = design.discounted_spend
-        tables.append(Table.of("payments", ("agent", "payment"),
-                               [(i, float(payments[i]))
-                                for i in range(game.n_agents)]))
+        tables.append(Table("payments", ("agent", "payment"),
+                            (range(game.n_agents), payments)))
     else:
         summary["reason"] = design.reason
     return RunRecord("incentive", cfg.digest, cfg.seed, summary, tuple(tables))
@@ -914,19 +886,16 @@ def _run_resilience(cfg, initial, trust, horizon, defense, adversary):
         initial_values=tuple(float(v) for v in values), trust=trust)
     run = resmod.run_consensus_scenario(scenario, horizon, defense,
                                         adversary=adversary, seed=cfg.seed)
+    diameters = run.metrics.diameter_series
     summary = {"horizon": horizon, "agents": n,
-               "final_values": _py(run.values[-1]),
-               "final_diameter": float(run.metrics.diameter_series[-1]),
+               "final_values": run.values[-1].tolist(),
+               "final_diameter": diameters[-1],
                "max_honest_deviation": run.metrics.max_honest_deviation,
                "recovered": run.metrics.recovery_time is not None,
                "recovery_steps": run.metrics.recovery_time}
-    rows = []
-    for t in range(run.values.shape[0]):
-        rows.append((t,) + tuple(float(v) for v in run.values[t])
-                    + (float(run.metrics.diameter_series[t]),))
     cols = ("step",) + tuple(f"value_{i}" for i in range(n)) + ("diameter",)
-    return RunRecord("resilience", cfg.digest, cfg.seed, summary,
-                     (Table.of("values", cols, rows),))
+    return RunRecord("resilience", cfg.digest, cfg.seed, summary, (Table(
+        "values", cols, (range(len(diameters)), *run.values.T.tolist(), diameters)),))
 
 
 # --- kind registry -------------------------------------------------------------------
@@ -1002,68 +971,50 @@ def _json_value(value):
     return value
 
 
-def _summary_rows(record: RunRecord):
-    rows = [("kind", record.kind), ("digest", record.digest),
-            ("seed", record.seed)]
-    for key in sorted(record.summary):
-        rows.append((key, record.summary[key]))
-    return rows
-
-
 def _csv_files(record: RunRecord):
     """(stem suffix, lines) per CSV data file: summary plus one per table.
 
-    Each line ends in LF and is formatted only when it is read.
+    Comma delimiter, dot decimal, header row, LF endings; an empty table
+    yields a header-only file. Floats carry 17 significant digits, and a
+    list or map in the summary is embedded as JSON. Each line is formatted
+    only when it is read.
     """
     def summary():
         yield "key,value\n"
-        for key, value in _summary_rows(record):
+        for key, value in [("kind", record.kind), ("digest", record.digest),
+                           ("seed", record.seed), *sorted(record.summary.items())]:
             if isinstance(value, (list, dict)):
-                value = json.dumps(_json_value(_py(value)), sort_keys=True)
+                value = json.dumps(_json_value(value), sort_keys=True)
             yield f"{_csv_cell(key)},{_csv_cell(value)}\n"
 
     def table_lines(table):
-        yield ",".join(str(c) for c in table.columns) + "\n"
-        for row in table.rows:
+        yield ",".join(table.columns) + "\n"
+        for row in zip(*table.data):
             yield ",".join(_csv_cell(v) for v in row) + "\n"
 
     return [("summary", summary())] + [(t.name, table_lines(t)) for t in record.tables]
 
 
 def _jsonl_files(record: RunRecord):
-    """(stem suffix, lines) per JSON-lines data file, like `_csv_files`."""
-    header = {"kind": record.kind, "digest": record.digest,
-              "seed": record.seed, "summary": _py(record.summary),
-              "tables": [t.name for t in record.tables]}
-
-    def line(obj):
-        return json.dumps(_json_value(obj), sort_keys=True, separators=(",", ":")) + "\n"
-
-    def table_lines(table):
-        for row in table.rows:
-            yield line({str(c): _py(v) for c, v in zip(table.columns, row)})
-
-    return [("summary", [line(header)])] + [(t.name, table_lines(t)) for t in record.tables]
-
-
-def record_to_csv(record: RunRecord) -> dict:
-    """CSV texts keyed by file stem suffix: summary plus one per table.
-
-    Comma delimiter, dot decimal, header row, LF endings; an empty table
-    yields a header-only file. Floats carry 17 significant digits.
-    """
-    return {suffix: "".join(lines) for suffix, lines in _csv_files(record)}
-
-
-def record_to_jsonl(record: RunRecord) -> dict:
-    """JSON-lines texts keyed by file stem suffix, one record per line.
+    """(stem suffix, lines) per JSON-lines data file, like `_csv_files`.
 
     The summary file holds a single object; table files hold one object per
     row keyed by column name. Floats are written as the shortest repr that
     reads back to the same double (`0.1`, not 17 digits), so parsing them
     back reproduces the doubles exactly.
     """
-    return {suffix: "".join(lines) for suffix, lines in _jsonl_files(record)}
+    header = {"kind": record.kind, "digest": record.digest,
+              "seed": record.seed, "summary": record.summary,
+              "tables": [t.name for t in record.tables]}
+
+    def line(obj):
+        return json.dumps(_json_value(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def table_lines(table):
+        for row in zip(*table.data):
+            yield line(dict(zip(table.columns, row)))
+
+    return [("summary", [line(header)])] + [(t.name, table_lines(t)) for t in record.tables]
 
 
 # lines joined into one write: large enough to amortize each call, small

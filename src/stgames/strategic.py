@@ -166,6 +166,11 @@ class StrategicGame:
         flat = self._tables[self.resolve_signal(signal)]
         return zip(*[iter(flat)] * self.n_agents)
 
+    def payoff_columns(self, signal=None) -> list:
+        """Each agent's payoffs over all profiles, in `profiles()` order."""
+        flat = self._tables[self.resolve_signal(signal)]
+        return [flat[i::self.n_agents] for i in range(self.n_agents)]
+
     def payoff(self, profile, signal=None) -> tuple:
         """Per-agent payoffs at a pure profile."""
         flat = self._tables[self.resolve_signal(signal)]

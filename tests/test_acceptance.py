@@ -17,8 +17,9 @@ import warnings
 import numpy as np
 
 from stgames.congestion import (CongestionNetwork, Edge, braess_delta,
-                                marginal_cost_tolls, price_of_anarchy,
-                                system_optimum, wardrop_equilibrium)
+                                enumerate_paths, marginal_cost_tolls,
+                                price_of_anarchy, system_optimum,
+                                wardrop_equilibrium)
 from stgames.coop import (CoalitionGame, cooperative_surplus, core_nonempty,
                           in_core, is_convex, is_superadditive, members,
                           nucleolus, shapley)
@@ -29,7 +30,7 @@ from stgames.learning import LearnerSpec, diagnostics, run_dynamics
 from stgames.matching import MatchingMarket, deferred_acceptance, enumerate_stable
 from stgames.resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
                                 TrustMatrix, run_consensus_scenario)
-from stgames.scenario import parse_scenario, record_to_jsonl, run_scenario
+from stgames.scenario import parse_scenario, run_scenario, write_outputs
 from stgames.strategic import StrategicGame, is_nash
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -86,6 +87,12 @@ BRAESS_AUGMENTED = CongestionNetwork.of(
     [("o", "a", 0.0, 1.0), ("a", "d", 1.0, 0.0),
      ("o", "b", 1.0, 0.0), ("b", "d", 0.0, 1.0),
      ("a", "b", 0.0, 0.0)], "o", "d", 1.0)
+
+
+def solve(solver, network):
+    """`wardrop_equilibrium` or `system_optimum` of `network`, over its
+    enumerated paths."""
+    return solver(network, enumerate_paths(network))
 
 
 def three_path_game():
@@ -367,12 +374,13 @@ def test_criterion_06_deferred_acceptance_stability(capsys):
 def test_criterion_07_braess_and_pigou(capsys):
     def body():
         a, b = _coeffs(BRAESS)
-        base = wardrop_equilibrium(BRAESS)
+        base = solve(wardrop_equilibrium, BRAESS)
         base_oracle = grid_cost_two_paths(BRAESS_INC, a, b, 1.0, potential=True)
         assert abs(base.per_unit_cost - 1.5) <= 1e-4
         assert abs(base.per_unit_cost - base_oracle) <= 1e-4
 
-        report = braess_delta(base, wardrop_equilibrium(BRAESS.with_edge(SHORTCUT)))
+        report = braess_delta(base, solve(wardrop_equilibrium,
+                                          BRAESS.with_edge(SHORTCUT)))
         aug_a, aug_b = _coeffs(BRAESS_AUGMENTED)
         aug_oracle = grid_cost_three_paths(BRAESS_AUG_INC, aug_a, aug_b, 1.0,
                                            potential=True)
@@ -381,7 +389,8 @@ def test_criterion_07_braess_and_pigou(capsys):
         assert abs(report.delta - 0.5) <= 1e-4
         assert abs(report.delta - (aug_oracle - base_oracle)) <= 2e-4
 
-        poa = price_of_anarchy(wardrop_equilibrium(PIGOU), system_optimum(PIGOU))
+        poa = price_of_anarchy(solve(wardrop_equilibrium, PIGOU),
+                               solve(system_optimum, PIGOU))
         assert poa.defined
         assert abs(poa.ratio - 4 / 3) <= 1e-6
 
@@ -392,11 +401,12 @@ def test_criterion_07_braess_and_pigou(capsys):
 def test_criterion_08_marginal_cost_tolls_restore_optimum(capsys):
     def body():
         for net in (PIGOU, BRAESS_AUGMENTED):
-            so = system_optimum(net)
+            so = solve(system_optimum, net)
             toll = marginal_cost_tolls(net, so)
             gap = np.max(np.abs(toll.tolled_equilibrium.edge_flows - so.edge_flows))
             assert gap <= 1e-6
-        toll = marginal_cost_tolls(BRAESS_AUGMENTED, system_optimum(BRAESS_AUGMENTED))
+        toll = marginal_cost_tolls(BRAESS_AUGMENTED,
+                                   solve(system_optimum, BRAESS_AUGMENTED))
         assert abs(toll.latency_per_unit_cost - 1.5) <= 1e-6
 
     criterion(capsys, 8, "tolled flows equal the system optimum", 5.0, body)
@@ -518,27 +528,22 @@ def test_criterion_12_resilient_consensus(capsys):
 
 def test_criterion_13_golden_fixtures_are_deterministic(capsys):
     def body():
-        for path in sorted(FIXTURES.glob("*.yaml")):
-            text = path.read_text(encoding="utf-8")
-            first = record_to_jsonl(run_scenario(parse_scenario(text)))
-            second = record_to_jsonl(run_scenario(parse_scenario(text)))
-            assert first == second, f"{path.name} output changed between runs"
-            for content in first.values():
-                for line in content.splitlines():
-                    json.loads(line)
-
-        # on-disk rerun: everything except the wall-clock sidecar matches
-        from stgames.scenario import write_outputs
-        cfg = parse_scenario((FIXTURES / "ttscale.yaml").read_text())
+        # every fixture parsed, run and written twice: everything except
+        # the wall-clock sidecar matches, and every JSON line parses
         with tempfile.TemporaryDirectory() as tmp:
-            d1 = pathlib.Path(tmp) / "a"
-            d2 = pathlib.Path(tmp) / "b"
-            write_outputs(run_scenario(cfg), d1, "run", fmt="jsonl")
-            write_outputs(run_scenario(cfg), d2, "run", fmt="jsonl")
-            for f1 in sorted(d1.iterdir()):
-                if f1.name.endswith("meta.json"):
-                    continue
-                assert f1.read_bytes() == (d2 / f1.name).read_bytes()
+            for path in sorted(FIXTURES.glob("*.yaml")):
+                text = path.read_text(encoding="utf-8")
+                d1 = pathlib.Path(tmp) / path.stem / "a"
+                d2 = pathlib.Path(tmp) / path.stem / "b"
+                write_outputs(run_scenario(parse_scenario(text)), d1, "run", fmt="jsonl")
+                write_outputs(run_scenario(parse_scenario(text)), d2, "run", fmt="jsonl")
+                for f1 in sorted(d1.iterdir()):
+                    if f1.name.endswith("meta.json"):
+                        continue
+                    assert f1.read_bytes() == (d2 / f1.name).read_bytes(), \
+                        f"{path.name} output changed between runs"
+                    for line in f1.read_text(encoding="utf-8").splitlines():
+                        json.loads(line)
 
     criterion(capsys, 13, "golden fixtures byte-identical on rerun",
               60.0, body)

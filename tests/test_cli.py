@@ -180,21 +180,16 @@ def test_coop_at_12_agents_within_budget(tmp_path):
     assert summary["nucleolus_stages"] <= 11
 
 
-def test_resilience_export_peak_rss(tmp_path):
-    # 64 agents over 10^4 rounds write a 13 MB values file. The writers
-    # stream it in blocks of lines; built whole, as one list of lines and
-    # then one string, it took the run from 69 MB to 102 MB of peak RSS
-    # (Python 3.11, numpy 2.4, x86-64 Linux). VmHWM is the child's own
-    # peak: ru_maxrss also counts the parent's memory at the fork.
+def export_peak_kb(tmp_path, kind, doc):
+    """VmHWM in kB of a child process that runs `doc` through the CLI with
+    `--out tmp_path/out`. VmHWM is the child's own peak: ru_maxrss also
+    counts the parent's memory at the fork."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs Linux /proc")
-    doc = tmp_path / "res.yaml"
-    doc.write_text(yaml.safe_dump({"kind": "resilience", "seed": 3, "resilience": {
-        "initial_values": {"random": {"n": 64}}, "horizon": 10 ** 4,
-        "defense": {"trim": 1},
-        "adversary": {"agents": [5], "kind": "constant-injection", "value": 100.0}}}))
+    config = tmp_path / f"{kind}.yaml"
+    config.write_text(yaml.safe_dump(doc))
     script = ("import re; from stgames import cli; "
-              f"rc = cli.main(['resilience', '--config', {str(doc)!r}, "
+              f"rc = cli.main([{kind!r}, '--config', {str(config)!r}, "
               f"'--out', {str(tmp_path / 'out')!r}, '--quiet']); "
               "status = open('/proc/self/status').read(); "
               r"print(rc, re.search(r'VmHWM:\s*(\d+) kB', status)[1])")
@@ -203,8 +198,35 @@ def test_resilience_export_peak_rss(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rc, peak_kb = map(int, proc.stdout.split())
     assert rc == cli.EXIT_OK
-    assert (tmp_path / "out" / "res.values.csv").stat().st_size > 10 ** 7
+    return peak_kb
+
+
+def test_resilience_export_peak_rss(tmp_path):
+    # 64 agents over 10^4 rounds write a 13 MB values file. The writers
+    # stream it in blocks of lines; built whole, as one list of lines and
+    # then one string, it took the run from 69 MB to 102 MB of peak RSS
+    # (Python 3.11, numpy 2.4, x86-64 Linux).
+    peak_kb = export_peak_kb(tmp_path, "resilience", {
+        "kind": "resilience", "seed": 3, "resilience": {
+            "initial_values": {"random": {"n": 64}}, "horizon": 10 ** 4,
+            "defense": {"trim": 1},
+            "adversary": {"agents": [5], "kind": "constant-injection",
+                          "value": 100.0}}})
+    assert (tmp_path / "out" / "resilience.values.csv").stat().st_size > 10 ** 7
     assert peak_kb < 85 * 1024
+
+
+def test_learn_export_peak_rss(tmp_path):
+    # 2 * 10^5 steps write a 4.7 MB trace file. The trace table holds one
+    # column per field, built from the kernel's arrays, and the writers zip
+    # the columns as they stream; with one Python tuple per step the run
+    # peaked at 95 MB, with columns at 66 MB (Python 3.11, numpy 2.4,
+    # x86-64 Linux).
+    doc = yaml.safe_load(pathlib.Path(fx("learn")).read_text())
+    doc["learn"].update(horizon=2 * 10 ** 5, gap_stride=20)
+    peak_kb = export_peak_kb(tmp_path, "learn", doc)
+    assert (tmp_path / "out" / "learn.trace.csv").stat().st_size > 4 * 10 ** 6
+    assert peak_kb < 80 * 1024
 
 
 def fresh_interpreter(script):

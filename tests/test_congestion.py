@@ -32,6 +32,12 @@ BRAESS_AUG_INC = np.asarray(
     [[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [1, 0, 0, 1, 1]], dtype=float)
 
 
+def solve(solver, network):
+    """`wardrop_equilibrium` or `system_optimum` of `network`, over its
+    enumerated paths."""
+    return solver(network, enumerate_paths(network))
+
+
 def _coeffs(network):
     return (np.asarray([e.a for e in network.edges]),
             np.asarray([e.b for e in network.edges]))
@@ -86,18 +92,19 @@ def grid_cost_three_paths(inc, a, b, demand, potential, step=1e-3):
 
 
 def test_pigou_equilibrium_all_on_variable_link():
-    eq = wardrop_equilibrium(PIGOU)
+    eq = solve(wardrop_equilibrium, PIGOU)
     assert eq.edge_flows == pytest.approx([0.0, 1.0], abs=1e-6)
     assert eq.per_unit_cost == pytest.approx(1.0, abs=1e-6)
     assert eq.gap <= 1e-6
 
-    so = system_optimum(PIGOU)
+    so = solve(system_optimum, PIGOU)
     assert so.edge_flows == pytest.approx([0.5, 0.5], abs=1e-6)
     assert so.total_cost == pytest.approx(0.75, abs=1e-6)
 
 
 def test_pigou_price_of_anarchy():
-    rep = price_of_anarchy(wardrop_equilibrium(PIGOU), system_optimum(PIGOU))
+    rep = price_of_anarchy(solve(wardrop_equilibrium, PIGOU),
+                           solve(system_optimum, PIGOU))
     assert rep.defined
     assert rep.ratio == pytest.approx(4.0 / 3.0, abs=1e-6)
 
@@ -106,15 +113,15 @@ def test_pigou_matches_grid():
     a, b = _coeffs(PIGOU)
     eq_grid = grid_cost_two_paths(PIGOU_INC, a, b, 1.0, potential=True)
     so_grid = grid_cost_two_paths(PIGOU_INC, a, b, 1.0, potential=False)
-    assert wardrop_equilibrium(PIGOU).per_unit_cost == pytest.approx(
+    assert solve(wardrop_equilibrium, PIGOU).per_unit_cost == pytest.approx(
         eq_grid, abs=1e-4)
-    assert system_optimum(PIGOU).per_unit_cost == pytest.approx(
+    assert solve(system_optimum, PIGOU).per_unit_cost == pytest.approx(
         so_grid, abs=1e-4)
 
 
 def test_braess_paradox_costs():
-    rep = braess_delta(wardrop_equilibrium(BRAESS),
-                       wardrop_equilibrium(BRAESS.with_edge(SHORTCUT)))
+    rep = braess_delta(solve(wardrop_equilibrium, BRAESS),
+                       solve(wardrop_equilibrium, BRAESS.with_edge(SHORTCUT)))
     assert rep.base_per_unit_cost == pytest.approx(1.5, abs=1e-6)
     assert rep.augmented_per_unit_cost == pytest.approx(2.0, abs=1e-6)
     assert rep.delta == pytest.approx(0.5, abs=1e-6)
@@ -127,8 +134,8 @@ def test_braess_paradox_costs():
 def test_braess_matches_grid():
     a, b = _coeffs(BRAESS)
     base_grid = grid_cost_two_paths(BRAESS_INC, a, b, 1.0, potential=True)
-    rep = braess_delta(wardrop_equilibrium(BRAESS),
-                       wardrop_equilibrium(BRAESS.with_edge(SHORTCUT)))
+    rep = braess_delta(solve(wardrop_equilibrium, BRAESS),
+                       solve(wardrop_equilibrium, BRAESS.with_edge(SHORTCUT)))
     assert rep.base_per_unit_cost == pytest.approx(base_grid, abs=1e-4)
 
     aug = BRAESS.with_edge(SHORTCUT)
@@ -140,18 +147,18 @@ def test_braess_matches_grid():
 
     so_grid = grid_cost_three_paths(BRAESS_AUG_INC, a2, b2, 1.0,
                                     potential=False)
-    assert system_optimum(aug).per_unit_cost == pytest.approx(so_grid, abs=1e-4)
+    assert solve(system_optimum, aug).per_unit_cost == pytest.approx(so_grid, abs=1e-4)
 
 
 def test_tolls_restore_system_optimum():
     for network in (PIGOU, BRAESS.with_edge(SHORTCUT)):
-        rep = marginal_cost_tolls(network, system_optimum(network))
+        rep = marginal_cost_tolls(network, solve(system_optimum, network))
         assert rep.max_edge_flow_gap <= 1e-6
         assert np.max(np.abs(rep.tolled_equilibrium.edge_flows
                              - rep.system_optimum.edge_flows)) <= 1e-6
 
     aug = BRAESS.with_edge(SHORTCUT)
-    rep = marginal_cost_tolls(aug, system_optimum(aug))
+    rep = marginal_cost_tolls(aug, solve(system_optimum, aug))
     # with tolls in place the travel time drops back to the pre-shortcut 1.5
     assert rep.latency_per_unit_cost == pytest.approx(1.5, abs=1e-6)
     assert rep.tolls == pytest.approx([0.5, 0.0, 0.0, 0.5, 0.0], abs=1e-6)
@@ -299,7 +306,7 @@ def test_input_validation():
 
 def test_poa_undefined_on_free_network():
     free = CongestionNetwork.of([("o", "d", 0.0, 0.0)], "o", "d", 1.0)
-    rep = price_of_anarchy(wardrop_equilibrium(free), system_optimum(free))
+    rep = price_of_anarchy(solve(wardrop_equilibrium, free), solve(system_optimum, free))
     assert not rep.defined
     assert rep.reason == "zero-cost optimum"
 
@@ -320,7 +327,7 @@ def test_overflowing_descent_stops_at_once(monkeypatch, network, what):
     monkeypatch.setattr(congestion, "MAX_SHIFTS", 1)
     with pytest.warns(RuntimeWarning, match="overflow"), \
             pytest.raises(ComputationError, match=f"overflowed: {what} is not finite"):
-        wardrop_equilibrium(network)
+        solve(wardrop_equilibrium, network)
 
 
 def test_returned_flows_minimize_their_objectives():
@@ -340,8 +347,8 @@ def test_returned_flows_minimize_their_objectives():
                                          float(rng.uniform(0.5, 3.0))))
     for net in nets:
         a, b = _coeffs(net)
-        eq = wardrop_equilibrium(net)
-        so = system_optimum(net)
+        eq = solve(wardrop_equilibrium, net)
+        so = solve(system_optimum, net)
         inc = np.zeros((len(eq.paths), len(net.edges)))
         for p, path in enumerate(eq.paths):
             for e in path:
@@ -371,8 +378,8 @@ def test_random_parallel_links():
                  for _ in range(k)]
         demand = float(rng.uniform(0.5, 3.0))
         net = CongestionNetwork.of(edges, "o", "d", demand)
-        eq = wardrop_equilibrium(net)
-        so = system_optimum(net)
+        eq = solve(wardrop_equilibrium, net)
+        so = solve(system_optimum, net)
         assert so.total_cost <= eq.total_cost + 1e-9
         assert eq.gap <= 1e-6
         assert float(eq.path_flows.sum()) == pytest.approx(demand, abs=1e-9)

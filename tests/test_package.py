@@ -39,14 +39,14 @@ EXPORTS = {
     "resilience": "AdversaryModel ConsensusRun ConsensusScenario DefenseSpec "
                   "ResilienceMetrics TrustMatrix corrupt_reports "
                   "run_consensus_scenario trimmed_consensus_step update_trust",
-    "scenario": "RunRecord ScenarioConfig Table parse_scenario record_to_csv "
-                "record_to_jsonl run_scenario write_outputs",
+    "scenario": "RunRecord ScenarioConfig Table parse_scenario run_scenario "
+                "write_outputs",
 }
 
 
 def test_all_is_the_re_exported_names():
     names = [name for names in EXPORTS.values() for name in names.split()]
-    assert len(names) == 89
+    assert len(names) == 87
     assert sorted(stgames.__all__) == sorted(names)
 
 

@@ -19,10 +19,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stgames"
 
-# no kind reaches these: small helpers the test oracles use, and the
-# whole-text forms of the data files that `write_outputs` streams
+# no kind reaches these: small helpers the test oracles use
 ALLOWED = {"in_core", "excess", "members", "best_responses",
-           "apply_admissible_sets", "record_to_csv", "record_to_jsonl"}
+           "apply_admissible_sets"}
 
 
 def _bindings(tree):

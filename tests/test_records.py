@@ -45,8 +45,8 @@ RECORDS = [
      "EpochRecord(index=2, signal='hi', digest=EpochDigest(signal='hi', "
      "frequencies=((1.0, 0.0),), mean_welfare=1.5, mean_payoffs=(1.0, 0.5)))"),
     (DefenseSpec(2), "DefenseSpec(trim_f=2, trust_eta=None)"),
-    (Table.of("gap", ["step", "gap"], [[1, 0.5]]),
-     "Table(name='gap', columns=('step', 'gap'), rows=((1, 0.5),))"),
+    (Table("gap", ("step", "gap"), ((1,), (0.5,))),
+     "Table(name='gap', columns=('step', 'gap'), data=((1,), (0.5,)))"),
 ]
 
 

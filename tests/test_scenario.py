@@ -15,9 +15,8 @@ import yaml
 from stgames import congestion, strategic
 from stgames.errors import CapacityError, SchemaError
 from stgames.incentives import modified_payoff
-from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table, _py,
-                              parse_scenario, record_to_csv, record_to_jsonl,
-                              run_scenario, write_outputs)
+from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table,
+                              parse_scenario, run_scenario, write_outputs)
 from stgames.strategic import profile_index
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -26,6 +25,19 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 def load(name, seed_override=None):
     text = (FIXTURES / f"{name}.yaml").read_text(encoding="utf-8")
     return parse_scenario(text, seed_override=seed_override)
+
+
+def table_rows(table):
+    """A table's rows, as tuples of its cells."""
+    return list(zip(*table.data))
+
+
+def written(record, out_dir, fmt):
+    """The texts `write_outputs` streams for `record`, keyed by file stem
+    suffix (summary plus one per table)."""
+    paths = map(pathlib.Path, write_outputs(record, out_dir, "r", fmt=fmt))
+    return {p.name.split(".")[1]: p.read_text(encoding="utf-8")
+            for p in paths if not p.name.endswith(".meta.json")}
 
 
 def test_every_kind_has_a_fixture():
@@ -304,8 +316,8 @@ def test_nash_runner():
     assert rec.summary["poa"] == 3.0
     assert rec.summary["welfare_optimum"] == 6.0
     profiles = rec.table("profiles")
-    assert len(profiles.rows) == 4
-    flags = {r[:2]: r[-1] for r in profiles.rows}
+    assert len(table_rows(profiles)) == 4
+    flags = {r[:2]: r[-1] for r in table_rows(profiles)}
     assert flags[("D", "D")] is True
     assert sum(flags.values()) == 1
 
@@ -315,7 +327,7 @@ def test_nash_eps_lists_eps_equilibria():
     doc["nash"]["eps"] = 1.5
     rec = run_scenario(parse_scenario(yaml.safe_dump(doc)))
     assert rec.summary["equilibria"] == [["C", "D"], ["D", "C"], ["D", "D"]]
-    flags = [r[-1] for r in rec.table("profiles").rows]
+    flags = [r[-1] for r in table_rows(rec.table("profiles"))]
     assert flags == [False, True, True, True]
 
 
@@ -323,9 +335,9 @@ def test_learn_runner():
     rec = run_scenario(load("learn"))
     assert rec.summary["horizon"] == 200
     assert rec.summary["max_regret"] < 0.1
-    assert len(rec.table("trace").rows) == 200
-    assert rec.table("trace").rows[0][0] == 1
-    gaps = rec.table("gap").rows
+    assert len(table_rows(rec.table("trace"))) == 200
+    assert table_rows(rec.table("trace"))[0][0] == 1
+    gaps = table_rows(rec.table("gap"))
     assert [t for t, _ in gaps] == list(range(20, 201, 20))
 
 
@@ -405,10 +417,10 @@ def test_each_run_solves_each_problem_once(monkeypatch):
         monkeypatch.setattr(module, name, spy)
 
     # the base equilibrium, the optimum, and the equilibria with the extra
-    # edge and with tolls; a walk for each network the schema check and the
-    # runs see
+    # edge and with tolls; one walk per topology, in the schema check, since
+    # the tolled network has the base network's edges in the same order
     run_scenario(load("wardrop"))
-    assert calls == {"_descend": 4, "enumerate_paths": 6}
+    assert calls == {"_descend": 4, "enumerate_paths": 2}
     calls.clear()
     run_scenario(load("nash"))
     assert calls == {"enumerate_pure_nash": 1}
@@ -433,12 +445,12 @@ def test_resilience_runner():
     assert s["recovered"] is True
     assert s["final_diameter"] < 1e-9
     assert s["max_honest_deviation"] < 0.5
-    assert len(rec.table("values").rows) == 13
+    assert len(table_rows(rec.table("values"))) == 13
 
 
-def test_csv_export_shape():
+def test_csv_export_shape(tmp_path):
     rec = run_scenario(load("nash"))
-    parts = record_to_csv(rec)
+    parts = written(rec, tmp_path, "csv")
     assert set(parts) == {"summary", "profiles"}
     lines = parts["summary"].splitlines()
     assert lines[0] == "key,value"
@@ -456,9 +468,9 @@ def test_csv_export_shape():
     assert parts["profiles"].endswith("\n")
 
 
-def test_jsonl_export_roundtrips_floats():
+def test_jsonl_export_roundtrips_floats(tmp_path):
     rec = run_scenario(load("coop"))
-    parts = record_to_jsonl(rec)
+    parts = written(rec, tmp_path, "jsonl")
     header = json.loads(parts["summary"])
     assert header["kind"] == "coop"
     assert header["digest"] == rec.digest
@@ -466,58 +478,79 @@ def test_jsonl_export_roundtrips_floats():
     assert header["summary"]["core_nonempty"] is True
 
     rows = [json.loads(line) for line in parts["nucleolus"].splitlines()]
-    want = {r[0]: r[1] for r in rec.table("nucleolus").rows}
+    want = {r[0]: r[1] for r in table_rows(rec.table("nucleolus"))}
     for row in rows:
         assert row["value"] == want[row["agent"]]    # exact, 17 digits survive
 
-    empty = RunRecord("nash", "d", None, {}, (Table.of("t", ("a",), []),))
-    assert record_to_jsonl(empty)["t"] == ""
-    assert record_to_csv(empty)["t"] == "a\n"
+    empty = RunRecord("nash", "d", None, {}, (Table("t", ("a",), ([],)),))
+    assert written(empty, tmp_path / "empty", "jsonl")["t"] == ""
+    assert written(empty, tmp_path / "empty", "csv")["t"] == "a\n"
 
 
-def reference_py(value):
-    """`_py` as it was before it checked a value's module first."""
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [reference_py(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [reference_py(v) for v in value]
+PLAIN = (str, int, float, bool, type(None))
+
+
+def plain_value_faults(value, where):
+    """Where `value`, checked recursively, holds anything but a plain value:
+    a str, int, float, bool or None, or a list or str-keyed map of these."""
+    if type(value).__module__ == "numpy":
+        return [f"{where}: {type(value).__name__}"]
+    if isinstance(value, list):
+        return [f for i, v in enumerate(value) for f in plain_value_faults(v, f"{where}[{i}]")]
     if isinstance(value, dict):
-        return {str(k): reference_py(v) for k, v in value.items()}
-    return value
+        return [f for k, v in value.items()
+                for f in ([f"{where}: key {k!r}"] if not isinstance(k, str) else [])
+                + plain_value_faults(v, f"{where}.{k}")]
+    return [] if type(value) in PLAIN else [f"{where}: {type(value).__name__}"]
 
 
-@pytest.mark.parametrize("value", [
-    np.int64(-3), np.int8(7), np.uint32(9), np.float64(0.1), np.float32(1.5),
-    np.bool_(True), np.bool_(False), np.arange(4), np.eye(2), np.array([True]),
-    np.zeros((2, 0)), [np.float64(2.5), (np.int32(1), [np.bool_(False)])],
-    {"a": np.arange(3.0), 2: {"b": np.int16(4)}, np.int64(5): "c"},
-    0, -7, 2.5, float("nan"), True, None, "text", [], (), {}, [1, (2.0, "x")],
-    {"k": [True, {"n": None}]},
-])
-def test_py_matches_reference(value):
-    got, want = _py(value), reference_py(value)
-    assert json.dumps(got) == json.dumps(want)
-    assert repr(got) == repr(want)
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_runners_emit_plain_values(name):
+    rec = run_scenario(load(name))
+    faults = plain_value_faults(rec.summary, "summary")
+    for table in rec.tables:
+        assert len(table.data) == len(table.columns)
+        assert len({len(column) for column in table.data}) == 1
+        for column, cells in zip(table.columns, table.data):
+            for k, cell in enumerate(cells):
+                faults += plain_value_faults(cell, f"{table.name}.{column}[{k}]")
+    assert faults == []
+    # the check sees what it must refuse
+    assert plain_value_faults({"a": [np.float64(1.0), (1,)], 2: np.True_}, "s") == [
+        "s.a[0]: float64", "s.a[1]: tuple", "s: key 2", "s.2: bool"]
 
 
 def test_written_files_match_record_texts(tmp_path):
-    # tables longer than one write block, with quoted cells
-    rows = [(k, k / 7, f"a,{k}" if k % 3 else None, k % 2 == 0) for k in range(1000)]
+    # tables longer than one write block, with quoted cells; the files
+    # parse back to the cells
+    n = 1000
+    data = (range(n), [k / 7 for k in range(n)],
+            [f"a,{k}" if k % 3 else None for k in range(n)], [k % 2 == 0 for k in range(n)])
     rec = RunRecord("nash", "d", 3, {"x": [1.5, 2]},
-                    (Table.of("t", ("i", "v", "s", "b"), rows),
-                     Table.of("empty", ("a",), [])))
-    for fmt, texts in (("csv", record_to_csv(rec)), ("jsonl", record_to_jsonl(rec))):
+                    (Table("t", ("i", "v", "s", "b"), data),
+                     Table("empty", ("a",), ([],))))
+    for fmt in ("csv", "jsonl"):
         paths = write_outputs(rec, tmp_path / fmt, "r", fmt=fmt)
         assert [pathlib.Path(p).name for p in paths] == [
             f"r.{suffix}.{fmt}" for suffix in ("summary", "t", "empty")] + ["r.meta.json"]
-        for path, suffix in zip(paths, texts):
-            assert pathlib.Path(path).read_bytes() == texts[suffix].encode("utf-8")
+        summary, table, empty = (pathlib.Path(p).read_text(encoding="utf-8")
+                                 for p in paths[:3])
+        if fmt == "csv":
+            assert list(csv.reader(io.StringIO(summary))) == [
+                ["key", "value"], ["kind", "nash"], ["digest", "d"], ["seed", "3"],
+                ["x", "[1.5, 2]"]]
+            got = list(csv.reader(io.StringIO(table)))
+            assert got[0] == ["i", "v", "s", "b"]
+            assert [(int(i), float(v), s, b) for i, v, s, b in got[1:]] == [
+                (i, v, s or "", "true" if b else "false") for i, v, s, b in zip(*data)]
+            assert empty == "a\n"
+        else:
+            assert json.loads(summary) == {"kind": "nash", "digest": "d", "seed": 3,
+                                           "summary": {"x": [1.5, 2]},
+                                           "tables": ["t", "empty"]}
+            assert [json.loads(line) for line in table.splitlines()] == [
+                dict(zip("ivsb", row)) for row in zip(*data)]
+            assert empty == ""
 
 
 def test_write_outputs_reruns_byte_identical(tmp_path):
