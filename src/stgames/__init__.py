@@ -2,13 +2,16 @@
 
 Strategic and cooperative games, matching, congestion/routing, learning
 dynamics, incentive design, coordination layers and adversarial resilience,
-plus a config-driven scenario runner and CLI.
+plus a config-driven scenario runner (`scenario`, with one module per
+scenario kind under `stgames.kinds`) and CLI.
 
 The nine kernel modules and `scenario` are registered lazily (`_np.lazy`):
 each is in `sys.modules` and bound here from `import stgames` on, and its
-code runs on the first attribute read, so a CLI process executes only the
-modules its scenario kind calls. The names re-exported from them resolve
-through the module `__getattr__`, which loads their home module.
+code runs on the first attribute read. A kind's module is imported on the
+kind's first use. So a CLI process compiles and executes only its kind's
+module and the kernel modules that kind calls. The names re-exported from
+the lazy modules resolve through the module `__getattr__`, which loads
+their home module.
 """
 
 __version__ = "0.1.0"

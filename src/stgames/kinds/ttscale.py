@@ -1,0 +1,112 @@
+"""The `ttscale` kind: a slow coordinator choosing signals over fast
+learning epochs."""
+
+from __future__ import annotations
+
+import json
+
+from .. import coordination as coordmod
+from .. import incentives as incmod
+from .. import strategic as stratmod
+from ..errors import CapacityError
+from ..scenario import (RunRecord, Table, _fail, _make, _need_int, _need_list,
+                        _need_map, _need_str, _need_vector)
+from ._game import (MAX_LEARN_STEPS, _need_label, _need_profile, _need_signal,
+                    _validate_game, _validate_learners)
+
+
+def validate(node, path):
+    _need_map(node, path,
+              required=("game", "learners", "outer_steps", "epoch_length",
+                        "coordinator"),
+              optional=("admissible", "incentives", "initial_signal"))
+    game_block, game = _validate_game(node["game"], f"{path}.game")
+    blocks, specs = _validate_learners(node["learners"], f"{path}.learners", game)
+    cpath = f"{path}.coordinator"
+    coord = _need_map(node["coordinator"], cpath, required=("kind", "candidates"))
+    coordinator = {"kind": _need_str(coord["kind"], f"{cpath}.kind",
+                                     coordmod.COORDINATOR_KINDS),
+                   "candidates": [_need_signal(c, f"{cpath}.candidates[{i}]", game)
+                                  for i, c in enumerate(_need_list(
+                                      coord["candidates"], f"{cpath}.candidates", 1))]}
+    block = {"game": game_block, "learners": blocks,
+             "outer_steps": _need_int(node["outer_steps"], f"{path}.outer_steps", 1, 10 ** 4),
+             "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1, 10 ** 6),
+             "coordinator": coordinator}
+    steps = block["outer_steps"] * block["epoch_length"]
+    if steps > MAX_LEARN_STEPS:                # bounds the run time
+        raise CapacityError(f"{path}: {steps} learning steps (outer_steps x "
+                            f"epoch_length) exceed {MAX_LEARN_STEPS}")
+    inputs = {"game": game, "specs": specs,
+              "coordinator": _make(cpath, coordmod.CoordinatorPolicy,
+                                   coordinator["kind"], tuple(coordinator["candidates"])),
+              "outer_steps": block["outer_steps"],
+              "epoch_length": block["epoch_length"],
+              "admissible": None, "incentives": None, "initial_signal": None}
+    if "initial_signal" in node:
+        block["initial_signal"] = inputs["initial_signal"] = _need_signal(
+            node["initial_signal"], f"{path}.initial_signal", game)
+    if "admissible" in node:
+        if not isinstance(node["admissible"], dict):
+            _fail(f"{path}.admissible", "expected a map of signal -> per-agent actions")
+        allowed, indices = {}, {}
+        for sig, per_agent in node["admissible"].items():
+            apath = f"{path}.admissible.{sig}"
+            sig = _need_signal(str(sig), apath, game)
+            if len(_need_list(per_agent, apath)) != game.n_agents:
+                _fail(apath, "needs one action list per agent")
+            sets = []
+            for i, labels in enumerate(per_agent):
+                labels = tuple(_need_label(lab, f"{apath}[{i}][{k}]", game.actions[i])
+                               for k, lab in enumerate(_need_list(labels, f"{apath}[{i}]", 1)))
+                if len(set(labels)) != len(labels):
+                    _fail(f"{apath}[{i}]", "duplicate action labels")
+                sets.append(labels)
+            allowed[sig] = tuple(sets)
+            indices[sig] = tuple(tuple(map(game.actions[i].index, labels))
+                                 for i, labels in enumerate(sets))
+        block["admissible"] = allowed
+        inputs["admissible"] = coordmod.AdmissibleSetRule(indices)
+    if "incentives" in node:
+        entries, seen = [], set()
+        incentives = incmod.IncentiveSchedule.zero(game)
+        for i, entry in enumerate(_need_list(node["incentives"], f"{path}.incentives", 1)):
+            epath = f"{path}.incentives[{i}]"
+            _need_map(entry, epath, required=("profile", "values"), optional=("signal",))
+            rec = {"profile": _need_profile(entry["profile"], f"{epath}.profile", game.actions),
+                   "values": _need_vector(entry["values"], f"{epath}.values", game.n_agents)}
+            sig = _need_signal(entry.get("signal"), f"{epath}.signal", game)
+            if (sig, rec["profile"]) in seen:
+                _fail(epath, f"duplicate profile {rec['profile']}")
+            seen.add((sig, rec["profile"]))
+            if "signal" in entry:
+                rec["signal"] = sig
+            entries.append(rec)
+            # each profile is paid once, 0.0 + value: the bits of a value
+            # added to a zero table, down to the sign of zero
+            incentives.transfers[sig][stratmod.profile_index(
+                game.actions, rec["profile"])] = tuple(0.0 + v for v in rec["values"])
+        block["incentives"] = entries
+        inputs["incentives"] = incentives
+    return block, inputs
+
+
+def run(cfg, game, specs, coordinator, outer_steps, epoch_length,
+        admissible, incentives, initial_signal):
+    result = coordmod.run_two_timescale(
+        game, specs, coordinator, outer_steps=outer_steps,
+        epoch_length=epoch_length, seed=cfg.seed,
+        admissible=admissible, incentives=incentives,
+        initial_signal=initial_signal)
+    epochs = result.epochs
+    summary = {"outer_steps": outer_steps,
+               "epoch_length": epoch_length,
+               "final_signal": result.final_signal,
+               "signal_sequence": [e.signal for e in epochs],
+               "final_welfare": epochs[-1].digest.mean_welfare}
+    data = ([e.index for e in epochs], [e.signal for e in epochs],
+            [e.digest.mean_welfare for e in epochs],
+            [json.dumps(e.digest.frequencies) for e in epochs])
+    tables = [Table("epochs", ("epoch", "signal", "mean_welfare",
+                               "action_frequencies"), data)]
+    return RunRecord("ttscale", cfg.digest, cfg.seed, summary, tuple(tables))

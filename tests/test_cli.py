@@ -312,6 +312,10 @@ KERNELS = ("lp", "strategic", "coop", "matching", "congestion", "learning",
            "incentives", "coordination", "resilience")
 EXECUTED = ("*(m for m in %r if type(sys.modules['stgames.' + m]) "
             "is types.ModuleType)" % (KERNELS,))
+# A kind's validator and runner live in stgames.kinds.<kind>, imported on
+# the kind's first use; `_game` is the game sub-schema of the game kinds.
+KIND_MODULES = "*(m for m in sys.modules if m.startswith('stgames.kinds'))"
+GAME_KINDS = ("nash", "learn", "ttscale", "stackelberg", "incentive")
 
 
 @pytest.mark.parametrize("kind, modules", [
@@ -326,22 +330,32 @@ EXECUTED = ("*(m for m in %r if type(sys.modules['stgames.' + m]) "
     ("resilience", {"resilience"}),
 ])
 def test_run_executes_only_the_modules_its_kind_calls(kind, modules):
-    rc, *executed = one_worker_run(kind, EXECUTED)
+    rc, *executed = one_worker_run(kind, f"{EXECUTED}, '|', {KIND_MODULES}")
     assert rc == "0"
-    assert set(executed) == modules
+    split = executed.index("|")
+    assert set(executed[:split]) == modules
+    assert set(executed[split + 1:]) == {
+        "stgames.kinds", f"stgames.kinds.{kind}",
+        *(["stgames.kinds._game"] if kind in GAME_KINDS else [])}
 
 
 def test_importing_the_cli_executes_no_kernel_module():
+    # nor any kind module: `build_parser` reads the registry's help texts
     assert fresh_interpreter("import sys, types, stgames, stgames.cli; "
-                             f"print({EXECUTED})") == []
+                             f"print({EXECUTED}, {KIND_MODULES})") == []
 
 
 def test_rejected_document_executes_no_kernel_module(tmp_path):
-    doc = yaml.safe_load(pathlib.Path(fx("nash")).read_text())
-    doc["nash"]["eps0"] = 1                          # unknown key
-    config = tmp_path / "nash.yaml"
-    config.write_text(yaml.safe_dump(doc))
-    assert one_worker_run("nash", EXECUTED, str(config)) == [str(cli.EXIT_USAGE)]
+    unknown_key = yaml.safe_load(pathlib.Path(fx("nash")).read_text())
+    unknown_key["nash"]["eps0"] = 1
+    # a non-finite payoff: the table is checked before its signal is named
+    nan_payoff = yaml.safe_load(pathlib.Path(fx("nash")).read_text())
+    nan_payoff["nash"]["game"]["payoffs"][3]["values"] = [1, float("nan")]
+    for name, doc in (("unknown-key", unknown_key), ("nan-payoff", nan_payoff)):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        assert one_worker_run("nash", EXECUTED, str(config)) == [
+            str(cli.EXIT_USAGE)], name
 
 
 def test_traced_benchmark_binds_to_the_library(tmp_path):
@@ -587,6 +601,14 @@ def test_coalition_pair_checks_exit_3_at_once(tmp_path, capsys, agents, step):
                    "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
     assert cli.main(["coop", "--config", str(doc), "--quiet"]) == cli.EXIT_CAPACITY
     assert f"{step} check capped at 14 agents" in capsys.readouterr().err
+
+
+def test_document_over_the_byte_cap_exits_3(tmp_path, capsys):
+    doc = tmp_path / "nash.yaml"
+    doc.write_text(pathlib.Path(fx("nash")).read_text() + "#" * 2 ** 20 + "\n")
+    assert cli.main(["nash", "--config", str(doc), "--quiet"]) == cli.EXIT_CAPACITY
+    assert re.match(r"error: document is \d+ bytes, over the cap of 1048576 \(",
+                    capsys.readouterr().err)
 
 
 def test_long_wardrop_chain_exits_0(tmp_path, capsys):

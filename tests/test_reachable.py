@@ -1,10 +1,11 @@
 """Every public function and class of the library is reached from a kind.
 
-Reachability walks names over the module ASTs: it starts from everything
-`scenario.py` and `cli.py` mention and follows each top-level definition or
-assignment it meets by name, in any module. Import statements do not count
-as a mention, so a name re-exported from `__init__.py` is not reached by
-that alone.
+Reachability walks names over the module ASTs of the whole package,
+subpackages included: it starts from everything `scenario`, `cli` and each
+kind module (`stgames.kinds.<kind>`) mention and follows each top-level
+definition or assignment it meets by name, in any module. Import
+statements do not count as a mention, so a name re-exported from
+`__init__.py` is not reached by that alone.
 
 Every process compiles and imports each module it loads, so no module of
 the library (bar `__init__.py`, which re-exports) imports a name it never
@@ -22,6 +23,18 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "stgames"
 # no kind reaches these: small helpers the test oracles use
 ALLOWED = {"in_core", "excess", "members", "best_responses",
            "apply_admissible_sets"}
+
+
+def _modules():
+    """The package's module ASTs, keyed by dotted module path relative to
+    the package (`scenario`, `kinds.coop`, `kinds`)."""
+    trees = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        trees[".".join(parts)] = ast.parse(path.read_text())
+    return trees
 
 
 def _bindings(tree):
@@ -46,13 +59,16 @@ def _mentions(node):
 
 
 def test_every_public_name_is_reached_from_a_kind():
-    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    trees = _modules()
     defs = {}
     for tree in trees.values():
         for name, node in _bindings(tree):
             defs.setdefault(name, []).append(node)
     reached = set()
-    todo = [trees["scenario"], trees["cli"]]
+    kinds = [name for name in trees if name.startswith("kinds.")
+             and not name.startswith("kinds._")]
+    assert len(kinds) == 9
+    todo = [trees["scenario"], trees["cli"], *(trees[name] for name in kinds)]
     while todo:
         for name in _mentions(todo.pop()):
             if name in defs and name not in reached:
@@ -89,8 +105,10 @@ def _unused_imports(tree):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = {f"{p.name}: {name}" for p in SRC.glob("*.py") if p.name != "__init__.py"
-              for name in _unused_imports(ast.parse(p.read_text()))}
+    trees = _modules()
+    assert "kinds._game" in trees
+    unused = {f"{module}: {name}" for module, tree in trees.items() if module
+              for name in _unused_imports(tree)}
     assert unused == set()
     # the check sees a leftover import
     assert _unused_imports(ast.parse("from __future__ import annotations\n"

@@ -75,7 +75,7 @@ def test_defaults_apply_by_position_and_keyword():
     assert NashCheck(is_nash=True) == (True, None, None, None)
     assert WelfareReport("maximize", 1.0, (), (), None, None, False).reason == ""
     assert RunRecord("nash", "d", None, {}).tables == ()
-    assert Kind(None, None, "help").stochastic is False
+    assert Kind("help").stochastic is False
 
     for spec in (LearnerSpec("fictitious-play"),
                  LearnerSpec(kind="replicator",

@@ -15,8 +15,9 @@ import yaml
 from stgames import congestion, strategic
 from stgames.errors import CapacityError, SchemaError
 from stgames.incentives import modified_payoff
-from stgames.scenario import (KINDS, STOCHASTIC_KINDS, RunRecord, Table,
-                              parse_scenario, run_scenario, write_outputs)
+from stgames.scenario import (KINDS, MAX_DOCUMENT_BYTES, STOCHASTIC_KINDS,
+                              RunRecord, Table, parse_scenario, run_scenario,
+                              write_outputs)
 from stgames.strategic import profile_index
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -241,6 +242,32 @@ def test_ttscale_learning_steps_capped():
         parse_scenario(yaml.safe_dump(doc))
 
 
+def test_document_over_the_byte_cap_is_refused_before_loading(monkeypatch):
+    # loading costs about 3.5 s and 115 MB per MB of text, so the cap on
+    # the text's UTF-8 bytes is checked before `yaml.load` is called
+    expected = load("nash").digest
+    loads = []
+
+    def spy(*args, _real=yaml.load, **kwargs):
+        loads.append(1)
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(yaml, "load", spy)
+    text = (FIXTURES / "nash.yaml").read_text(encoding="utf-8")
+    room = MAX_DOCUMENT_BYTES - len(text.encode("utf-8"))
+    at_cap = text + "#" * (room - 1) + "\n"            # a comment line
+    assert len(at_cap.encode("utf-8")) == MAX_DOCUMENT_BYTES
+    assert parse_scenario(at_cap).digest == expected
+    assert loads == [1]
+    loads.clear()
+    # two bytes per character: fewer characters than the cap, more bytes
+    wide = text + "#" + "\u00e9" * (room // 2) + "\n"
+    assert len(wide) < MAX_DOCUMENT_BYTES < len(wide.encode("utf-8"))
+    for over in (at_cap + "#\n", wide):
+        with pytest.raises(CapacityError, match=f"over the cap of {MAX_DOCUMENT_BYTES}"):
+            parse_scenario(over)
+    assert loads == []
+
+
 def test_digest_ignores_formatting_not_content():
     a = parse_scenario("kind: nash\nname: pd\nnash:\n  game:\n"
                        "    actions: [[C, D], [C, D]]\n    payoffs:\n"
@@ -406,8 +433,8 @@ def test_wardrop_runner():
 
 
 def test_each_run_solves_each_problem_once(monkeypatch):
-    # `scenario` reads `netmod.*` and `stratmod.*` at call time, so a spy on
-    # the module attribute sees every call of a parse and a run
+    # the kind modules read `netmod.*` and `stratmod.*` at call time, so a
+    # spy on the module attribute sees every call of a parse and a run
     calls = collections.Counter()
     for module, name in ((congestion, "_descend"), (congestion, "enumerate_paths"),
                          (strategic, "enumerate_pure_nash")):
