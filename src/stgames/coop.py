@@ -156,6 +156,16 @@ def _outside_span(rows) -> np.ndarray:
     return out
 
 
+def _merge(work, new, n: int) -> np.ndarray:
+    """The sorted masks in `work` or `new`, as `np.union1d` gives them.
+    `np.union1d` sorts through `np.unique`, which imports all of `numpy.ma`
+    on its first call; a membership mask over the 2^n coalitions does not."""
+    hit = np.zeros(1 << n, dtype=bool)
+    hit[work] = True
+    hit[new] = True
+    return np.flatnonzero(hit)
+
+
 def _most_violated(gap, limit: int) -> np.ndarray:
     """Up to `limit` masks whose gap exceeds TOL, the largest gaps."""
     hit = np.flatnonzero(gap > TOL)
@@ -175,7 +185,7 @@ def core_nonempty(game: CoalitionGame) -> CoreReport:
     """
     n = game.n
     v = _value_array(game)
-    work = np.union1d(1 << np.arange(n), [game.full])
+    work = _merge(1 << np.arange(n), game.full, n)
     while True:
         # Solving for x - shift puts the starting point x = shift strictly
         # inside every row, so the LP needs no phase 1. Columns run from
@@ -199,7 +209,7 @@ def core_nonempty(game: CoalitionGame) -> CoreReport:
         new = _most_violated(gap, n)
         if not new.size:
             break
-        work = np.union1d(work, new)
+        work = _merge(work, new, n)
     vfull = game.value(game.full)
     total = float(x.sum())
     if total > vfull + TOL:
@@ -276,7 +286,7 @@ def nucleolus(game: CoalitionGame) -> NucleolusReport:
         # eps - shift puts the starting point (r, eps) = (0, shift)
         # strictly inside every >= row, so only the tied rows need phase 1.
         k = tied.size
-        work = np.union1d(singletons, work)
+        work = _merge(singletons, work, n)
         work = work[free[work]]
         while True:
             lhs = np.zeros((k + work.size, n + 1))
@@ -296,7 +306,7 @@ def nucleolus(game: CoalitionGame) -> NucleolusReport:
             new = _most_violated(gap, n)
             if not new.size:
                 break
-            work = np.union1d(work, new)
+            work = _merge(work, new, n)
         levels.append(eps)
 
         # At an optimum the working-set duals sum to 1 (eps has cost 1), so

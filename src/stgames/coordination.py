@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 from ._np import np
 
-from .incentives import IncentiveSchedule, modified_payoff
-from .learning import LearningState, run_dynamics
+from . import incentives as incmod
+from . import learning as learnmod
 from .strategic import (StrategicGame, _total, enumerate_pure_nash,
                         expected_payoffs)
 
@@ -111,10 +111,10 @@ class EpochRecord(NamedTuple):
 class TwoTimescaleResult(NamedTuple):
     epochs: list
     final_signal: str
-    final_state: LearningState
+    final_state: learnmod.LearningState
 
 
-def _project_state(state: LearningState, keep):
+def _project_state(state: learnmod.LearningState, keep):
     """Restrict policies/estimates to the admissible index sets `keep`."""
     policies = []
     for pi, idx in zip(state.policies, keep):
@@ -123,12 +123,13 @@ def _project_state(state: LearningState, keep):
             mass = sub.sum()
             sub = sub / mass if mass > 0 else np.full(len(idx), 1.0 / len(idx))
         policies.append(sub)
-    return LearningState(policies,
-                         [q[idx] for q, idx in zip(state.estimates, keep)],
-                         [c[idx] for c, idx in zip(state.counts, keep)], state.t)
+    return learnmod.LearningState(
+        policies, [q[idx] for q, idx in zip(state.estimates, keep)],
+        [c[idx] for c, idx in zip(state.counts, keep)], state.t)
 
 
-def _embed_state(state: LearningState, sub: LearningState, keep):
+def _embed_state(state: learnmod.LearningState, sub: learnmod.LearningState,
+                 keep):
     for i, idx in enumerate(keep):
         pi = np.zeros_like(state.policies[i])
         pi[idx] = sub.policies[i]
@@ -141,7 +142,7 @@ def _embed_state(state: LearningState, sub: LearningState, keep):
 def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy,
                       outer_steps: int, epoch_length: int, seed=None,
                       admissible: AdmissibleSetRule | None = None,
-                      incentives: IncentiveSchedule | None = None,
+                      incentives: incmod.IncentiveSchedule | None = None,
                       initial_signal=None) -> TwoTimescaleResult:
     """K outer signal updates around T-step learning epochs.
 
@@ -153,10 +154,11 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
     if outer_steps < 1 or epoch_length < 1:
         raise ValueError("outer_steps and epoch_length must be >= 1")
     rng = np.random.default_rng(seed)
-    played = modified_payoff(game, incentives) if incentives is not None else game
+    played = (incmod.modified_payoff(game, incentives) if incentives is not None
+              else game)
     signal = initial_signal if initial_signal is not None else coordinator.candidates[0]
     played.resolve_signal(signal)
-    state = LearningState.fresh(game, specs)
+    state = learnmod.LearningState.fresh(game, specs)
     epochs = []
     digest = None
     for k in range(outer_steps):
@@ -164,9 +166,9 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
             signal = coordinator_update(coordinator, played, signal, digest)
         before = [c.copy() for c in state.counts]
         restricted, keep = _restrict(played, admissible, signal)
-        trace = run_dynamics(restricted, specs, epoch_length, rng=rng,
-                             signal_schedule=lambda t: signal,
-                             initial_state=_project_state(state, keep))
+        trace = learnmod.run_dynamics(restricted, specs, epoch_length, rng=rng,
+                                      signal_schedule=lambda t: signal,
+                                      initial_state=_project_state(state, keep))
         _embed_state(state, trace.final_state, keep)
         freqs = tuple(tuple(((c - b) / epoch_length).tolist())
                       for c, b in zip(state.counts, before))

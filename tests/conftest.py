@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stgames import coordination, learning
+from stgames import learning
 
 
 class Recorder:
@@ -13,16 +13,16 @@ class Recorder:
     only, and `run_two_timescale` keeps no epoch's `Trace`. The recorder
     wraps `step_payoff_estimate` and `step_policy`, which every update of
     every agent calls once per step, in agent order, so their results, in
-    call order, are each step's estimates and policies. It also wraps the
-    `run_dynamics` that `coordination` calls, so `traces` holds every
-    epoch's `Trace` in order.
+    call order, are each step's estimates and policies. It also wraps
+    `run_dynamics`, which `coordination` reads from `learning` at call time,
+    so `traces` holds every epoch's `Trace` in order.
     """
 
     def __init__(self, monkeypatch):
         self.estimates, self.policies, self.traces = [], [], []
         for module, name, into in ((learning, "step_payoff_estimate", self.estimates),
                                    (learning, "step_policy", self.policies),
-                                   (coordination, "run_dynamics", self.traces)):
+                                   (learning, "run_dynamics", self.traces)):
             monkeypatch.setattr(module, name, self._keep(getattr(module, name), into))
 
     @staticmethod

@@ -305,6 +305,32 @@ def test_run_executes_numpy_only_for_mixed_kernels(kind, executes):
     assert one_worker_run_imports(kind, "numpy._core") == ["0", str(executes)]
 
 
+# numpy 2 imports its `ma` and `random` subpackages on first use: `np.unique`
+# (and so `np.union1d`) imports `numpy.ma`, `np.random` imports `numpy.random`
+
+@pytest.mark.parametrize("kind, draws", [
+    ("coop", False), ("match", False), ("nash", False), ("learn", True),
+    ("ttscale", True), ("stackelberg", False), ("wardrop", False),
+    ("incentive", False), ("resilience", False),
+])
+def test_run_imports_no_numpy_ma_and_numpy_random_only_to_draw(kind, draws):
+    assert one_worker_run(kind, "'numpy.ma' in sys.modules, "
+                                "'numpy.random' in sys.modules") == [
+        "0", "False", str(draws)]
+
+
+def test_resilience_imports_numpy_random_when_it_draws(tmp_path):
+    drop = yaml.safe_load(pathlib.Path(fx("resilience")).read_text())
+    drop["resilience"]["adversary"].update(kind="channel-drop", drop_prob=0.4)
+    drawn = yaml.safe_load(pathlib.Path(fx("resilience")).read_text())
+    drawn["resilience"]["initial_values"] = {"random": {"n": 6}}
+    for name, doc in (("channel-drop", drop), ("drawn-values", drawn)):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        assert one_worker_run_imports("resilience", "numpy.random",
+                                      str(config)) == ["0", "True"], name
+
+
 # So are the library modules: each is in sys.modules from `import stgames`
 # on, as a lazy subclass of ModuleType until it executes. The type check
 # reads no attribute, so it loads nothing.
@@ -323,8 +349,8 @@ GAME_KINDS = ("nash", "learn", "ttscale", "stackelberg", "incentive")
     ("match", {"matching"}),
     ("nash", {"strategic"}),
     ("learn", {"learning", "strategic"}),
-    ("ttscale", {"coordination", "incentives", "learning", "strategic"}),
-    ("stackelberg", {"coordination", "incentives", "learning", "strategic"}),
+    ("ttscale", {"coordination", "learning", "strategic"}),
+    ("stackelberg", {"coordination", "strategic"}),
     ("wardrop", {"congestion"}),
     ("incentive", {"incentives", "strategic"}),
     ("resilience", {"resilience"}),

@@ -601,6 +601,25 @@ def test_coalition_sums_match_reference_kernels():
     assert_kernels_agree(kernel_corpus())
 
 
+def test_working_set_merge_matches_union1d():
+    # `np.union1d` is the reference: the same sorted masks, of the same dtype
+    rng = np.random.default_rng(24)
+    cases = [(1 << np.arange(n), (1 << n) - 1, n) for n in (1, 20)]   # core start
+    for n in (1, 2, 5, 8, 13, 20):
+        for _ in range(25):
+            work = np.unique(rng.integers(1, 1 << n, size=rng.integers(1, 60)))
+            # part of `new` repeats `work`, part may repeat itself; some are empty
+            new = np.concatenate((
+                rng.choice(work, size=rng.integers(0, 4)),
+                rng.integers(1, 1 << n, size=rng.integers(0, 6))))
+            cases.append((work, new, n))
+        cases.append((work, np.flatnonzero(np.zeros(8)), n))
+    for work, new, n in cases:
+        got, want = coopmod._merge(work, new, n), np.union1d(work, new)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (work, new, n)
+
+
 def test_full_row_nucleolus_matches_highs():
     # Duals read off the final tableau stay duals where the basis matrix is
     # singular; a least-squares stand-in for them fixed the wrong rows and

@@ -1,5 +1,6 @@
 """Byzantine message corruption, trust reweighting and trimmed consensus."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -216,6 +217,24 @@ def test_channel_drop_consensus_still_converges():
     again = run_consensus_scenario(scenario(x), 60, DefenseSpec(trim_f=0),
                                    adv, seed=5)
     assert np.array_equal(run.values, again.values)
+
+
+def test_channel_drop_stream_is_pinned():
+    # sha256 of the float.hex of every value of a seeded channel-drop run,
+    # recorded when the attack generator was still created for every
+    # adversary: it pins the drop stream across commits, not only between
+    # two runs in one process. Taken with numpy 2.4 on x86-64.
+    adv = AdversaryModel((1, 4), "channel-drop", drop_prob=0.4, window=(3, 30))
+    x = (0.9, -1.5, 2.25, 0.1, 3.0, -0.4)
+    run = run_consensus_scenario(scenario(x), 40,
+                                 DefenseSpec(trim_f=1, trust_eta=0.3), adv, seed=7)
+    text = " ".join(map(float.hex, run.values.ravel().tolist()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9c40259d564ff91b308fe0f51dd46e018c3f17dfb703e3108f6734fac8f83f73")
+    # the drops matter: without them the values differ
+    kept = AdversaryModel((1, 4), "channel-drop", drop_prob=0.0, window=(3, 30))
+    assert not np.array_equal(run.values, run_consensus_scenario(
+        scenario(x), 40, DefenseSpec(trim_f=1, trust_eta=0.3), kept, seed=7).values)
 
 
 def test_consensus_of_64_agents_within_budget():
