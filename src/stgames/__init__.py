@@ -25,8 +25,7 @@ _HOME = {name: module for module, names in (
     ("lp", "LinearProgram LpSolution solve_lp"),
     ("strategic", "DEFAULT_SIGNAL NashCheck StrategicGame WelfareReport "
                   "best_responses counterfactual_payoffs enumerate_pure_nash "
-                  "expected_payoffs is_nash mixed_gap profile_index "
-                  "welfare_and_poa"),
+                  "expected_payoffs is_nash mixed_gap welfare_and_poa"),
     ("coop", "CoalitionGame CoreReport NucleolusReport cooperative_surplus "
              "core_nonempty excess in_core is_convex is_superadditive members "
              "nucleolus shapley"),

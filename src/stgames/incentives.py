@@ -60,9 +60,9 @@ def modified_payoff(game: StrategicGame, schedule: IncentiveSchedule) -> Strateg
             if len(vec) != n:
                 raise ValueError(f"signal {sig!r}, profile {profile}: "
                                  f"need {n} transfers, got {len(vec)}")
-        tables[sig] = [tuple(x + t for x, t in zip(row, paid.get(profile, zero)))
-                       for profile, row in zip(game.profiles(), game.rows(sig))]
-    return StrategicGame.from_rows(game.actions, tables)
+        tables[sig] = [x + t for profile, row in zip(game.profiles(), game.rows(sig))
+                       for x, t in zip(row, paid.get(profile, zero))]
+    return StrategicGame.from_tables(game.actions, tables)
 
 
 def is_pareto_improving(baseline, induced, tol: float = TOL) -> bool:

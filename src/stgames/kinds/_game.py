@@ -3,11 +3,13 @@
 A `game` block names each agent's action labels and one payoff table per
 signal; `learners` gives one learner spec per agent. Labels appear only
 here and in the runners' output: the library gets profiles as tuples of
-action indices.
+action indices, and each payoff table as one flat list in profile order,
+the layout `StrategicGame.from_tables` takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .. import learning as learnmod
@@ -29,11 +31,11 @@ def _need_label(node, path, labels):
 
 
 def _need_profile(node, path, actions):
-    """One action label per agent, as a tuple of strings."""
+    """One action label per agent, as the tuple of their action indices."""
     if len(_need_list(node, path)) != len(actions):
         _fail(path, f"needs {len(actions)} actions")
-    return tuple(_need_label(lab, f"{path}[{i}]", actions[i])
-                 for i, lab in enumerate(node))
+    return tuple(labels.index(_need_label(lab, f"{path}[{i}]", labels))
+                 for i, (labels, lab) in enumerate(zip(actions, node)))
 
 
 def _need_signal(node, path, game):
@@ -44,8 +46,9 @@ def _need_signal(node, path, game):
     return _make(path, game.resolve_signal, node)
 
 
-def _validate_profile_entries(entries, actions, path):
-    full = math.prod(len(a) for a in actions)
+def _validate_profile_entries(entries, actions, path, payoffs_path):
+    """One signal's checked table, {action indices: payoffs}; the caps come
+    before completeness, so an over-cap game exits 3 whatever it holds."""
     table = {}
     for e_idx, entry in enumerate(_need_list(entries, path, min_len=1)):
         epath = f"{path}[{e_idx}]"
@@ -53,9 +56,11 @@ def _validate_profile_entries(entries, actions, path):
         profile = _need_profile(entry["profile"], f"{epath}.profile", actions)
         values = _need_vector(entry["values"], f"{epath}.values", len(actions))
         if profile in table:
-            _fail(epath, f"duplicate profile {profile}")
+            _fail(epath, f"duplicate profile {tuple(map(str, entry['profile']))}")
         table[profile] = values
+    full = math.prod(len(a) for a in actions)
     if len(table) != full:
+        _make(payoffs_path, stratmod._table_shape, actions)
         _fail(path, f"{len(table)} of {full} profiles specified")
     return table
 
@@ -73,23 +78,26 @@ def _validate_game(node, path):
         if len(set(labels)) != len(labels):
             _fail(f"{path}.actions[{i}]", "duplicate action labels")
         actions.append(labels)
-    payoffs = node["payoffs"]
+    ppath, payoffs = f"{path}.payoffs", node["payoffs"]
     if isinstance(payoffs, list):
-        # the table is checked before the signal name is read, so a
-        # rejected table never executes `strategic`
-        table = _validate_profile_entries(payoffs, actions, f"{path}.payoffs")
+        # the entries are checked before the signal name is read, so a
+        # table rejected on its entries never executes `strategic`
+        table = _validate_profile_entries(payoffs, actions, ppath, ppath)
         tables = {stratmod.DEFAULT_SIGNAL: table}
     elif isinstance(payoffs, dict):
         tables = {str(sig): _validate_profile_entries(
-            entries, actions, f"{path}.payoffs.{sig}")
+            entries, actions, f"{ppath}.{sig}", ppath)
             for sig, entries in payoffs.items()}
     else:
-        _fail(f"{path}.payoffs", "expected a list or a map of signal -> list")
+        _fail(ppath, "expected a list or a map of signal -> list")
+    game = _make(ppath, stratmod.StrategicGame.from_tables, actions, {
+        sig: [v for p in itertools.product(*map(range, map(len, actions)))
+              for v in table[p]]
+        for sig, table in tables.items()})
     block = {"actions": [list(a) for a in actions],
-             "payoffs": {sig: {" ".join(k): v for k, v in table.items()}
+             "payoffs": {sig: {" ".join(_labels(game, p)): v for p, v in table.items()}
                          for sig, table in tables.items()}}
-    return block, _make(f"{path}.payoffs", stratmod.StrategicGame.from_tables,
-                        actions, tables)
+    return block, game
 
 
 def _validate_learner(node, path, n_actions):

@@ -4,7 +4,6 @@ equilibrium within a budget."""
 from __future__ import annotations
 
 from .. import incentives as incmod
-from .. import strategic as stratmod
 from ..scenario import (RunRecord, Table, _make, _need_int, _need_map,
                         _need_number)
 from ._game import _labels, _need_profile, _need_signal, _validate_game
@@ -19,9 +18,10 @@ def validate(node, path):
     horizon = budget.get("horizon", "infinite")
     if horizon != "infinite":
         horizon = _need_int(horizon, f"{path}.budget.horizon", 1, 10 ** 6)
+    target = _need_profile(node["target"], f"{path}.target", game.actions)
+    baseline = _need_profile(node["baseline"], f"{path}.baseline", game.actions)
     block = {"game": game_block,
-             "target": _need_profile(node["target"], f"{path}.target", game.actions),
-             "baseline": _need_profile(node["baseline"], f"{path}.baseline", game.actions),
+             "target": _labels(game, target), "baseline": _labels(game, baseline),
              "budget": {"limit": _need_number(budget["limit"], f"{path}.budget.limit"),
                         "delta": _need_number(budget["delta"], f"{path}.budget.delta"),
                         "horizon": horizon}}
@@ -29,8 +29,7 @@ def validate(node, path):
     if "signal" in node:
         block["signal"] = signal
     return block, {"game": game,
-                   "target": stratmod.profile_index(game.actions, block["target"]),
-                   "baseline": stratmod.profile_index(game.actions, block["baseline"]),
+                   "target": target, "baseline": baseline,
                    "signal": signal,
                    "budget": _make(f"{path}.budget", incmod.BudgetSpec,
                                    block["budget"]["limit"], block["budget"]["delta"],

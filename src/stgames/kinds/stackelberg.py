@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 
 from .. import coordination as coordmod
-from .. import strategic as stratmod
 from ..scenario import (RunRecord, Table, _fail, _need_list, _need_map,
                         _need_number, _need_str)
 from ._game import _labels, _need_profile, _need_signal, _validate_game
@@ -40,10 +39,10 @@ def validate(node, path):
                     _need_map(entry, epath, required=("profile", "value"))
                     profile = _need_profile(entry["profile"], f"{epath}.profile",
                                             game.actions)
-                    key = stratmod.profile_index(game.actions, profile)
-                    if key in rows:
-                        _fail(epath, f"duplicate profile {profile}")
-                    rows[key] = _need_number(entry["value"], f"{epath}.value")
+                    if profile in rows:
+                        _fail(epath,
+                              f"duplicate profile {tuple(_labels(game, profile))}")
+                    rows[profile] = _need_number(entry["value"], f"{epath}.value")
             block["leader_objective"] = {"table": {
                 sig: {" ".join(_labels(game, p)): v for p, v in rows.items()}
                 for sig, rows in table.items()}}

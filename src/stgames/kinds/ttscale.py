@@ -7,12 +7,11 @@ import json
 
 from .. import coordination as coordmod
 from .. import incentives as incmod
-from .. import strategic as stratmod
 from ..errors import CapacityError
 from ..scenario import (RunRecord, Table, _fail, _make, _need_int, _need_list,
                         _need_map, _need_str, _need_vector)
-from ._game import (MAX_LEARN_STEPS, _need_label, _need_profile, _need_signal,
-                    _validate_game, _validate_learners)
+from ._game import (MAX_LEARN_STEPS, _labels, _need_label, _need_profile,
+                    _need_signal, _validate_game, _validate_learners)
 
 
 def validate(node, path):
@@ -68,24 +67,24 @@ def validate(node, path):
         block["admissible"] = allowed
         inputs["admissible"] = coordmod.AdmissibleSetRule(indices)
     if "incentives" in node:
-        entries, seen = [], set()
+        entries = []
         incentives = incmod.IncentiveSchedule.zero(game)
         for i, entry in enumerate(_need_list(node["incentives"], f"{path}.incentives", 1)):
             epath = f"{path}.incentives[{i}]"
             _need_map(entry, epath, required=("profile", "values"), optional=("signal",))
-            rec = {"profile": _need_profile(entry["profile"], f"{epath}.profile", game.actions),
+            profile = _need_profile(entry["profile"], f"{epath}.profile", game.actions)
+            rec = {"profile": _labels(game, profile),
                    "values": _need_vector(entry["values"], f"{epath}.values", game.n_agents)}
             sig = _need_signal(entry.get("signal"), f"{epath}.signal", game)
-            if (sig, rec["profile"]) in seen:
-                _fail(epath, f"duplicate profile {rec['profile']}")
-            seen.add((sig, rec["profile"]))
+            paid = incentives.transfers[sig]
+            if profile in paid:
+                _fail(epath, f"duplicate profile {tuple(rec['profile'])}")
             if "signal" in entry:
                 rec["signal"] = sig
             entries.append(rec)
             # each profile is paid once, 0.0 + value: the bits of a value
             # added to a zero table, down to the sign of zero
-            incentives.transfers[sig][stratmod.profile_index(
-                game.actions, rec["profile"])] = tuple(0.0 + v for v in rec["values"])
+            paid[profile] = tuple(0.0 + v for v in rec["values"])
         block["incentives"] = entries
         inputs["incentives"] = incentives
     return block, inputs

@@ -47,11 +47,14 @@ def _fail(path, message):
 
 
 def _make(path, build, *args, **kwargs):
-    """`build(*args, **kwargs)`, with a ValueError reported at `path`."""
+    """`build(*args, **kwargs)`, with a ValueError or a CapacityError
+    reported at `path`."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
+    except CapacityError as exc:
+        raise CapacityError(f"{path}: {exc}") from None
 
 
 def _need_map(node, path, required=(), optional=()):

@@ -2,16 +2,20 @@
 
 Payoffs are utilities to be maximized. A game holds one payoff table per
 signal value; single-signal games use the default label. Profiles are tuples
-of action indices, one per agent (`profile_index` maps labels to indices),
-and all argmax tie handling is exact float comparison with smallest-index
-preference.
+of action indices, one per agent, and all argmax tie handling is exact float
+comparison with smallest-index preference. Action labels only name the
+actions; the library never looks one up.
 
-A table is kept as one tuple of Python floats: the n per-agent payoffs of
-each profile in turn, profiles in lexicographic action-index order (the
-order of `profiles()` and `rows()`). So the payoff of agent i at the
-profile in position p of that order is entry p * n + i, and agent i's
-payoffs along its own actions, the others pinned, are one strided slice.
-Only this module reads that layout. The pure-profile kernels (`payoff`,
+A game has one constructor, `StrategicGame.from_tables(actions, tables)`,
+and one table layout, which it takes and keeps: per signal one flat
+sequence of n * |profiles| payoffs, the n per-agent payoffs of each profile
+in turn, profiles in lexicographic action-index order (the order of
+`profiles()` and `rows()`). So the payoff of agent i at the profile in
+position p of that order is entry p * n + i, and agent i's payoffs along
+its own actions, the others pinned, are one strided slice. Each table is
+kept as a tuple of Python floats.
+
+Only this module reads the stored tuples. The pure-profile kernels (`payoff`,
 `best_responses`, `is_nash`, `enumerate_pure_nash`, and `welfare_and_poa`
 over the equilibria that one found) run on the tuples in plain Python and
 never load numpy. Their floats follow the operation order of the numpy
@@ -42,66 +46,19 @@ MAX_GRID = 10 ** 6
 class StrategicGame:
     __slots__ = ("actions", "_tables", "_views")
 
-    def __init__(self, actions: tuple, payoffs: dict):
-        """`payoffs` maps each signal to an array of shape
-        (n, |X_0|, ..., |X_{n-1}|): entry (i, a_0, ..., a_{n-1}) is agent
-        i's payoff at profile (a_0, ..., a_{n-1})."""
-        shape = _table_shape(actions, payoffs)
-        tables = {}
-        for sig, table in payoffs.items():
-            table = np.asarray(table, dtype=float)
-            if table.shape != shape:
-                raise ValueError(
-                    f"signal {sig!r}: payoff table shape {table.shape}, want {shape}")
-            tables[sig] = tuple(table.reshape(shape[0], -1).T.ravel().tolist())
-        self.actions = actions
-        self._tables = tables
-        self._views = None
-
-    # -- construction helpers -------------------------------------------------
-
     @staticmethod
     def from_tables(actions, tables) -> "StrategicGame":
-        """Build from {signal: {profile tuple: per-agent payoff sequence}}."""
+        """Build from {signal: table}, each table one flat sequence of the
+        n per-agent payoffs of each profile in turn, in `profiles()` order.
+        The caps and labels are checked before any table is read."""
         actions = tuple(tuple(a) for a in actions)
-        n = len(actions)
-        full = math.prod(len(x) for x in actions)
-        rows = {}
-        for sig, entries in tables.items():
-            table = rows[str(sig)] = [None] * full
-            for profile, values in entries.items():
-                pos = _position(actions, profile_index(actions, profile))
-                if table[pos] is not None:
-                    raise ValueError(f"signal {sig!r}: duplicate profile {profile}")
-                table[pos] = [float(v) for v in values]
-                if len(table[pos]) != n:
-                    raise ValueError(
-                        f"profile {profile}: expected {n} payoffs, got {len(table[pos])}")
-            if None in table:
-                raise ValueError(f"signal {sig!r}: {full - table.count(None)} of "
-                                 f"{full} profiles specified")
-        return StrategicGame.from_rows(actions, rows)
-
-    @staticmethod
-    def single(actions, table) -> "StrategicGame":
-        return StrategicGame.from_tables(actions, {DEFAULT_SIGNAL: table})
-
-    @staticmethod
-    def from_rows(actions, tables) -> "StrategicGame":
-        """Build from {signal: rows}, one row of per-agent payoffs for each
-        profile in `profiles()` order."""
-        actions = tuple(tuple(a) for a in actions)
-        size = math.prod(_table_shape(actions, tables))
-        n = len(actions)
+        size = math.prod(_table_shape(actions))
+        if not tables:
+            raise ValueError("at least one signal table required")
         flats = {}
-        for sig, rows in tables.items():
-            flat = []
-            for row in rows:
-                if len(row) != n:
-                    raise ValueError(f"signal {sig!r}: a row of {len(row)} payoffs, want {n}")
-                flat.extend(row)
+        for sig, flat in tables.items():
             if len(flat) != size:
-                raise ValueError(f"signal {sig!r}: {len(flat) // n} rows, want {size // n}")
+                raise ValueError(f"signal {sig!r}: {len(flat)} payoffs, want {size}")
             flats[sig] = tuple(map(float, flat))
         game = object.__new__(StrategicGame)
         game.actions, game._tables, game._views = actions, flats, None
@@ -120,9 +77,10 @@ class StrategicGame:
         keep = [[int(j) for j in idx] for idx in keep]
         n = self.n_agents
         starts = [_position(self.actions, p) * n for p in itertools.product(*keep)]
-        return StrategicGame.from_rows(
+        return StrategicGame.from_tables(
             [[labels[j] for j in idx] for labels, idx in zip(self.actions, keep)],
-            {sig: [flat[k:k + n] for k in starts] for sig, flat in self._tables.items()})
+            {sig: [x for k in starts for x in flat[k:k + n]]
+             for sig, flat in self._tables.items()})
 
     # -- basics ----------------------------------------------------------------
 
@@ -178,14 +136,12 @@ class StrategicGame:
         return flat[k:k + self.n_agents]
 
 
-def _table_shape(actions, tables) -> tuple:
+def _table_shape(actions) -> tuple:
     """The payoff table shape (n, |X_0|, ..., |X_{n-1}|) of a game over
     `actions`, once the agent count, the labels and the grid are checked."""
     n = len(actions)
     if not 2 <= n <= MAX_AGENTS:
         raise CapacityError(f"agent count {n} outside 2..{MAX_AGENTS}")
-    if not tables:
-        raise ValueError("at least one signal table required")
     for labels in actions:
         if len(labels) == 0:
             raise ValueError("every agent needs at least one action")
@@ -229,16 +185,6 @@ def _max(values) -> float:
     if any(v != v for v in values):
         return math.nan
     return max(values)
-
-
-def profile_index(actions, profile) -> tuple:
-    """The action indices of a profile given as one label per agent."""
-    if len(profile) != len(actions):
-        raise ValueError(f"profile length {len(profile)} != agent count {len(actions)}")
-    for i, (labels, label) in enumerate(zip(actions, profile)):
-        if label not in labels:
-            raise ValueError(f"agent {i}: unknown action {label!r}; valid: {list(labels)}")
-    return tuple(labels.index(label) for labels, label in zip(actions, profile))
 
 
 def _is_index(a) -> bool:

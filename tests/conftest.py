@@ -1,9 +1,30 @@
-"""Shared fixtures."""
+"""Shared fixtures and the one way tests build a game from its tables."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from stgames import learning
+from stgames.strategic import StrategicGame
+
+
+def make_game(actions, tables):
+    """A game over `actions` from {signal: table}, through the library's one
+    constructor. A table is either a dict of {profile of labels: per-agent
+    payoffs}, read in profile order, where a missing profile leaves the
+    table short; or an array of shape (n, |X_0|, ..., |X_{n-1}|) whose entry
+    (i, a_0, ..., a_{n-1}) is agent i's payoff at profile (a_0, ..., a_{n-1}).
+    Either becomes the flat table `StrategicGame.from_tables` takes."""
+    flat = {}
+    for sig, table in tables.items():
+        if isinstance(table, dict):
+            flat[sig] = [v for p in itertools.product(*actions)
+                         for v in table.get(p, ())]
+        else:
+            flat[sig] = np.moveaxis(np.asarray(table, dtype=float), 0, -1) \
+                .ravel().tolist()
+    return StrategicGame.from_tables(actions, flat)
 
 
 class Recorder:

@@ -31,7 +31,9 @@ from stgames.matching import MatchingMarket, deferred_acceptance, enumerate_stab
 from stgames.resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
                                 TrustMatrix, run_consensus_scenario)
 from stgames.scenario import parse_scenario, run_scenario, write_outputs
-from stgames.strategic import StrategicGame, is_nash
+from stgames.strategic import is_nash
+
+from conftest import make_game
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -64,15 +66,15 @@ WORKED = CoalitionGame.from_dict(
 MAJORITY = CoalitionGame.from_dict(
     3, {0b011: 1.0, 0b101: 1.0, 0b110: 1.0, 0b111: 1.0})
 
-PD = StrategicGame.single(
+PD = make_game(
     (("C", "D"), ("C", "D")),
-    {("C", "C"): (3, 3), ("C", "D"): (0, 5),
-     ("D", "C"): (5, 0), ("D", "D"): (1, 1)})
+    {"default": {("C", "C"): (3, 3), ("C", "D"): (0, 5),
+                 ("D", "C"): (5, 0), ("D", "D"): (1, 1)}})
 
-PENNIES = StrategicGame.single(
+PENNIES = make_game(
     (("H", "T"), ("H", "T")),
-    {("H", "H"): (1, -1), ("H", "T"): (-1, 1),
-     ("T", "H"): (-1, 1), ("T", "T"): (1, -1)})
+    {"default": {("H", "H"): (1, -1), ("H", "T"): (-1, 1),
+                 ("T", "H"): (-1, 1), ("T", "T"): (1, -1)}})
 
 PIGOU = CongestionNetwork.of(
     [("o", "d", 1.0, 0.0), ("o", "d", 0.0, 1.0)], "o", "d", 1.0)
@@ -104,7 +106,7 @@ def three_path_game():
         load = {p: profile.count(p) for p in paths}
         table[profile] = tuple(-(a[paths.index(p)] + load[p])
                                for p in profile)
-    return StrategicGame.single((paths, paths), table)
+    return make_game((paths, paths), {"default": table})
 
 
 def leader_fixture():
@@ -115,7 +117,7 @@ def leader_fixture():
         "B": {("x", "x"): (1.5, 1.5), ("x", "y"): (1.5, 0),
               ("y", "x"): (0, 1.5), ("y", "y"): (0, 0)},
     }
-    return StrategicGame.from_tables((("x", "y"), ("x", "y")), tables)
+    return make_game((("x", "y"), ("x", "y")), tables)
 
 
 # --------------------------------------------------------------- oracles --
@@ -452,7 +454,7 @@ def test_criterion_10_stackelberg_mode_ordering(capsys):
             tables = {sig: {p: rng.integers(-4, 5, size=2).astype(float)
                             for p in profiles}
                       for sig in ("s0", "s1", "s2")}
-            game = StrategicGame.from_tables(actions, tables)
+            game = make_game(actions, tables)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 o = stackelberg_solve(game, ("s0", "s1", "s2"), "optimistic")

@@ -1,6 +1,7 @@
 """Exit codes, flag handling and file outputs of the stgames command."""
 
 import concurrent.futures
+import itertools
 import json
 import os
 import pathlib
@@ -635,6 +636,26 @@ def test_document_over_the_byte_cap_exits_3(tmp_path, capsys):
     assert cli.main(["nash", "--config", str(doc), "--quiet"]) == cli.EXIT_CAPACITY
     assert re.match(r"error: document is \d+ bytes, over the cap of 1048576 \(",
                     capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("agents, actions, given, message", [
+    (7, 2, 3, "agent count 7 outside 2..6"),
+    (2, 1001, 3, "profile grid 1002001 exceeds 1000000"),
+    (7, 1, 1, "agent count 7 outside 2..6"),
+], ids=["agents-incomplete", "grid-incomplete", "agents-complete"])
+def test_game_over_a_cap_exits_3_with_its_path(tmp_path, capsys, agents, actions,
+                                               given, message):
+    # an incomplete table names the caps first, and a complete one gets
+    # the payoffs' path on the constructor's capacity error
+    labels = [f"a{j}" for j in range(actions)]
+    entries = [{"profile": list(profile), "values": [0.0] * agents} for profile
+               in itertools.islice(itertools.product(labels, repeat=agents), given)]
+    doc = tmp_path / "nash.yaml"
+    doc.write_text(yaml.safe_dump({"kind": "nash", "nash": {"game": {
+        "actions": [labels] * agents, "payoffs": entries}}}))
+    assert cli.main(["nash", "--config", str(doc), "--quiet"]) == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith(
+        f"error: nash.game.payoffs: {message} (")
 
 
 def test_long_wardrop_chain_exits_0(tmp_path, capsys):

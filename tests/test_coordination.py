@@ -12,8 +12,8 @@ from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
                                   stackelberg_solve)
 from stgames.incentives import IncentiveSchedule
 from stgames.learning import LearnerSpec, RateSchedule, run_dynamics
-from stgames import strategic
-from stgames.strategic import StrategicGame
+
+from conftest import make_game
 
 PD = {("C", "D"): (0, 5), ("D", "C"): (5, 0),
       ("C", "C"): (3, 3), ("D", "D"): (1, 1)}
@@ -22,8 +22,7 @@ PD_HI = {("C", "C"): (6, 6), ("C", "D"): (0, 5),
 
 
 def two_signal_pd():
-    return StrategicGame.from_tables((("C", "D"), ("C", "D")),
-                                     {"lo": PD, "hi": PD_HI})
+    return make_game((("C", "D"), ("C", "D")), {"lo": PD, "hi": PD_HI})
 
 
 def leader_fixture():
@@ -34,7 +33,7 @@ def leader_fixture():
         "B": {("x", "x"): (1.5, 1.5), ("x", "y"): (1.5, 0),
               ("y", "x"): (0, 1.5), ("y", "y"): (0, 0)},
     }
-    return StrategicGame.from_tables((("x", "y"), ("x", "y")), tables)
+    return make_game((("x", "y"), ("x", "y")), tables)
 
 
 def test_admissible_subgame():
@@ -190,13 +189,14 @@ def test_admissible_reordering_keeps_policies_on_their_actions():
     assert result.final_state.policies[0].tolist() == [1.0, 0.0]
 
 
-def test_admissible_sets_resolve_no_labels_at_run_time(monkeypatch):
+def test_admissible_sets_resolve_no_labels_at_run_time():
     # the rule holds action indices, so epochs never turn labels into them
-    def refuse(*args):
-        raise AssertionError("label lookup at run time")
+    class Unindexed(tuple):
+        def index(self, *args):
+            raise AssertionError("label lookup at run time")
 
     g = two_signal_pd()
-    monkeypatch.setattr(strategic, "profile_index", refuse)
+    g.actions = tuple(map(Unindexed, g.actions))
     rule = AdmissibleSetRule({"hi": ((0,), (0, 1))})
     result = run_two_timescale(g, [LearnerSpec("best-response")] * 2,
                                CoordinatorPolicy("round-robin", ("lo", "hi")),
@@ -231,9 +231,9 @@ def test_leader_reports_full_game_indices_under_reordered_sets():
     # play z, and the admissible sets list y before x, so the subgame's
     # index 0 is the full game's 1
     pay = {"x": {"x": 1, "y": 0}, "y": {"x": 0, "y": 2}, "z": {"x": 5, "y": 0}}
-    g = StrategicGame.single(
+    g = make_game(
         (("x", "y", "z"), ("x", "y")),
-        {(a, b): (v, v) for a, row in pay.items() for b, v in row.items()})
+        {"default": {(a, b): (v, v) for a, row in pay.items() for b, v in row.items()}})
     seen = []
 
     def welfare(game, candidate, profile):
@@ -260,7 +260,7 @@ def test_leader_skips_candidates_without_pure_equilibrium():
         "calm": {("x", "x"): (1, 1), ("x", "y"): (0, 0),
                  ("y", "x"): (0, 0), ("y", "y"): (0.5, 0.5)},
     }
-    g = StrategicGame.from_tables((("x", "y"), ("x", "y")), tables)
+    g = make_game((("x", "y"), ("x", "y")), tables)
     with pytest.warns(UserWarning):
         rep = stackelberg_solve(g, ("spin", "calm"), "pessimistic")
     assert rep.best_candidate == "calm"
@@ -278,7 +278,7 @@ def test_optimistic_dominates_pessimistic_randomly():
         tables = {sig: {p: rng.integers(-4, 5, size=2).astype(float)
                         for p in profiles}
                   for sig in ("s0", "s1", "s2")}
-        g = StrategicGame.from_tables(actions, tables)
+        g = make_game(actions, tables)
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

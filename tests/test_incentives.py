@@ -18,8 +18,10 @@ from stgames.incentives import (BudgetSpec, IncentiveSchedule, budget_check,
                                 modified_payoff)
 from stgames.errors import ComputationError
 from stgames.lp import LinearProgram, solve_lp
-from stgames.strategic import (StrategicGame, counterfactual_payoffs,
-                               enumerate_pure_nash, is_nash)
+from stgames.strategic import (counterfactual_payoffs, enumerate_pure_nash,
+                               is_nash)
+
+from conftest import make_game
 
 PD = {("C", "C"): (3, 3), ("C", "D"): (0, 5),
       ("D", "C"): (5, 0), ("D", "D"): (1, 1)}
@@ -27,14 +29,14 @@ CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)     # as action indices
 
 
 def pd_game():
-    return StrategicGame.single((("C", "D"), ("C", "D")), PD)
+    return make_game((("C", "D"), ("C", "D")), {"default": PD})
 
 
 def random_game(rng, n, k):
     actions = tuple(tuple(f"a{j}" for j in range(k)) for _ in range(n))
     table = {p: rng.uniform(-3, 3, size=n)
              for p in itertools.product(*actions)}
-    return StrategicGame.single(actions, table)
+    return make_game(actions, {"default": table})
 
 
 def schedule_of(game, tables):
@@ -117,7 +119,7 @@ def test_modified_payoff_adds_a_whole_table():
     # of the payoff table plus a whole transfer table, down to signs of zero
     rng = np.random.default_rng(9)
     table = rng.choice([0.0, -0.0, 1.5, -2.0], size=(2, 3, 2))
-    g = StrategicGame((("a0", "a1", "a2"), ("b0", "b1")), {"default": table})
+    g = make_game((("a0", "a1", "a2"), ("b0", "b1")), {"default": table})
     paid = np.zeros_like(table)
     paid[:, 1, 0] = (-0.0, 0.5)
     mod = modified_payoff(g, IncentiveSchedule.on_profile(g, (1, 0), (-0.0, 0.5)))
@@ -132,7 +134,7 @@ def test_negated_schedule_restores_tables():
     actions = (("a0", "a1", "a2"), ("b0", "b1", "b2"))
     table = {p: rng.integers(-12, 12, size=2) / 4.0
              for p in itertools.product(*actions)}
-    g = StrategicGame.single(actions, table)
+    g = make_game(actions, {"default": table})
     paid = rng.integers(-12, 12, size=g.payoffs["default"].shape) / 4.0
     sched = schedule_of(g, {"default": paid})
     neg = schedule_of(g, {"default": -paid})
@@ -325,10 +327,10 @@ def test_design_matches_lp_reference():
     for _ in range(200):
         t, r, p, s = np.round(rng.uniform((4.5, 2.5, 0.5, -1.0),
                                           (6.0, 3.5, 1.5, 0.0)), 4).tolist()
-        games.append(StrategicGame.single(
+        games.append(make_game(
             (("C", "D"), ("C", "D")),
-            {("C", "C"): (r, r), ("C", "D"): (s, t),
-             ("D", "C"): (t, s), ("D", "D"): (p, p)}))
+            {"default": {("C", "C"): (r, r), ("C", "D"): (s, t),
+                         ("D", "C"): (t, s), ("D", "D"): (p, p)}}))
     for g in games:
         design = design_incentive(g, CC, DD, budget)
         got = np.asarray(design.schedule.per_agent(g, CC))
@@ -342,8 +344,8 @@ def test_design_matches_lp_reference():
         n = int(rng.integers(2, 4))
         k = int(rng.integers(2, 4))
         g = random_game(rng, n, k)
-        g = StrategicGame(g.actions, {"default": g.payoffs["default"]
-                                      * rng.uniform(1.0, 1000.0)})
+        g = make_game(g.actions, {"default": g.payoffs["default"]
+                                  * rng.uniform(1.0, 1000.0)})
         profiles = list(g.profiles())
         target = profiles[int(rng.integers(len(profiles)))]
         baseline = profiles[int(rng.integers(len(profiles)))]
@@ -435,7 +437,7 @@ def test_design_matches_numpy_reference():
             if trial % 5 == 0:
                 table[rng.random(size=table.shape) < 0.2] = np.nan
             tables[sig] = table
-        game = StrategicGame(actions, tables)
+        game = make_game(actions, tables)
         profiles = list(game.profiles())
         target = profiles[int(rng.integers(len(profiles)))]
         baseline = profiles[int(rng.integers(len(profiles)))]

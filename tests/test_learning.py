@@ -20,20 +20,22 @@ from stgames.learning import (Diagnostics, LearnerSpec, LearningState,
                               step_policy)
 from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
                                   run_two_timescale)
-from stgames.strategic import StrategicGame, is_nash
+from stgames.strategic import is_nash
+
+from conftest import make_game
 
 PD = {("C", "C"): (3, 3), ("C", "D"): (0, 5),
       ("D", "C"): (5, 0), ("D", "D"): (1, 1)}
 
 
 def pd_game():
-    return StrategicGame.single((("C", "D"), ("C", "D")), PD)
+    return make_game((("C", "D"), ("C", "D")), {"default": PD})
 
 
 def pennies():
     table = {("H", "H"): (1, -1), ("H", "T"): (-1, 1),
              ("T", "H"): (-1, 1), ("T", "T"): (1, -1)}
-    return StrategicGame.single((("H", "T"), ("H", "T")), table)
+    return make_game((("H", "T"), ("H", "T")), {"default": table})
 
 
 def three_path_game(n_agents=2):
@@ -49,7 +51,7 @@ def three_path_game(n_agents=2):
     for profile in itertools.product(*actions):
         load = {p: profile.count(p) for p in paths}
         table[profile] = tuple(-(a[paths.index(p)] + load[p]) for p in profile)
-    return StrategicGame.single(actions, table)
+    return make_game(actions, {"default": table})
 
 
 # ---------------------------------------------------------------- oracle --
@@ -287,7 +289,7 @@ def test_run_validation():
         run_dynamics(g, [LearnerSpec("best-response")], horizon=5, seed=0)
     with pytest.raises(ValueError):
         run_dynamics(g, [LearnerSpec("best-response")] * 2, horizon=0, seed=0)
-    multi = StrategicGame.from_tables(
+    multi = make_game(
         (("C", "D"), ("C", "D")), {"a": PD, "b": PD})
     with pytest.raises(ValueError):
         run_dynamics(multi, [LearnerSpec("best-response")] * 2,
@@ -296,7 +298,7 @@ def test_run_validation():
 
 def test_failed_validation_draws_nothing():
     # a schedule naming an unknown signal at step 4 fails before any draw
-    multi = StrategicGame.from_tables(
+    multi = make_game(
         (("C", "D"), ("C", "D")), {"a": PD, "b": PD})
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError):
@@ -359,7 +361,7 @@ def test_gap_series_memory_does_not_grow_with_samples_times_grid():
     # per sample took over a minute
     labels = tuple(str(j) for j in range(10))
     rng = np.random.default_rng(4)
-    g = StrategicGame((labels,) * 3, {"default": rng.normal(size=(3, 10, 10, 10))})
+    g = make_game((labels,) * 3, {"default": rng.normal(size=(3, 10, 10, 10))})
     trace = run_dynamics(g, [LearnerSpec("best-response")] * 3, 3 * 10 ** 4, seed=0)
     tracemalloc.start()
     try:
@@ -394,12 +396,11 @@ MIXED_ACTIONS = (("a", "b", "c"), ("x", "y"))
 
 
 def mixed_game():
-    return StrategicGame.single(MIXED_ACTIONS, MIXED)
+    return make_game(MIXED_ACTIONS, {"default": MIXED})
 
 
 def two_signal_mixed_game():
-    return StrategicGame.from_tables(MIXED_ACTIONS,
-                                     {"lo": MIXED, "hi": MIXED_ALT})
+    return make_game(MIXED_ACTIONS, {"lo": MIXED, "hi": MIXED_ALT})
 
 
 def three_agent_game():
@@ -410,7 +411,7 @@ def three_agent_game():
         table[profile] = tuple(
             ((7 * idx[0] + 3 * idx[1] + 5 * idx[2] + 11 * i) % 13) / 3.7 - 1.1
             for i in range(3))
-    return StrategicGame.single(actions, table)
+    return make_game(actions, {"default": table})
 
 
 def rated(kind, **kw):

@@ -19,8 +19,7 @@ EXPORTS = {
     "lp": "LinearProgram LpSolution solve_lp",
     "strategic": "DEFAULT_SIGNAL NashCheck StrategicGame WelfareReport "
                  "best_responses counterfactual_payoffs enumerate_pure_nash "
-                 "expected_payoffs is_nash mixed_gap profile_index "
-                 "welfare_and_poa",
+                 "expected_payoffs is_nash mixed_gap welfare_and_poa",
     "coop": "CoalitionGame CoreReport NucleolusReport cooperative_surplus "
             "core_nonempty excess in_core is_convex is_superadditive members "
             "nucleolus shapley",
@@ -46,7 +45,7 @@ EXPORTS = {
 
 def test_all_is_the_re_exported_names():
     names = [name for names in EXPORTS.values() for name in names.split()]
-    assert len(names) == 87
+    assert len(names) == 86
     assert sorted(stgames.__all__) == sorted(names)
 
 

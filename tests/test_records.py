@@ -93,7 +93,8 @@ def test_defaults_apply_by_position_and_keyword():
 
 # one validated class per module (more for some), given a bad value by keyword
 BAD = [
-    pytest.param(lambda: StrategicGame(actions=(("a", "b"),), payoffs={"s": None}),
+    pytest.param(lambda: StrategicGame.from_tables(actions=(("a", "b"),),
+                                                   tables={"s": None}),
                  CapacityError, "agent count 1", id="StrategicGame"),
     pytest.param(lambda: CoalitionGame(n=2, values=(0.0, 1.0)),
                  ValueError, "need 4 coalition values", id="CoalitionGame"),

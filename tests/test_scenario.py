@@ -18,7 +18,7 @@ from stgames.incentives import modified_payoff
 from stgames.scenario import (KINDS, MAX_DOCUMENT_BYTES, STOCHASTIC_KINDS,
                               RunRecord, Table, parse_scenario, run_scenario,
                               write_outputs)
-from stgames.strategic import profile_index
+from stgames.kinds._game import _need_profile
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -231,6 +231,17 @@ def test_schema_checks_payoff_tables():
     assert err.value.path == "nash.game.payoffs[0].values"
 
 
+def test_profiles_resolve_to_action_indices():
+    # labels stop at the schema: a profile leaves it as action indices
+    actions = (("C", "D"), ("C", "D"))
+    assert _need_profile(["D", "C"], "p", actions) == (1, 0)
+    with pytest.raises(SchemaError, match="unknown action 'E'") as err:
+        _need_profile(["C", "E"], "p", actions)
+    assert err.value.path == "p[1]"
+    with pytest.raises(SchemaError, match="needs 2 actions"):
+        _need_profile(["C"], "p", actions)
+
+
 def test_ttscale_learning_steps_capped():
     # every epoch's trace is kept, so outer_steps x epoch_length is capped
     # like a learn horizon; the cap is checked before anything runs
@@ -389,7 +400,7 @@ def test_ttscale_incentives_match_one_schedule_per_entry():
     want = {sig: {} for sig in game.signals}
     dense = {sig: np.zeros_like(table) for sig, table in game.payoffs.items()}
     for e in entries:
-        profile = profile_index(game.actions, e["profile"])
+        profile = tuple(labels.index(a) for labels, a in zip(game.actions, e["profile"]))
         want[e["signal"]][profile] = tuple(float.hex(0.0 + v) for v in e["values"])
         dense[e["signal"]][(slice(None),) + profile] += e["values"]
     got = cfg.payload["incentives"].transfers

@@ -1,19 +1,23 @@
 """Strategic game representation and pure/mixed equilibrium checks."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stgames import learning
 from stgames.errors import CapacityError
-from stgames.incentives import IncentiveSchedule
+from stgames.incentives import IncentiveSchedule, modified_payoff
 from stgames.learning import LearnerSpec, RateSchedule, diagnostics, run_dynamics
 from stgames.strategic import (NashCheck, StrategicGame, WelfareReport,
                                best_responses, contract_others,
                                counterfactual_payoffs, enumerate_pure_nash,
                                expected_payoffs, is_nash, mixed_gap,
-                               profile_index, welfare_and_poa)
+                               welfare_and_poa)
+
+from conftest import make_game
 
 # tables are keyed by labels; every other profile is action indices, so in
 # the dilemma 0 is C and 1 is D
@@ -22,20 +26,20 @@ PD = {("C", "C"): (3, 3), ("C", "D"): (0, 5),
 
 
 def pd_game():
-    return StrategicGame.single((("C", "D"), ("C", "D")), PD)
+    return make_game((("C", "D"), ("C", "D")), {"default": PD})
 
 
 def pennies():
     table = {("H", "H"): (1, -1), ("H", "T"): (-1, 1),
              ("T", "H"): (-1, 1), ("T", "T"): (1, -1)}
-    return StrategicGame.single((("H", "T"), ("H", "T")), table)
+    return make_game((("H", "T"), ("H", "T")), {"default": table})
 
 
 def random_game(rng, n_agents, n_actions):
     actions = tuple(tuple(f"a{j}" for j in range(n_actions))
                     for _ in range(n_agents))
     table = {p: rng.normal(size=n_agents) for p in itertools.product(*actions)}
-    return StrategicGame.single(actions, table)
+    return make_game(actions, {"default": table})
 
 
 def test_payoff_lookup():
@@ -93,7 +97,7 @@ def test_counterfactual_row():
 def test_best_response_ties_exact():
     table = {("a", "x"): (1, 2), ("a", "y"): (1, 0),
              ("b", "x"): (1, 1), ("b", "y"): (0, 0)}
-    g = StrategicGame.single((("a", "b"), ("x", "y")), table)
+    g = make_game((("a", "b"), ("x", "y")), {"default": table})
     assert best_responses(g, 0, (0, 0)) == (0, 1)       # a and b tie
     assert best_responses(g, 1, (1, 0)) == (0,)         # x
 
@@ -109,7 +113,7 @@ def test_constant_shift_preserves_best_responses():
         shift = float(rng.uniform(-9, 9))
         table = g.payoffs["default"].copy()
         table[agent] += shift
-        shifted = StrategicGame(g.actions, {"default": table})
+        shifted = make_game(g.actions, {"default": table})
         assert enumerate_pure_nash(shifted) == enumerate_pure_nash(g)
         probe = next(iter(g.profiles()))
         assert best_responses(shifted, agent, probe) == best_responses(g, agent, probe)
@@ -133,7 +137,7 @@ def test_welfare_ratio_undefined_cases():
 
     table = {("a", "x"): (0, 0), ("a", "y"): (-1, -1),
              ("b", "x"): (-1, -1), ("b", "y"): (-2, -2)}
-    g = StrategicGame.single((("a", "b"), ("x", "y")), table)
+    g = make_game((("a", "b"), ("x", "y")), {"default": table})
     rep = welfare_and_poa(g, enumerate_pure_nash(g))
     assert not rep.defined
     assert rep.reason == "zero-welfare equilibrium"
@@ -239,7 +243,7 @@ def _reference_corpus():
     for n in (2, 2, 3, 3, 3, 4, 4, 4):
         ks = tuple(int(rng.integers(2, 6)) for _ in range(n))
         actions = tuple(tuple(f"a{j}" for j in range(k)) for k in ks)
-        game = StrategicGame(actions, {"default": rng.normal(size=(n,) + ks)})
+        game = make_game(actions, {"default": rng.normal(size=(n,) + ks)})
         for kind in learning.KINDS:
             specs = [LearnerSpec(kind, RateSchedule("constant", 0.4),
                                  RateSchedule("harmonic", 1.0), temperature=0.5)
@@ -247,8 +251,8 @@ def _reference_corpus():
             yield game, run_dynamics(game, specs, 140,
                                      seed=int(rng.integers(1 << 30)))
     actions = (("a", "b", "c"), ("x", "y"))
-    game = StrategicGame(actions, {"lo": rng.normal(size=(2, 3, 2)),
-                                   "hi": rng.normal(size=(2, 3, 2))})
+    game = make_game(actions, {"lo": rng.normal(size=(2, 3, 2)),
+                               "hi": rng.normal(size=(2, 3, 2))})
     specs = [LearnerSpec("fictitious-play"),
              LearnerSpec("smoothed-best-response", temperature=0.3)]
     yield game, run_dynamics(game, specs, 140, seed=5,
@@ -296,7 +300,7 @@ def test_mixed_gap_skips_nan_gains():
     # skips it and reports agent 1's gain, row by row in a batch
     table = pennies().payoffs["default"].copy()
     table[0, 1, 1] = np.nan
-    g = StrategicGame(pennies().actions, {"default": table})
+    g = make_game(pennies().actions, {"default": table})
     batch = [np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([[0.5, 0.5], [0.5, 0.5]])]
     want = [mixed_gap_reference(g, [b[s] for b in batch]) for s in range(2)]
     assert want == [0.8, pytest.approx(0.6)]
@@ -319,7 +323,7 @@ def test_signal_tables():
     tables = {"lo": PD,
               "hi": {("C", "C"): (6, 6), ("C", "D"): (0, 5),
                      ("D", "C"): (5, 0), ("D", "D"): (1, 1)}}
-    g = StrategicGame.from_tables((("C", "D"), ("C", "D")), tables)
+    g = make_game((("C", "D"), ("C", "D")), tables)
     assert set(g.signals) == {"lo", "hi"}
     assert g.payoff((0, 0), "hi") == pytest.approx([6, 6])
     with pytest.raises(ValueError):
@@ -331,22 +335,17 @@ def test_signal_tables():
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        StrategicGame.single((("C", "C"), ("C", "D")), PD)   # duplicate label
+        make_game((("C", "C"), ("C", "D")), {"default": PD})   # duplicate label
     with pytest.raises(ValueError):
-        StrategicGame.single((("C", "D"), ("C", "D")),
-                             {("C", "C"): (3, 3)})           # missing profiles
+        make_game((("C", "D"), ("C", "D")),
+                  {"default": {("C", "C"): (3, 3)}})           # missing profiles
     with pytest.raises(ValueError):
-        StrategicGame.single((("C", "D"), ("C", "D")),
-                             {**PD, ("C", "C"): (3, 3, 3)})  # wrong arity
-    with pytest.raises(ValueError, match="unknown action 'E'"):
-        profile_index(pd_game().actions, ("C", "E"))
-    with pytest.raises(ValueError, match="profile length 1"):
-        profile_index(pd_game().actions, ("C",))
-    assert profile_index(pd_game().actions, ["D", "C"]) == (1, 0)
+        make_game((("C", "D"), ("C", "D")),
+                  {"default": {**PD, ("C", "C"): (3, 3, 3)}})  # wrong arity
     with pytest.raises(CapacityError):
         actions = tuple((("0", "1")) for _ in range(7))
         table = {p: [0.0] * 7 for p in itertools.product(*actions)}
-        StrategicGame.single(actions, table)
+        make_game(actions, {"default": table})
 
 
 def test_negative_eps_rejected():
@@ -414,7 +413,7 @@ def test_index_kernels_match_label_loop_reference():
                   for sig in ("calm", "storm")}
         if trial % 10 == 0:
             tables["storm"][(int(rng.integers(n)),) + (0,) * n] = np.nan
-        game = StrategicGame(actions, tables)
+        game = make_game(actions, tables)
 
         def labels(profile):
             return tuple(game.actions[i][a] for i, a in enumerate(profile))
@@ -518,7 +517,7 @@ def _numpy_reference_corpus():
             if trial % 5 == 0:
                 table[rng.random(size=table.shape) < 0.15] = np.nan
             tables[sig] = table
-        yield StrategicGame(actions, tables)
+        yield make_game(actions, tables)
 
 
 def test_pure_kernels_match_numpy_reference():
@@ -542,3 +541,143 @@ def test_pure_kernels_match_numpy_reference():
                     assert best_responses(game, i, profile, sig) \
                         == _best_responses_numpy(game, i, profile, sig)
     assert found > 1000 and nan_games >= 20
+
+
+# --- the table conversions of earlier releases, kept as references ------------
+#
+# Games were built from label-keyed profile dicts (`from_tables`, `single`),
+# from per-signal n-d arrays (`__init__`) and from per-profile rows
+# (`from_rows`, which `subgame` and `modified_payoff` emitted). The library
+# now takes one flat table per signal; the test helper and the library's
+# own flat tables must give the bits these conversions gave.
+
+def _rows_to_flat(rows):
+    flat = []
+    for row in rows:
+        flat.extend(row)
+    return tuple(map(float, flat))
+
+
+def _label_tables_reference(actions, tables):
+    """Each profile's row placed at its position, then joined."""
+    out = {}
+    for sig, entries in tables.items():
+        rows = [None] * math.prod(len(labels) for labels in actions)
+        for profile, values in entries.items():
+            pos = 0
+            for labels, label in zip(actions, profile):
+                pos = pos * len(labels) + labels.index(label)
+            rows[pos] = [float(v) for v in values]
+        out[str(sig)] = _rows_to_flat(rows)
+    return out
+
+
+def _array_tables_reference(actions, payoffs):
+    return {sig: tuple(np.asarray(table, dtype=float)
+                       .reshape(len(actions), -1).T.ravel().tolist())
+            for sig, table in payoffs.items()}
+
+
+def _subgame_reference(game, keep):
+    dims = tuple(len(labels) for labels in game.actions)
+    n = game.n_agents
+    starts = [int(np.ravel_multi_index(p, dims)) * n for p in itertools.product(*keep)]
+    return {sig: _rows_to_flat([flat[k:k + n] for k in starts])
+            for sig, flat in game._tables.items()}
+
+
+def _modified_payoff_reference(game, schedule):
+    zero = (0.0,) * game.n_agents
+    return {sig: _rows_to_flat(
+        [tuple(x + t for x, t in zip(row, schedule.transfers[sig].get(profile, zero)))
+         for profile, row in zip(game.profiles(), game.rows(sig))])
+        for sig in game.signals}
+
+
+def _table_corpus():
+    """Seeded games of 2-4 agents with 1-4 actions each (one-action agents
+    included) and one to three signals; payoffs mix small integers (exact
+    ties), +-0.0, normal draws and, in every sixth game, NaN. Each is given
+    as arrays and as label dicts filled in a shuffled profile order."""
+    rng = np.random.default_rng(2025)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])
+    for trial in range(120):
+        n = 2 + trial % 3
+        ks = tuple(int(k) for k in rng.integers(1, 5, size=n))
+        actions = tuple(tuple(f"{'pqrs'[i]}{j}" for j in range(k))
+                        for i, k in enumerate(ks))
+        arrays = {}
+        for sig in ("calm", "storm", "fog")[:1 + trial % 3]:
+            table = rng.choice(pool, size=(n,) + ks)
+            mixed = rng.random(size=table.shape) < 0.3
+            table[mixed] = rng.normal(size=int(mixed.sum()))
+            if trial % 6 == 0:
+                table[rng.random(size=table.shape) < 0.1] = np.nan
+            arrays[sig] = table
+        profiles = list(itertools.product(*(range(k) for k in ks)))
+        labelled = {}
+        for sig, table in arrays.items():
+            entries = labelled[sig] = {}
+            for pos in rng.permutation(len(profiles)):
+                p = profiles[pos]
+                row = table[(slice(None),) + p]
+                entries[tuple(actions[i][a] for i, a in enumerate(p))] = \
+                    row if pos % 2 else row.tolist()
+        yield rng, actions, arrays, labelled
+
+
+def _hex_tables(tables):
+    return {sig: _bits(tuple(flat)) for sig, flat in tables.items()}
+
+
+def test_flat_tables_match_earlier_conversions():
+    subgames = paid = 0
+    for rng, actions, arrays, labelled in _table_corpus():
+        game = make_game(actions, labelled)
+        want = _hex_tables(_label_tables_reference(actions, labelled))
+        assert _hex_tables(game._tables) == want
+        assert _hex_tables(make_game(actions, arrays)._tables) == want
+        assert _hex_tables(_array_tables_reference(actions, arrays)) == want
+        # a subgame of nonempty action subsets, each in a shuffled order
+        keep = [rng.permutation(len(labels))[:int(rng.integers(1, len(labels) + 1))]
+                .tolist() for labels in actions]
+        sub = game.subgame(keep)
+        assert sub.actions == tuple(tuple(labels[j] for j in idx)
+                                    for labels, idx in zip(actions, keep))
+        assert _hex_tables(sub._tables) == _hex_tables(_subgame_reference(game, keep))
+        subgames += sub.signals == game.signals
+        # transfers at a third of the profiles, +-0.0 among them
+        schedule = IncentiveSchedule.zero(game)
+        for sig in game.signals:
+            for p in game.profiles():
+                if rng.random() < 1 / 3:
+                    schedule.transfers[sig][p] = tuple(
+                        rng.choice([0.0, -0.0, 0.25, -1.5], size=game.n_agents).tolist())
+                    paid += 1
+        assert _hex_tables(modified_payoff(game, schedule)._tables) \
+            == _hex_tables(_modified_payoff_reference(game, schedule))
+    assert subgames == 120 and paid > 500
+
+
+class _Unread:
+    """A payoff table that fails the test when anything reads it."""
+
+    def __len__(self, *args):
+        raise AssertionError("the table was read")
+
+    __iter__ = __getitem__ = __len__
+
+
+def test_over_cap_shape_is_refused_before_any_table_is_read():
+    # a 3000 x 3000 grid once built a 9e6-slot list before its check
+    labels = tuple(f"a{j}" for j in range(3000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="profile grid 9000000 exceeds"):
+            StrategicGame.from_tables((labels, labels), {"default": _Unread()})
+        with pytest.raises(CapacityError, match="agent count 7 outside"):
+            StrategicGame.from_tables((("a", "b"),) * 7, {"default": _Unread()})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
