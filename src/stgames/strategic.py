@@ -15,10 +15,10 @@ position p of that order is entry p * n + i, and agent i's payoffs along
 its own actions, the others pinned, are one strided slice. Each table is
 kept as a tuple of Python floats.
 
-Only this module reads the stored tuples. The pure-profile kernels (`payoff`,
-`best_responses`, `is_nash`, `enumerate_pure_nash`, and `welfare_and_poa`
-over the equilibria that one found) run on the tuples in plain Python and
-never load numpy. Their floats follow the operation order of the numpy
+Only this module reads the stored tuples. The pure-profile kernels
+(`payoff`, `best_responses`, `is_nash`, `enumerate_pure_nash`, and
+`welfare_and_poa` over the equilibria that one found) run on the tuples in
+plain Python and never load numpy. Their floats follow the operation order of the numpy
 kernels they replaced, so they give the same bits: a sum over agents is
 added left to right from 0.0, a maximum is the first one, and NaN payoffs
 are skipped where `np.fmax` skipped them.

@@ -631,8 +631,9 @@ def _hex_tables(tables):
 
 
 def test_flat_tables_match_earlier_conversions():
-    subgames = paid = 0
+    one_action = paid = 0
     for rng, actions, arrays, labelled in _table_corpus():
+        one_action += 1 in map(len, actions)
         game = make_game(actions, labelled)
         want = _hex_tables(_label_tables_reference(actions, labelled))
         assert _hex_tables(game._tables) == want
@@ -645,7 +646,6 @@ def test_flat_tables_match_earlier_conversions():
         assert sub.actions == tuple(tuple(labels[j] for j in idx)
                                     for labels, idx in zip(actions, keep))
         assert _hex_tables(sub._tables) == _hex_tables(_subgame_reference(game, keep))
-        subgames += sub.signals == game.signals
         # transfers at a third of the profiles, +-0.0 among them
         schedule = IncentiveSchedule.zero(game)
         for sig in game.signals:
@@ -656,7 +656,7 @@ def test_flat_tables_match_earlier_conversions():
                     paid += 1
         assert _hex_tables(modified_payoff(game, schedule)._tables) \
             == _hex_tables(_modified_payoff_reference(game, schedule))
-    assert subgames == 120 and paid > 500
+    assert one_action > 20 and paid > 500
 
 
 class _Unread:
