@@ -91,10 +91,9 @@ def coordinator_update(policy: CoordinatorPolicy, game: StrategicGame,
         return policy.candidates[(pos + 1) % len(policy.candidates)]
     if digest is None:
         return current
-    mixed = [np.asarray(f, dtype=float) for f in digest.frequencies]
     best, best_val = None, None
     for cand in policy.candidates:
-        val = float(expected_payoffs(game, mixed, cand).sum())
+        val = float(expected_payoffs(game, digest.frequencies, cand).sum())
         if best_val is None or val > best_val:
             best, best_val = cand, val
     return best
@@ -102,15 +101,8 @@ def coordinator_update(policy: CoordinatorPolicy, game: StrategicGame,
 
 # --- two-timescale driver ----------------------------------------------------
 
-class EpochRecord(NamedTuple):
-    index: int
-    signal: str
-    digest: EpochDigest
-
-
 class TwoTimescaleResult(NamedTuple):
-    epochs: list
-    final_signal: str
+    epochs: list                 # one EpochDigest per epoch, in order
     final_state: learnmod.LearningState
 
 
@@ -118,24 +110,23 @@ def _project_state(state: learnmod.LearningState, keep):
     """Restrict policies/estimates to the admissible index sets `keep`."""
     policies = []
     for pi, idx in zip(state.policies, keep):
-        sub = pi[idx]
+        sub = [pi[j] for j in idx]
         if len(idx) < len(pi):
-            mass = sub.sum()
-            sub = sub / mass if mass > 0 else np.full(len(idx), 1.0 / len(idx))
+            mass = float(np.sum(sub))    # numpy's pairwise sum, not Python's
+            sub = [p / mass for p in sub] if mass > 0 else [1.0 / len(idx)] * len(idx)
         policies.append(sub)
     return learnmod.LearningState(
-        policies, [q[idx] for q, idx in zip(state.estimates, keep)],
-        [c[idx] for c, idx in zip(state.counts, keep)], state.t)
+        policies, [[q[j] for j in idx] for q, idx in zip(state.estimates, keep)],
+        [[c[j] for j in idx] for c, idx in zip(state.counts, keep)], state.t)
 
 
 def _embed_state(state: learnmod.LearningState, sub: learnmod.LearningState,
                  keep):
     for i, idx in enumerate(keep):
-        pi = np.zeros_like(state.policies[i])
-        pi[idx] = sub.policies[i]
+        pi = [0.0] * len(state.policies[i])
+        for j, p, q, c in zip(idx, sub.policies[i], sub.estimates[i], sub.counts[i]):
+            pi[j], state.estimates[i][j], state.counts[i][j] = p, q, c
         state.policies[i] = pi
-        state.estimates[i][idx] = sub.estimates[i]
-        state.counts[i][idx] = sub.counts[i]
     state.t = sub.t
 
 
@@ -147,9 +138,10 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
     """K outer signal updates around T-step learning epochs.
 
     One learning state persists across epochs; each epoch runs on the game
-    restricted to the signal's admissible sets (policies projected in, then
-    embedded back) with any incentive transfers applied. With one outer step,
-    no restriction and no transfers this is exactly `run_dynamics`.
+    restricted to the signal's admissible sets (built on the signal's first
+    epoch; policies projected in, then embedded back) with any incentive
+    transfers applied. With one outer step, no restriction and no transfers
+    this is exactly `run_dynamics`.
     """
     if outer_steps < 1 or epoch_length < 1:
         raise ValueError("outer_steps and epoch_length must be >= 1")
@@ -159,24 +151,25 @@ def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy
     signal = initial_signal if initial_signal is not None else coordinator.candidates[0]
     played.resolve_signal(signal)
     state = learnmod.LearningState.fresh(game, specs)
+    restricted = {}                  # signal -> (restricted game, kept indices)
     epochs = []
-    digest = None
     for k in range(outer_steps):
         if k > 0:
-            signal = coordinator_update(coordinator, played, signal, digest)
-        before = [c.copy() for c in state.counts]
-        restricted, keep = _restrict(played, admissible, signal)
-        trace = learnmod.run_dynamics(restricted, specs, epoch_length, rng=rng,
+            signal = coordinator_update(coordinator, played, signal, epochs[-1])
+        if signal not in restricted:
+            restricted[signal] = _restrict(played, admissible, signal)
+        sub, keep = restricted[signal]
+        trace = learnmod.run_dynamics(sub, specs, epoch_length, rng=rng,
                                       signal_schedule=lambda t: signal,
                                       initial_state=_project_state(state, keep))
+        before = [list(c) for c in state.counts]
         _embed_state(state, trace.final_state, keep)
-        freqs = tuple(tuple(((c - b) / epoch_length).tolist())
-                      for c, b in zip(state.counts, before))
+        freqs = tuple(tuple((c - b) / epoch_length for c, b in zip(after, prior))
+                      for after, prior in zip(state.counts, before))
         mean_pay = trace.payoffs.mean(axis=0)
-        digest = EpochDigest(signal, freqs, float(mean_pay.sum()),
-                             tuple(float(v) for v in mean_pay))
-        epochs.append(EpochRecord(k, signal, digest))
-    return TwoTimescaleResult(epochs, signal, state)
+        epochs.append(EpochDigest(signal, freqs, float(mean_pay.sum()),
+                                  tuple(float(v) for v in mean_pay)))
+    return TwoTimescaleResult(epochs, state)
 
 
 # --- Stackelberg signal selection ---------------------------------------------

@@ -21,7 +21,8 @@ def validate(node, path):
         if n is None:
             n = len(prefs)
             if n > matchmod.MAX_SIDE:
-                raise CapacityError(f"side size {n} exceeds {matchmod.MAX_SIDE}")
+                raise CapacityError(f"{path}.{side}: side size {n} exceeds "
+                                    f"{matchmod.MAX_SIDE}")
         if len(prefs) != n:
             _fail(f"{path}.{side}", f"both sides need {n} agents")
         rows = []

@@ -98,14 +98,14 @@ def run(cfg, game, specs, coordinator, outer_steps, epoch_length,
         admissible=admissible, incentives=incentives,
         initial_signal=initial_signal)
     epochs = result.epochs
+    signals = [e.signal for e in epochs]
     summary = {"outer_steps": outer_steps,
                "epoch_length": epoch_length,
-               "final_signal": result.final_signal,
-               "signal_sequence": [e.signal for e in epochs],
-               "final_welfare": epochs[-1].digest.mean_welfare}
-    data = ([e.index for e in epochs], [e.signal for e in epochs],
-            [e.digest.mean_welfare for e in epochs],
-            [json.dumps(e.digest.frequencies) for e in epochs])
+               "final_signal": signals[-1],
+               "signal_sequence": signals,
+               "final_welfare": epochs[-1].mean_welfare}
+    data = (range(len(epochs)), signals, [e.mean_welfare for e in epochs],
+            [json.dumps(e.frequencies) for e in epochs])
     tables = [Table("epochs", ("epoch", "signal", "mean_welfare",
                                "action_frequencies"), data)]
     return RunRecord("ttscale", cfg.digest, cfg.seed, summary, tuple(tables))

@@ -36,7 +36,8 @@ def validate(node, path):
     if "extra_edge" in node:
         block["extra_edge"] = edge(node["extra_edge"], f"{path}.extra_edge")
         augmented = network.with_edge(netmod.Edge(**block["extra_edge"]))
-        inputs["augmented"] = (augmented, netmod.enumerate_paths(augmented))  # too many
+        inputs["augmented"] = (augmented, _make(f"{path}.extra_edge",
+                                                netmod.enumerate_paths, augmented))
     if "tolls" in node:
         block["tolls"] = inputs["tolls"] = _need_bool(node["tolls"], f"{path}.tolls")
     return block, inputs

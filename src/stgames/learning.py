@@ -23,8 +23,8 @@ bit-identically. A trace keeps every step's signal, actions and payoffs,
 and the policies and estimates of the last step only (its final state).
 
 Actions are integer indices into the payoff tables, in the trace and in
-the updates alike; action labels stay in `game.actions`. Inside
-`run_dynamics` each agent's vectors are plain float lists, which the
+the updates alike; action labels stay in `game.actions`. A
+`LearningState` holds each agent's vectors as plain float lists, which the
 helpers below take (arrays work too) and return. The helpers do the float
 operations of the formulas above in the same order, so a trace does not
 depend on this representation.
@@ -33,6 +33,7 @@ depend on this representation.
 from __future__ import annotations
 
 import array
+import math
 from typing import NamedTuple
 
 from ._np import np
@@ -95,7 +96,7 @@ class LearnerSpec:
 
 
 class LearningState:
-    """Mutable per-run state; `counts[i]` tallies agent i's realized actions."""
+    """Mutable per-run state of float lists; `counts[i]` tallies agent i's actions."""
 
     __slots__ = ("policies", "estimates", "counts", "t")
 
@@ -110,16 +111,16 @@ class LearningState:
         policies, estimates, counts = [], [], []
         for i, spec in enumerate(specs):
             k = len(game.actions[i])
-            pi = (np.full(k, 1.0 / k) if spec.initial_policy is None
-                  else np.asarray(spec.initial_policy, dtype=float))
-            q = (np.zeros(k) if spec.initial_estimate is None
-                 else np.asarray(spec.initial_estimate, dtype=float))
+            pi = ([1.0 / k] * k if spec.initial_policy is None
+                  else list(map(float, spec.initial_policy)))
+            q = ([0.0] * k if spec.initial_estimate is None
+                 else list(map(float, spec.initial_estimate)))
             for name, v in (("policy", pi), ("estimate", q)):
-                if v.shape != (k,):
+                if len(v) != k:
                     raise ValueError(f"agent {i}: initial {name} needs length {k}")
             policies.append(pi)
             estimates.append(q)
-            counts.append(np.zeros(k))
+            counts.append([0.0] * k)
         return LearningState(policies, estimates, counts)
 
 
@@ -266,10 +267,10 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    policies = [p.tolist() for p in state.policies]
-    estimates = [q.tolist() for q in state.estimates]
-    counts = [c.tolist() for c in state.counts]
-    totals = [float(c.sum()) for c in state.counts]
+    # copies, so a run that raises leaves `initial_state` as it was
+    policies, estimates = list(state.policies), list(state.estimates)
+    counts = [list(c) for c in state.counts]
+    totals = [sum(c) for c in counts]      # whole numbers: exact in any order
     tables = {sig: list(game.payoffs[sig]) for sig in dict.fromkeys(signals)}
     fictitious = any(spec.kind == "fictitious-play" for spec in specs)
     freqs = None
@@ -301,14 +302,11 @@ def run_dynamics(game: StrategicGame, specs, horizon: int, seed=None,
     # a non-finite coordinate stays non-finite under these updates, so the
     # final vectors show whether any step overflowed
     for i, (pi, q) in enumerate(zip(policies, estimates)):
-        if not np.isfinite(pi + q).all():
+        if not all(map(math.isfinite, pi + q)):
             raise ComputationError(f"agent {i}: policy or estimate is not "
                                    f"finite after step {t0 + horizon}")
+    state.policies, state.estimates, state.counts = policies, estimates, counts
     state.t = t0 + horizon
-    for c, tally in zip(state.counts, counts):
-        c[:] = tally
-    state.policies = [np.array(p) for p in policies]
-    state.estimates = [np.array(q) for q in estimates]
     actions = np.frombuffer(actions, dtype=np.int64).reshape(horizon, n).copy()
     payoffs = np.zeros((horizon, n))
     for sig in tables:

@@ -46,6 +46,9 @@ MAX_GRID = 10 ** 6
 class StrategicGame:
     __slots__ = ("actions", "_tables", "_views")
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a game with StrategicGame.from_tables(actions, tables)")
+
     @staticmethod
     def from_tables(actions, tables) -> "StrategicGame":
         """Build from {signal: table}, each table one flat sequence of the

@@ -95,7 +95,7 @@ def test_capacity_exit_code(tmp_path, capsys):
     big = tmp_path / "big.yaml"
     big.write_text(f"kind: match\nmatch:\n  left:\n{rows}\n  right:\n{rows}\n")
     assert cli.main(["match", "--config", str(big), "--quiet"]) == cli.EXIT_CAPACITY
-    assert "error:" in capsys.readouterr().err
+    assert "error: match.left: side size 9 exceeds 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, update, code, message", [
@@ -103,7 +103,9 @@ def test_capacity_exit_code(tmp_path, capsys):
      cli.EXIT_CAPACITY, "10000000000 learning steps"),
     ("incentive", {"budget": {"limit": 100.0, "delta": 0.5, "horizon": 10 ** 9}},
      cli.EXIT_USAGE, "incentive.budget.horizon: must be <= 1000000"),
-], ids=["ttscale", "incentive"])
+    ("learn", {"horizon": 10 ** 6 + 1},
+     cli.EXIT_CAPACITY, "learn.horizon: 1000001 learning steps exceed 1000000"),
+], ids=["ttscale", "incentive", "learn"])
 def test_step_caps_exit_before_running(tmp_path, capsys, kind, update, code, message):
     doc = yaml.safe_load(pathlib.Path(fx(kind)).read_text())
     doc[kind].update(update)

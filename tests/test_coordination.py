@@ -6,12 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stgames import learning
 from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
-                                  EpochDigest, apply_admissible_sets,
+                                  EpochDigest, _restrict, apply_admissible_sets,
                                   coordinator_update, run_two_timescale,
                                   stackelberg_solve)
 from stgames.incentives import IncentiveSchedule
-from stgames.learning import LearnerSpec, RateSchedule, run_dynamics
+from stgames.learning import (LearnerSpec, LearningState, RateSchedule,
+                              run_dynamics)
+from stgames.strategic import StrategicGame
 
 from conftest import make_game
 
@@ -133,9 +136,8 @@ def test_greedy_coordinator_locks_better_signal():
         g, specs, CoordinatorPolicy("greedy", ("lo", "hi")),
         outer_steps=4, epoch_length=5, seed=0, admissible=rule,
         initial_signal="lo")
-    assert result.final_signal == "hi"
     assert [e.signal for e in result.epochs] == ["lo", "hi", "hi", "hi"]
-    digest = result.epochs[-1].digest
+    digest = result.epochs[-1]
     assert digest.mean_welfare == pytest.approx(12.0)
     # frequencies are reported over the full action set
     assert digest.frequencies[0] == pytest.approx((1.0, 0.0))
@@ -154,7 +156,7 @@ def test_incentives_inside_the_loop():
     result = run_two_timescale(
         g, specs, CoordinatorPolicy("constant", ("lo",)),
         outer_steps=2, epoch_length=30, seed=4, incentives=transfers)
-    digest = result.epochs[-1].digest
+    digest = result.epochs[-1]
     # transfers make cooperation strictly dominant, so the epoch locks on it
     assert digest.frequencies[0][0] > 0.9
     # the digest reports base-game payoffs, not the transferred ones
@@ -185,8 +187,8 @@ def test_admissible_reordering_keeps_policies_on_their_actions():
         g, [frozen] * 2, CoordinatorPolicy("constant", ("lo",)),
         outer_steps=2, epoch_length=10, seed=3, admissible=rule)
     for epoch in result.epochs:
-        assert epoch.digest.frequencies == ((1.0, 0.0), (1.0, 0.0))
-    assert result.final_state.policies[0].tolist() == [1.0, 0.0]
+        assert epoch.frequencies == ((1.0, 0.0), (1.0, 0.0))
+    assert result.final_state.policies[0] == [1.0, 0.0]
 
 
 def test_admissible_sets_resolve_no_labels_at_run_time():
@@ -205,7 +207,193 @@ def test_admissible_sets_resolve_no_labels_at_run_time():
     # epochs 1 and 3 run under "hi", which holds agent 0 to C
     for epoch in result.epochs[1::2]:
         assert epoch.signal == "hi"
-        assert epoch.digest.frequencies[0] == (1.0, 0.0)
+        assert epoch.frequencies[0] == (1.0, 0.0)
+
+
+def test_each_restricted_game_is_built_once(monkeypatch):
+    builds = []
+    subgame = StrategicGame.subgame
+
+    def counted(game, keep):
+        builds.append(keep)
+        return subgame(game, keep)
+
+    monkeypatch.setattr(StrategicGame, "subgame", counted)
+    g = make_game((("C", "D", "E"), ("C", "D", "E")),
+                  {sig: np.arange(18.0).reshape(2, 3, 3) % 5
+                   for sig in ("lo", "hi", "mid", "all")})
+    # "all" keeps every action in order, so it plays the full game
+    rule = AdmissibleSetRule({"hi": ((0, 2), (1, 2)), "mid": ((2, 1, 0), (0, 1, 2)),
+                              "all": ((0, 1, 2), (0, 1, 2))})
+    result = run_two_timescale(
+        g, [LearnerSpec("best-response")] * 2,
+        CoordinatorPolicy("round-robin", ("lo", "hi", "mid", "all")),
+        outer_steps=12, epoch_length=1, seed=0, admissible=rule)
+    assert [e.signal for e in result.epochs] == ["lo", "hi", "mid", "all"] * 3
+    assert builds == [[[0, 2], [1, 2]], [[2, 1, 0], [0, 1, 2]]]
+
+
+# --- the numpy learning state the float lists replaced, kept as the
+# reference: the state as arrays, projected by fancy indexing and
+# embedded in place, with `run_dynamics` converting it to lists on entry
+# and back on return
+
+def reference_fresh(game, specs):
+    policies, estimates, counts = [], [], []
+    for i, spec in enumerate(specs):
+        k = len(game.actions[i])
+        policies.append(np.full(k, 1.0 / k) if spec.initial_policy is None
+                        else np.asarray(spec.initial_policy, dtype=float))
+        estimates.append(np.zeros(k) if spec.initial_estimate is None
+                         else np.asarray(spec.initial_estimate, dtype=float))
+        counts.append(np.zeros(k))
+    return LearningState(policies, estimates, counts)
+
+
+def reference_project(state, keep, masses):
+    policies = []
+    for pi, idx in zip(state.policies, keep):
+        sub = pi[idx]
+        if len(idx) < len(pi):
+            mass = sub.sum()
+            masses.append((len(idx), mass))
+            sub = sub / mass if mass > 0 else np.full(len(idx), 1.0 / len(idx))
+        policies.append(sub)
+    return LearningState(
+        policies, [q[idx] for q, idx in zip(state.estimates, keep)],
+        [c[idx] for c, idx in zip(state.counts, keep)], state.t)
+
+
+def reference_embed(state, sub, keep):
+    for i, idx in enumerate(keep):
+        pi = np.zeros_like(state.policies[i])
+        pi[idx] = sub.policies[i]
+        state.policies[i] = pi
+        state.estimates[i][idx] = sub.estimates[i]
+        state.counts[i][idx] = sub.counts[i]
+    state.t = sub.t
+
+
+def reference_dynamics(game, specs, horizon, rng, signal, state):
+    # the counts are whole numbers, so their totals do not depend on
+    # whether numpy or Python sums them
+    lists = LearningState([p.tolist() for p in state.policies],
+                          [q.tolist() for q in state.estimates],
+                          [c.tolist() for c in state.counts], state.t)
+    trace = run_dynamics(game, specs, horizon, rng=rng,
+                         signal_schedule=lambda t: signal, initial_state=lists)
+    for c, tally in zip(state.counts, lists.counts):
+        c[:] = tally
+    state.policies = [np.array(p) for p in lists.policies]
+    state.estimates = [np.array(q) for q in lists.estimates]
+    state.t = lists.t
+    return trace._replace(final_state=state)
+
+
+def reference_two_timescale(game, specs, coordinator, outer_steps,
+                            epoch_length, seed, admissible, states, masses):
+    rng = np.random.default_rng(seed)
+    signal = coordinator.candidates[0]
+    state = reference_fresh(game, specs)
+    epochs, digest = [], None
+    for k in range(outer_steps):
+        if k > 0:
+            signal = coordinator_update(coordinator, game, signal, digest)
+        before = [c.copy() for c in state.counts]
+        restricted, keep = _restrict(game, admissible, signal)
+        projected = reference_project(state, keep, masses)
+        states.append(_state_hex(projected))
+        trace = reference_dynamics(restricted, specs, epoch_length, rng, signal,
+                                   projected)
+        states.append(_state_hex(trace.final_state))
+        reference_embed(state, trace.final_state, keep)
+        freqs = tuple(tuple(((c - b) / epoch_length).tolist())
+                      for c, b in zip(state.counts, before))
+        mean_pay = trace.payoffs.mean(axis=0)
+        digest = EpochDigest(signal, freqs, float(mean_pay.sum()),
+                             tuple(float(v) for v in mean_pay))
+        epochs.append(digest)
+    return epochs, state
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _state_hex(state):
+    return ([_hex(v) for v in state.policies], [_hex(v) for v in state.estimates],
+            [_hex(v) for v in state.counts], state.t)
+
+
+def _digest_hex(d):
+    return (d.signal, [_hex(f) for f in d.frequencies],
+            _hex((d.mean_welfare,) + d.mean_payoffs))
+
+
+def _state_corpus():
+    """Seeded multi-epoch runs over three signals: "hi" holds each agent
+    to a shuffled subset of 8 or more of its 9-12 actions, "mid" to a
+    reordering of all of them, "lo" to none. Agent 0 of every third run
+    starts on one action, frozen, that "hi" leaves out: a restriction of
+    zero mass, which projects to the uniform policy."""
+    rng = np.random.default_rng(2026)
+    for case in range(24):
+        sizes = tuple(int(k) for k in rng.integers(9, 13, size=2))
+        actions = tuple(tuple(f"a{j}" for j in range(k)) for k in sizes)
+        tables = {sig: rng.integers(-4, 5, size=(2,) + sizes) * rng.choice([1.0, 0.37])
+                  for sig in ("lo", "hi", "mid")}
+        kinds = learning.KINDS[case % 5], learning.KINDS[(case + 2) % 5]
+        specs = [LearnerSpec(kind, temperature=float(rng.uniform(0.2, 2.0)),
+                             payoff_rate=RateSchedule(("constant", "harmonic")[j],
+                                                      float(rng.uniform(0.2, 1.0))),
+                             policy_rate=RateSchedule(("harmonic", "constant")[j],
+                                                      float(rng.uniform(0.2, 1.0))))
+                 for j, kind in enumerate(kinds)]
+        hi = [tuple(int(a) for a in rng.permutation(k)[:rng.integers(8, k)])
+              for k in sizes]
+        if case % 3 == 0:
+            frozen = hi[0][0]
+            hi[0] = hi[0][1:]
+            start = [0.0] * sizes[0]
+            start[frozen] = 1.0
+            specs[0] = LearnerSpec(kinds[0], initial_policy=tuple(start),
+                                   policy_rate=RateSchedule("constant", 0.0))
+        mid = [tuple(int(a) for a in rng.permutation(k)) for k in sizes]
+        coordinator = CoordinatorPolicy(("round-robin", "greedy")[case % 4 == 1],
+                                        ("lo", "hi", "mid"))
+        yield (make_game(actions, tables), specs, coordinator,
+               int(rng.integers(6, 10)), int(rng.integers(1, 16)), case,
+               AdmissibleSetRule({"hi": tuple(hi), "mid": tuple(mid)}))
+
+
+def test_list_state_matches_numpy_reference(monkeypatch):
+    seen = []
+
+    def spied(game, specs, horizon, rng, signal_schedule, initial_state):
+        seen.append(_state_hex(initial_state))
+        trace = run_dynamics(game, specs, horizon, rng=rng,
+                             signal_schedule=signal_schedule,
+                             initial_state=initial_state)
+        seen.append(_state_hex(trace.final_state))
+        return trace
+
+    monkeypatch.setattr(learning, "run_dynamics", spied)
+    masses, signals = [], set()
+    for game, specs, coordinator, outer, length, seed, rule in _state_corpus():
+        seen.clear()
+        states = []
+        result = run_two_timescale(game, specs, coordinator, outer, length,
+                                   seed=seed, admissible=rule)
+        epochs, state = reference_two_timescale(game, specs, coordinator, outer,
+                                                length, seed, rule, states, masses)
+        assert seen == states
+        assert [_digest_hex(d) for d in result.epochs] == [_digest_hex(d) for d in epochs]
+        assert _state_hex(result.final_state) == _state_hex(state)
+        signals.update(d.signal for d in epochs)
+    assert signals == {"lo", "hi", "mid"}
+    # the corpus projects sums of 8 or more entries, and zero masses
+    assert any(n >= 8 and mass > 0 for n, mass in masses)
+    assert any(mass == 0 for n, mass in masses)
 
 
 def test_leader_prefers_optimism_on_multiplicity():

@@ -20,6 +20,7 @@ from stgames.learning import (Diagnostics, LearnerSpec, LearningState,
                               step_policy)
 from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
                                   run_two_timescale)
+from stgames.errors import ComputationError
 from stgames.strategic import is_nash
 
 from conftest import make_game
@@ -281,6 +282,46 @@ def test_run_continuation_equals_single_run(recorder):
     assert np.array_equal(tail.actions, full.actions[10:])
     for i in range(2):
         assert np.array_equal(tail_policies[i], full_policies[i][10:])
+
+
+def _plain(state):
+    """Whether every field of `state` is a list of lists of Python floats."""
+    return all(type(field) is list
+               and all(type(v) is list and all(type(x) is float for x in v)
+                       for v in field)
+               for field in (state.policies, state.estimates, state.counts))
+
+
+def test_learning_state_holds_plain_lists():
+    g = pd_game()
+    specs = [LearnerSpec("fictitious-play"),
+             LearnerSpec("replicator", initial_policy=(0.25, 0.75),
+                         initial_estimate=(1, 2))]
+    assert _plain(LearningState.fresh(g, specs))
+    assert _plain(run_dynamics(g, specs, 20, seed=1).final_state)
+    two = make_game((("C", "D"), ("C", "D")), {"lo": PD, "hi": PD})
+    rule = AdmissibleSetRule({"hi": ((1,), (1, 0))})
+    result = run_two_timescale(two, specs,
+                               CoordinatorPolicy("round-robin", ("lo", "hi")),
+                               outer_steps=4, epoch_length=5, seed=2,
+                               admissible=rule)
+    assert _plain(result.final_state)
+
+
+def test_run_that_raises_leaves_initial_state_as_it_was():
+    g = pd_game()
+    state = run_dynamics(g, [LearnerSpec("best-response")] * 2, 3, seed=0).final_state
+    fields = (state.policies, state.estimates, state.counts)
+    before = [[list(v) for v in field] for field in fields]
+    # q / tau overflows at this temperature once q is nonzero
+    specs = [LearnerSpec("smoothed-best-response", temperature=1e-320),
+             LearnerSpec("best-response")]
+    with pytest.raises(ComputationError, match="agent 0"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_dynamics(g, specs, 5, seed=1, initial_state=state)
+    assert (state.policies, state.estimates, state.counts) == fields
+    assert [[list(v) for v in field] for field in fields] == before
+    assert state.t == 3
 
 
 def test_run_validation():

@@ -11,7 +11,7 @@ import pytest
 
 from stgames.congestion import CongestionNetwork, Edge, PoaReport
 from stgames.coop import CoalitionGame, CoreReport
-from stgames.coordination import CoordinatorPolicy, EpochDigest, EpochRecord
+from stgames.coordination import CoordinatorPolicy, EpochDigest
 from stgames.errors import CapacityError
 from stgames.incentives import BudgetReport, BudgetSpec
 from stgames.learning import Diagnostics, LearnerSpec, RateSchedule
@@ -20,8 +20,6 @@ from stgames.matching import Matching, MatchingMarket
 from stgames.resilience import AdversaryModel, DefenseSpec, TrustMatrix
 from stgames.scenario import Kind, RunRecord, Table
 from stgames.strategic import NashCheck, StrategicGame, WelfareReport
-
-DIGEST = EpochDigest("hi", ((1.0, 0.0),), 1.5, (1.0, 0.5))
 
 # one result record per module, with its repr
 RECORDS = [
@@ -41,9 +39,9 @@ RECORDS = [
      "gap_times=(4, 8), gap_series=(0.25, 0.5))"),
     (BudgetReport(3.0, True, "finite"),
      "BudgetReport(spent=3.0, within=True, mode='finite')"),
-    (EpochRecord(2, "hi", DIGEST),
-     "EpochRecord(index=2, signal='hi', digest=EpochDigest(signal='hi', "
-     "frequencies=((1.0, 0.0),), mean_welfare=1.5, mean_payoffs=(1.0, 0.5)))"),
+    (EpochDigest("hi", ((1.0, 0.0),), 1.5, (1.0, 0.5)),
+     "EpochDigest(signal='hi', frequencies=((1.0, 0.0),), mean_welfare=1.5, "
+     "mean_payoffs=(1.0, 0.5))"),
     (DefenseSpec(2), "DefenseSpec(trim_f=2, trust_eta=None)"),
     (Table("gap", ("step", "gap"), ((1,), (0.5,))),
      "Table(name='gap', columns=('step', 'gap'), data=((1,), (0.5,)))"),
@@ -59,12 +57,6 @@ def test_result_records_are_immutable_with_field_repr(record, text):
         setattr(record, field, None)
     assert getattr(record, field) is record[0]
     assert record == type(record)(*record)
-
-
-def test_epoch_record_index_field_shadows_tuple_index():
-    record = EpochRecord(2, "hi", DIGEST)
-    assert record.index == 2
-    assert tuple.index(record, "hi") == 1
 
 
 def test_defaults_apply_by_position_and_keyword():

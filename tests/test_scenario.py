@@ -198,7 +198,7 @@ def test_validation_checks_what_runs_would_reject():
     parse_scenario(yaml.safe_dump(doc))
     # the extra edge adds a 33rd path, which the Braess step would enumerate
     doc["wardrop"]["extra_edge"] = {"tail": "o", "head": "d", "a": 0, "b": 1}
-    with pytest.raises(CapacityError, match="more than 32 paths"):
+    with pytest.raises(CapacityError, match="wardrop.extra_edge: more than 32 paths"):
         parse_scenario(yaml.safe_dump(doc))
 
 

@@ -348,6 +348,14 @@ def test_construction_validation():
         make_game(actions, {"default": table})
 
 
+def test_direct_construction_names_from_tables():
+    # a game built past `from_tables` would have no tables to fail on later
+    for build in (lambda: StrategicGame(),
+                  lambda: StrategicGame((("C", "D"), ("C", "D")), {"default": [0.0] * 8})):
+        with pytest.raises(TypeError, match=r"StrategicGame\.from_tables"):
+            build()
+
+
 def test_negative_eps_rejected():
     with pytest.raises(ValueError):
         is_nash(pd_game(), (1, 1), eps=-0.1)
