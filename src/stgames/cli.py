@@ -8,6 +8,19 @@ its own warnings and outcome (a summary line on stdout or an error line on
 stderr), and the exit code is the largest over the configs. With `--out`,
 configs whose result files would share a name are refused, exit 1, before
 any runs.
+
+`python -m stgames.cli` and the `stgames` script end through `run`, which
+flushes stdout and stderr and then ends the process with `os._exit`,
+skipping the interpreter's finalization: the teardown of every module, a
+last garbage collection over numpy's objects and the `atexit` hooks. That
+loses nothing here. `write_outputs` closes every data file and the sidecar
+before it returns; with `--jobs N > 1` the pool's workers are shut down
+and joined before `main` returns (and the forked workers themselves end
+through `os._exit`); and a run with `--jobs 1` registers no `atexit` hook.
+A flush that fails (a closed stdout) falls back to `sys.exit`, and usage
+errors, `--help` and uncaught exceptions leave `main` by raising, so those
+end as any Python program does. `main` itself returns its exit code and
+never ends the process, so tests and benchmarks call it in process.
 """
 
 from __future__ import annotations
@@ -152,5 +165,18 @@ def main(argv=None) -> int:
         return _report(pool.map(_run_one, *zip(*tasks)), args.quiet)
 
 
+def run():
+    """Run `main` on the command line and end the process with its code,
+    without the interpreter's finalization (see the module docstring)."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:        # None if the descriptor was closed
+                stream.flush()
+    except (OSError, ValueError):         # a closed or broken stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

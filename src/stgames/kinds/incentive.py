@@ -4,9 +4,14 @@ equilibrium within a budget."""
 from __future__ import annotations
 
 from .. import incentives as incmod
-from ..scenario import (RunRecord, Table, _make, _need_int, _need_map,
-                        _need_number)
+from ..scenario import (RunRecord, Table, _make, _need_at_most, _need_int,
+                        _need_map, _need_number)
 from ._game import _labels, _need_profile, _need_signal, _validate_game
+
+
+# steps of a finite budget horizon; the budget check sums a discounted
+# series over them
+MAX_BUDGET_HORIZON = 10 ** 6
 
 
 def validate(node, path):
@@ -17,7 +22,8 @@ def validate(node, path):
                        required=("limit", "delta"), optional=("horizon",))
     horizon = budget.get("horizon", "infinite")
     if horizon != "infinite":
-        horizon = _need_int(horizon, f"{path}.budget.horizon", 1, 10 ** 6)
+        horizon = _need_int(horizon, f"{path}.budget.horizon", 1)
+        _need_at_most(horizon, MAX_BUDGET_HORIZON, f"{path}.budget.horizon", "steps")
     target = _need_profile(node["target"], f"{path}.target", game.actions)
     baseline = _need_profile(node["baseline"], f"{path}.baseline", game.actions)
     block = {"game": game_block,

@@ -4,8 +4,8 @@ and equilibrium-gap diagnostics."""
 from __future__ import annotations
 
 from .. import learning as learnmod
-from ..errors import CapacityError
-from ..scenario import RunRecord, Table, _need_int, _need_list, _need_map
+from ..scenario import (RunRecord, Table, _need_at_most, _need_int, _need_list,
+                        _need_map)
 from ._game import (MAX_LEARN_STEPS, _labels, _need_signal, _validate_game,
                     _validate_learners)
 
@@ -14,9 +14,8 @@ def validate(node, path):
     _need_map(node, path, required=("game", "horizon", "learners"),
               optional=("signal_schedule", "gap_stride"))
     horizon = _need_int(node["horizon"], f"{path}.horizon", 1)
-    if horizon > MAX_LEARN_STEPS:              # bounds the run time
-        raise CapacityError(f"{path}.horizon: {horizon} learning steps exceed "
-                            f"{MAX_LEARN_STEPS}")
+    # bounds the run time
+    _need_at_most(horizon, MAX_LEARN_STEPS, f"{path}.horizon", "learning steps")
     game_block, game = _validate_game(node["game"], f"{path}.game")
     blocks, specs = _validate_learners(node["learners"], f"{path}.learners", game)
     block = {"game": game_block, "horizon": horizon, "learners": blocks}

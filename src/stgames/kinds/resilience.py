@@ -5,12 +5,15 @@ from __future__ import annotations
 
 from .. import resilience as resmod
 from .._np import np
-from ..scenario import (RunRecord, Table, _fail, _make, _need_int, _need_list,
-                        _need_map, _need_number, _need_str, _need_vector)
+from ..scenario import (RunRecord, Table, _fail, _make, _need_at_most, _need_int,
+                        _need_list, _need_map, _need_number, _need_str,
+                        _need_vector)
 
 
 # agents one `resilience` run may hold, drawn or listed
 MAX_CONSENSUS_AGENTS = 64
+# consensus rounds of one run (`horizon`)
+MAX_CONSENSUS_ROUNDS = 10 ** 5
 
 
 def validate(node, path):
@@ -23,7 +26,8 @@ def validate(node, path):
         _need_map(iv, f"{path}.initial_values", required=("random",))
         rpath = f"{path}.initial_values.random"
         r = _need_map(iv["random"], rpath, required=("n",), optional=("low", "high"))
-        n = _need_int(r["n"], f"{rpath}.n", 2, MAX_CONSENSUS_AGENTS)
+        n = _need_int(r["n"], f"{rpath}.n", 2)
+        _need_at_most(n, MAX_CONSENSUS_AGENTS, f"{rpath}.n", "agents")
         low = _need_number(r.get("low", 0.0), f"{rpath}.low")
         high = _need_number(r.get("high", 1.0), f"{rpath}.high")
         if low >= high:
@@ -33,15 +37,16 @@ def validate(node, path):
         def initial(seed):
             return np.random.default_rng([seed, 0x1F]).uniform(low, high, size=n)
     else:
-        if len(_need_list(iv, f"{path}.initial_values", 2)) > MAX_CONSENSUS_AGENTS:
-            _fail(f"{path}.initial_values", f"at most {MAX_CONSENSUS_AGENTS} values")
+        _need_at_most(len(_need_list(iv, f"{path}.initial_values", 2)),
+                      MAX_CONSENSUS_AGENTS, f"{path}.initial_values", "values")
         values = [_need_number(v, f"{path}.initial_values[{i}]") for i, v in enumerate(iv)]
         n = len(values)
 
         def initial(seed):
             return values
     block = {"initial_values": values,
-             "horizon": _need_int(node["horizon"], f"{path}.horizon", 1, 10 ** 5)}
+             "horizon": _need_int(node["horizon"], f"{path}.horizon", 1)}
+    _need_at_most(block["horizon"], MAX_CONSENSUS_ROUNDS, f"{path}.horizon", "rounds")
     defense = _need_map(node["defense"], f"{path}.defense", optional=("trim", "trust_eta"))
     block["defense"] = {"trim": _need_int(defense.get("trim", 0), f"{path}.defense.trim", 0)}
     if "trust_eta" in defense:

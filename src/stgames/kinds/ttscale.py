@@ -7,9 +7,8 @@ import json
 
 from .. import coordination as coordmod
 from .. import incentives as incmod
-from ..errors import CapacityError
-from ..scenario import (RunRecord, Table, _fail, _make, _need_int, _need_list,
-                        _need_map, _need_str, _need_vector)
+from ..scenario import (RunRecord, Table, _fail, _make, _need_at_most, _need_int,
+                        _need_list, _need_map, _need_str, _need_vector)
 from ._game import (MAX_LEARN_STEPS, _labels, _need_label, _need_profile,
                     _need_signal, _validate_game, _validate_learners)
 
@@ -32,10 +31,9 @@ def validate(node, path):
              "outer_steps": _need_int(node["outer_steps"], f"{path}.outer_steps", 1, 10 ** 4),
              "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1, 10 ** 6),
              "coordinator": coordinator}
-    steps = block["outer_steps"] * block["epoch_length"]
-    if steps > MAX_LEARN_STEPS:                # bounds the run time
-        raise CapacityError(f"{path}: {steps} learning steps (outer_steps x "
-                            f"epoch_length) exceed {MAX_LEARN_STEPS}")
+    # bounds the run time
+    _need_at_most(block["outer_steps"] * block["epoch_length"], MAX_LEARN_STEPS,
+                  path, "learning steps (outer_steps x epoch_length)")
     inputs = {"game": game, "specs": specs,
               "coordinator": _make(cpath, coordmod.CoordinatorPolicy,
                                    coordinator["kind"], tuple(coordinator["candidates"])),

@@ -21,7 +21,6 @@ executes the code of the kinds it runs and of no other (see
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import itertools
 import json
@@ -102,6 +101,12 @@ def _need_vector(node, path, length, lo=None):
     return [_need_number(v, f"{path}[{i}]", lo) for i, v in enumerate(node)]
 
 
+def _need_at_most(count, cap, path, what):
+    """A capacity error, exit 3, when `count` of `what` exceeds `cap`."""
+    if count > cap:
+        raise CapacityError(f"{path}: {count} {what} exceed {cap}")
+
+
 def _need_int(node, path, lo=None, hi=None):
     if isinstance(node, bool) or not isinstance(node, int):
         _fail(path, f"expected an integer, got {node!r}")
@@ -170,6 +175,10 @@ def parse_scenario(text: str, seed_override=None) -> ScenarioConfig:
         normalized["name"] = doc["name"]
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"),
                            allow_nan=False)
+    # imported here, so that a document the schema rejects never loads
+    # OpenSSL (`_hashlib`)
+    import hashlib
+
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     if REGISTRY[kind].stochastic and seed is None:
         raise SchemaError(f"kind {kind!r} is stochastic and needs a seed", "seed")

@@ -1,11 +1,14 @@
 """Exit codes, flag handling and file outputs of the stgames command."""
 
 import concurrent.futures
+import hashlib
+import io
 import itertools
 import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -102,10 +105,27 @@ def test_capacity_exit_code(tmp_path, capsys):
     ("ttscale", {"outer_steps": 10 ** 4, "epoch_length": 10 ** 6},
      cli.EXIT_CAPACITY, "10000000000 learning steps"),
     ("incentive", {"budget": {"limit": 100.0, "delta": 0.5, "horizon": 10 ** 9}},
-     cli.EXIT_USAGE, "incentive.budget.horizon: must be <= 1000000"),
+     cli.EXIT_CAPACITY, "error: incentive.budget.horizon: 1000000000 steps exceed 1000000"),
     ("learn", {"horizon": 10 ** 6 + 1},
      cli.EXIT_CAPACITY, "learn.horizon: 1000001 learning steps exceed 1000000"),
-], ids=["ttscale", "incentive", "learn"])
+    ("resilience", {"horizon": 10 ** 5 + 1},
+     cli.EXIT_CAPACITY, "error: resilience.horizon: 100001 rounds exceed 100000"),
+    ("resilience", {"initial_values": {"random": {"n": 65}}},
+     cli.EXIT_CAPACITY, "error: resilience.initial_values.random.n: 65 agents exceed 64"),
+    ("resilience", {"initial_values": [0.5] * 65},
+     cli.EXIT_CAPACITY, "error: resilience.initial_values: 65 values exceed 64"),
+    # under their floors, sizes stay schema errors
+    ("incentive", {"budget": {"limit": 100.0, "delta": 0.5, "horizon": 0}},
+     cli.EXIT_USAGE, "error: incentive.budget.horizon: must be >= 1, got 0"),
+    ("resilience", {"horizon": 0},
+     cli.EXIT_USAGE, "error: resilience.horizon: must be >= 1, got 0"),
+    ("resilience", {"initial_values": {"random": {"n": 1}}},
+     cli.EXIT_USAGE, "error: resilience.initial_values.random.n: must be >= 2, got 1"),
+    ("resilience", {"initial_values": [0.5]},
+     cli.EXIT_USAGE, "error: resilience.initial_values: expected at least 2 entries"),
+], ids=["ttscale", "incentive", "learn", "resilience-horizon", "resilience-drawn",
+        "resilience-listed", "incentive-floor", "resilience-horizon-floor",
+        "resilience-drawn-floor", "resilience-listed-floor"])
 def test_step_caps_exit_before_running(tmp_path, capsys, kind, update, code, message):
     doc = yaml.safe_load(pathlib.Path(fx(kind)).read_text())
     doc[kind].update(update)
@@ -113,6 +133,44 @@ def test_step_caps_exit_before_running(tmp_path, capsys, kind, update, code, mes
     path.write_text(yaml.safe_dump(doc))
     assert cli.main([kind, "--config", str(path), "--quiet"]) == code
     assert message in capsys.readouterr().err
+
+
+def readme_caps():
+    """(number, constant name) for each cap the README "Step caps" list
+    states, written as a number, at most one word, then the constant's
+    name first in parentheses: "10⁶ steps (`MAX_LEARN_STEPS`)"."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    caps = readme.split("\nStep caps", 1)[1].split("\n## ", 1)[0]
+    found = []
+    for number, name in re.findall(
+            r"(\d[\d,]*[⁰¹²³⁴⁵⁶⁷⁸⁹]*)(?:\s+[\w-]+)?\s+\(`([\w.]+)`[,)]", caps):
+        digits = number.rstrip("⁰¹²³⁴⁵⁶⁷⁸⁹")
+        exponent = number[len(digits):].translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹",
+                                                                "0123456789"))
+        value = int(digits.replace(",", "")) ** int(exponent or 1)
+        found.append((value, name))
+    return found
+
+
+def test_readme_caps_match_the_constants():
+    from stgames import congestion, coop, scenario, strategic
+    from stgames.kinds import _game, incentive, resilience
+    constants = {
+        "MAX_DOCUMENT_BYTES": scenario.MAX_DOCUMENT_BYTES,
+        "strategic.MAX_AGENTS": strategic.MAX_AGENTS,
+        "MAX_GRID": strategic.MAX_GRID,
+        "MAX_LEARN_STEPS": _game.MAX_LEARN_STEPS,
+        "MAX_SHIFTS": congestion.MAX_SHIFTS,
+        "MAX_BUDGET_HORIZON": incentive.MAX_BUDGET_HORIZON,
+        "coop.MAX_AGENTS": coop.MAX_AGENTS,
+        "MAX_PAIR_CHECK_AGENTS": coop.MAX_PAIR_CHECK_AGENTS,
+        "MAX_CONSENSUS_AGENTS": resilience.MAX_CONSENSUS_AGENTS,
+        "MAX_CONSENSUS_ROUNDS": resilience.MAX_CONSENSUS_ROUNDS,
+    }
+    found = readme_caps()
+    assert {name for _, name in found} == set(constants)
+    for value, name in found:
+        assert value == constants[name], name
 
 
 @pytest.mark.parametrize("kind, update, path", [
@@ -727,3 +785,183 @@ def test_learning_that_stops_being_finite_exits_2(tmp_path, capsys):
     assert re.search(r"^error: agent 0: policy or estimate is not finite", err,
                      re.MULTILINE)
     assert "Traceback" not in err
+
+
+# `python -m stgames.cli` ends through `cli.run`: it flushes stdout and
+# stderr and calls os._exit, skipping the interpreter's finalization. The
+# tests below run the command as a child process and compare it with
+# `cli.main` in this one.
+
+def cli_process(args, buffered=True, **kwargs):
+    """A child `python -m stgames.cli ARGS`, its stderr captured. With
+    `buffered`, its stdout is block-buffered (as for a file or a pipe)
+    even where PYTHONUNBUFFERED is set."""
+    env = child_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "stgames.cli", *args], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("kind", sorted(p.stem for p in FIXTURES.glob("*.yaml")))
+def test_process_keeps_every_line_and_file(tmp_path, capsys, kind):
+    # two configs, so that more lines wait in the buffer at the exit
+    second = tmp_path / f"{kind}-2.yaml"
+    second.write_text(pathlib.Path(fx(kind)).read_text())
+    args = [kind, "--config", fx(kind), "--config", str(second), "--format", "jsonl"]
+    inside, child = tmp_path / "inside", tmp_path / "child"
+    assert cli.main(args + ["--out", str(inside)]) == cli.EXIT_OK
+    expected = capsys.readouterr()
+    with open(tmp_path / "stdout.txt", "w") as stdout:
+        proc = cli_process(args + ["--out", str(child)], stdout=stdout)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == expected.err
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert lines == expected.out.replace(str(inside), str(child)).splitlines()
+    assert sum(ln.startswith("  wrote ") for ln in lines) >= 2 * 3
+    names = sorted(p.name for p in inside.iterdir())
+    assert names == sorted(p.name for p in child.iterdir())
+    for name in names:
+        if not name.endswith("meta.json"):
+            assert (inside / name).read_bytes() == (child / name).read_bytes(), name
+    # the sidecar is whole JSON
+    assert json.loads((child / f"{kind}.meta.json").read_text())["kind"] == kind
+
+
+def test_process_reports_failures_as_main_does(tmp_path, capsys):
+    invalid = tmp_path / "invalid.yaml"
+    invalid.write_text((FIXTURES / "nash.yaml").read_text() + "extra: 1\n")
+    capacity = tmp_path / "capacity.yaml"
+    capacity.write_text(yaml.safe_dump({"kind": "match", "match": {
+        "left": [list(range(9))] * 9, "right": [list(range(9))] * 9}}))
+    # the descent's gap overflows on its first shift
+    overflow = tmp_path / "overflow.yaml"
+    overflow.write_text((FIXTURES / "wardrop.yaml").read_text().replace(
+        "demand: 1.0\n", "demand: 1.0e+308\n"))
+    for kind, config, code in (("nash", invalid, cli.EXIT_USAGE),
+                               ("match", capacity, cli.EXIT_CAPACITY),
+                               ("wardrop", overflow, cli.EXIT_COMPUTATION)):
+        args = [kind, "--config", str(config), "--config", fx(kind)]
+        assert cli.main(args) == code
+        expected = capsys.readouterr()
+        assert sum(ln.startswith("error: ") for ln in expected.err.splitlines()) == 1
+        proc = cli_process(args)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == expected.err
+        assert proc.stdout == expected.out
+
+
+def session_members(sid):
+    """Live processes, zombies included, in session `sid`."""
+    members = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = pathlib.Path("/proc", entry, "stat").read_text()
+        except OSError:                      # it exited
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[3]) == sid:
+            members.append(int(entry))
+    return members
+
+
+def test_process_with_a_pool_leaves_no_child(tmp_path):
+    if not os.path.exists("/proc/self/stat"):
+        pytest.skip("needs Linux /proc")
+    configs = []
+    for name in ("a", "b"):
+        configs += ["--config", str(tmp_path / f"{name}.yaml")]
+        (tmp_path / f"{name}.yaml").write_text((FIXTURES / "coop.yaml").read_text())
+    # a session of its own: a worker that outlived the command would
+    # still be in it. Output goes to files, which a leftover worker could
+    # not hold open the way it would a pipe.
+    with open(tmp_path / "stdout.txt", "w") as stdout, \
+            open(tmp_path / "stderr.txt", "w") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "stgames.cli", "coop",
+                                 *configs, "--jobs", "2", "--out", str(tmp_path / "out")],
+                                env=child_env(), stdout=stdout, stderr=stderr,
+                                start_new_session=True)
+        try:
+            assert proc.wait(timeout=60) == cli.EXIT_OK
+            left = session_members(proc.pid)
+        finally:
+            if proc.returncode is None or session_members(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+    assert left == []
+    assert (tmp_path / "stdout.txt").read_text().count(".yaml: {") == 2
+    assert (tmp_path / "stderr.txt").read_text() == ""
+    assert (tmp_path / "out" / "a.summary.csv").is_file()
+    assert (tmp_path / "out" / "b.summary.csv").is_file()
+
+
+@pytest.mark.parametrize("buffered, code", [(True, 120), (False, cli.EXIT_USAGE)],
+                         ids=["buffered", "unbuffered"])
+def test_process_on_a_closed_pipe_exits_as_before(buffered, code):
+    # Block-buffered, the summary line waits in the buffer: the flush in
+    # `cli.run` fails, so the process ends through sys.exit, whose last
+    # flush fails too and sets CPython's exit code 120. Unbuffered, the
+    # print raises BrokenPipeError out of `main`, an uncaught exception.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = cli_process(["nash", "--config", fx("nash")], buffered=buffered,
+                           stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert "BrokenPipeError" in proc.stderr
+
+
+def test_main_returns_its_code_and_run_exits_with_it(monkeypatch, capsys):
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    assert cli.main(["nash", "--config", fx("nash"), "--quiet"]) == cli.EXIT_OK
+    assert cli.main(["match", "--config", fx("nash"), "--quiet"]) == cli.EXIT_USAGE
+    assert exits == []
+    monkeypatch.setattr(sys, "argv", ["stgames", "match", "--config", fx("nash")])
+    cli.run()
+    assert exits == [cli.EXIT_USAGE]
+    # a stream that cannot be flushed: the ordinary exit, with the same code
+    class BrokenPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert exits == [cli.EXIT_USAGE]
+    capsys.readouterr()
+
+
+def test_runs_register_no_exit_hook(tmp_path):
+    # the exit path skips `atexit` hooks, so no library module or kernel
+    # import may register one
+    kinds = sorted(p.stem for p in FIXTURES.glob("*.yaml"))
+    script = (
+        "import atexit; from stgames import cli; before = atexit._ncallbacks(); "
+        f"rcs = [cli.main([k, '--config', {str(FIXTURES)!r} + '/' + k + '.yaml', "
+        f"'--out', {str(tmp_path)!r}, '--jobs', '1', '--quiet']) for k in {kinds!r}]; "
+        "print(*rcs, before, atexit._ncallbacks())")
+    *rcs, before, after = fresh_interpreter(script)
+    assert rcs == ["0"] * len(kinds)
+    assert after == before
+
+
+def test_rejected_document_loads_no_openssl(tmp_path):
+    # hashlib is imported once a document passes validation, for its digest
+    doc = yaml.safe_load(pathlib.Path(fx("nash")).read_text())
+    doc["nash"]["eps0"] = 1
+    config = tmp_path / "nash.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert one_worker_run_imports("nash", "_hashlib", str(config)) == ["1", "False"]
+    digest, loaded = fresh_interpreter(
+        "import sys; from stgames.scenario import parse_scenario; "
+        f"print(parse_scenario(open({fx('nash')!r}).read()).digest, "
+        "'_hashlib' in sys.modules)")
+    from stgames.scenario import parse_scenario
+    cfg = parse_scenario(pathlib.Path(fx("nash")).read_text())
+    assert digest == cfg.digest == hashlib.sha256(cfg.canonical.encode()).hexdigest()
+    assert loaded == "True"

@@ -155,14 +155,12 @@ def test_schema_error_paths_are_dotted():
                       (trust, "resilience.trust"),
                       (nash_signal, "nash.signal"),
                       (incentive_signal, "incentive.signal"),
-                      (long_budget, "incentive.budget.horizon"),
                       (repeated, "resilience.adversary"),
                       (leader_twice, "stackelberg.leader_objective.table.A[1]"),
                       (admissible_twice, "ttscale.admissible.lo[0]"),
                       (incentive_twice, "ttscale.incentives[2]"),
                       (wide_trim, "resilience.defense.trim"),
                       (no_route, "wardrop"),
-                      (many_values, "resilience.initial_values"),
                       (every_agent, "resilience.adversary.agents"),
                       (repeated_candidate, "ttscale.coordinator"),
                       (not_a_distribution, "learn.learners[0]"),
@@ -170,6 +168,11 @@ def test_schema_error_paths_are_dotted():
         with pytest.raises(SchemaError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert err.value.path == path
+    # sizes over a cap are capacity errors that name their path
+    for doc, path in ((long_budget, "incentive.budget.horizon"),
+                      (many_values, "resilience.initial_values")):
+        with pytest.raises(CapacityError, match=rf"^{re.escape(path)}: "):
+            parse_scenario(yaml.safe_dump(doc))
     with pytest.raises(SchemaError) as err:
         load("learn", seed_override=-5)
     assert err.value.path == "seed"
