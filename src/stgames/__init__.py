@@ -37,10 +37,9 @@ _HOME = {name: module for module, names in (
                    "wardrop_equilibrium"),
     ("learning", "Diagnostics LearnerSpec LearningState RateSchedule Trace "
                  "diagnostics run_dynamics"),
-    ("incentives", "BudgetSpec IncentiveDesign IncentiveSchedule budget_check "
-                   "design_incentive is_pareto_improving modified_payoff"),
-    ("coordination", "AdmissibleSetRule CoordinatorPolicy EpochDigest "
-                     "StackelbergReport apply_admissible_sets "
+    ("incentives", "BudgetSpec IncentiveDesign design_incentive "
+                   "discounted_spend is_pareto_improving modified_payoff"),
+    ("coordination", "CoordinatorPolicy EpochDigest StackelbergReport "
                      "coordinator_update run_two_timescale stackelberg_solve"),
     ("resilience", "AdversaryModel ConsensusRun ConsensusScenario DefenseSpec "
                    "ResilienceMetrics TrustMatrix corrupt_reports "

@@ -2,8 +2,8 @@
 
 A coordinator picks a signal c on a slow clock; agents learn on a fast clock
 under that signal. The pieces here are admissible-set restriction (what each
-agent may play), coordinator update rules, the two-timescale driver and
-Stackelberg signal selection against enumerated pure equilibria.
+agent may play, `{signal: per-agent index tuples}`), coordinator update rules,
+the two-timescale driver and Stackelberg signal selection over pure equilibria.
 """
 
 from __future__ import annotations
@@ -23,20 +23,14 @@ STACKELBERG_MODES = ("optimistic", "pessimistic")
 
 # --- admissible action sets --------------------------------------------------
 
-class AdmissibleSetRule(NamedTuple):
-    """signal -> per-agent tuples of allowed action indices, in the
-    subgame's order. Signals missing from the map leave the game unrestricted.
-    """
-
-    allowed: dict
-
-
-def _restrict(game: StrategicGame, rule: AdmissibleSetRule | None, signal):
-    """The subgame held to `rule`'s admissible sets at `signal` (`game` if
-    it keeps every action in order) and the index lists of the kept actions."""
-    if rule is None or signal not in rule.allowed:
+def _restrict(game: StrategicGame, admissible: dict | None, signal):
+    """The subgame held to `admissible`'s sets at `signal` (`game` if it
+    keeps every action in order) and the index lists of the kept actions.
+    `admissible` maps signals to per-agent tuples of allowed action indices,
+    in the subgame's order; a signal it leaves out leaves the game whole."""
+    if admissible is None or signal not in admissible:
         return game, [range(len(a)) for a in game.actions]
-    allowed = rule.allowed[signal]
+    allowed = admissible[signal]
     if len(allowed) != game.n_agents:
         raise ValueError(f"rule at {signal!r} must cover all agents")
     for i, idx in enumerate(allowed):
@@ -46,12 +40,6 @@ def _restrict(game: StrategicGame, rule: AdmissibleSetRule | None, signal):
     if keep == [list(range(len(a))) for a in game.actions]:
         return game, keep
     return game.subgame(keep), keep
-
-
-def apply_admissible_sets(game: StrategicGame, rule: AdmissibleSetRule,
-                          signal) -> StrategicGame:
-    """The subgame where each agent is held to its admissible actions."""
-    return _restrict(game, rule, game.resolve_signal(signal))[0]
 
 
 # --- coordinator updates -----------------------------------------------------
@@ -132,16 +120,16 @@ def _embed_state(state: learnmod.LearningState, sub: learnmod.LearningState,
 
 def run_two_timescale(game: StrategicGame, specs, coordinator: CoordinatorPolicy,
                       outer_steps: int, epoch_length: int, seed=None,
-                      admissible: AdmissibleSetRule | None = None,
-                      incentives: incmod.IncentiveSchedule | None = None,
+                      admissible: dict | None = None, incentives: dict | None = None,
                       initial_signal=None) -> TwoTimescaleResult:
     """K outer signal updates around T-step learning epochs.
 
     One learning state persists across epochs; each epoch runs on the game
     restricted to the signal's admissible sets (built on the signal's first
     epoch; policies projected in, then embedded back) with any incentive
-    transfers applied. With one outer step, no restriction and no transfers
-    this is exactly `run_dynamics`.
+    transfers applied (`admissible` and `incentives` are dicts, as
+    `_restrict` and `modified_payoff` take them). With one outer step, no
+    restriction and no transfers this is exactly `run_dynamics`.
     """
     if outer_steps < 1 or epoch_length < 1:
         raise ValueError("outer_steps and epoch_length must be >= 1")
@@ -194,16 +182,14 @@ def total_welfare_objective(game: StrategicGame, candidate, profile) -> float:
 
 
 def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
-                      leader_objective=None,
-                      admissible: AdmissibleSetRule | None = None) -> StackelbergReport:
+                      leader_objective=None) -> StackelbergReport:
     """Pick the signal maximizing the leader's value over follower equilibria.
 
-    Per candidate signal the pure equilibria of the subgame `admissible`
-    allows are enumerated, then scored by `leader_objective(game, candidate,
-    profile)` and reported as profiles of the full game; optimistic takes the
-    best equilibrium for the leader, pessimistic the worst. Candidates
-    without a pure equilibrium are skipped with a warning. Ties keep the
-    earliest candidate.
+    Per candidate signal the pure equilibria are enumerated, then scored by
+    `leader_objective(game, candidate, profile)`; optimistic takes the best
+    equilibrium for the leader, pessimistic the worst. Candidates without a
+    pure equilibrium are skipped with a warning. Ties keep the earliest
+    candidate.
     """
     if mode not in STACKELBERG_MODES:
         raise ValueError(f"mode must be optimistic or pessimistic, got {mode!r}")
@@ -212,9 +198,7 @@ def stackelberg_solve(game: StrategicGame, candidates, mode: str = "optimistic",
     best, best_val = None, None
     for cand in candidates:
         game.resolve_signal(cand)
-        sub, keep = _restrict(game, admissible, cand)
-        eqs = tuple(tuple(int(k[a]) for k, a in zip(keep, e))
-                    for e in enumerate_pure_nash(sub, cand))
+        eqs = tuple(enumerate_pure_nash(game, cand))
         if not eqs:
             warnings.warn(f"candidate {cand!r} has no pure equilibrium; skipped")
             outcomes.append(CandidateOutcome(cand, (), (), None, True))

@@ -1,7 +1,8 @@
 """Payoff modification, budgets, Pareto checks and transfer synthesis.
 
-An incentive schedule adds per-agent transfers on top of a game's payoffs,
-profile by profile (stationary in time).
+Transfers are plain data, stationary in time: `{signal: {profile: per-agent
+transfers}}`, profiles as action indices. A design pays at its target
+profile only, so its budget is one discounted series of the per-step total.
 """
 
 from __future__ import annotations
@@ -15,46 +16,20 @@ from .strategic import (StrategicGame, _check_profile, _max, _total,
 TOL = 1e-9
 
 
-class IncentiveSchedule(NamedTuple):
-    """Per-signal transfers: signal -> {profile: per-agent transfer tuple}.
-    A profile left out pays nothing."""
+def modified_payoff(game: StrategicGame, transfers: dict) -> StrategicGame:
+    """The game with payoffs J + rho; the input game is untouched.
 
-    transfers: dict        # signal -> {profile (action indices): transfers}
-
-    @staticmethod
-    def zero(game: StrategicGame) -> "IncentiveSchedule":
-        return IncentiveSchedule({sig: {} for sig in game.signals})
-
-    @staticmethod
-    def on_profile(game: StrategicGame, profile, per_agent,
-                   signal=None) -> "IncentiveSchedule":
-        """Transfers paid only at one profile (zero elsewhere)."""
-        sig = game.resolve_signal(signal)
-        profile = _check_profile(game.actions, profile)
-        sched = IncentiveSchedule.zero(game)
-        vec = tuple(float(v) for v in per_agent)
-        if len(vec) != game.n_agents:
-            raise ValueError(f"need {game.n_agents} transfers, got {len(vec)}")
-        sched.transfers[sig][profile] = vec
-        return sched
-
-    def per_agent(self, game: StrategicGame, profile, signal=None) -> tuple:
-        sig = game.resolve_signal(signal)
-        profile = _check_profile(game.actions, profile)
-        return self.transfers[sig].get(profile, (0.0,) * game.n_agents)
-
-
-def modified_payoff(game: StrategicGame, schedule: IncentiveSchedule) -> StrategicGame:
-    """The game with payoffs J + rho; the input game is untouched. Every
+    `transfers` maps every signal of the game to `{profile (action indices):
+    per-agent transfer tuple}`; a profile left out pays nothing. Every
     payoff gets a transfer added, 0.0 at a profile that pays none, as when
-    the schedule was a whole table (so a -0.0 payoff there becomes 0.0)."""
+    the transfers were a whole table (so a -0.0 payoff there becomes 0.0)."""
     n = game.n_agents
     zero = (0.0,) * n
     tables = {}
     for sig in game.signals:
-        if sig not in schedule.transfers:
-            raise ValueError(f"schedule missing signal {sig!r}")
-        paid = schedule.transfers[sig]
+        if sig not in transfers:
+            raise ValueError(f"transfers missing signal {sig!r}")
+        paid = transfers[sig]
         for profile, vec in paid.items():
             _check_profile(game.actions, profile)
             if len(vec) != n:
@@ -65,15 +40,15 @@ def modified_payoff(game: StrategicGame, schedule: IncentiveSchedule) -> Strateg
     return StrategicGame.from_tables(game.actions, tables)
 
 
-def is_pareto_improving(baseline, induced, tol: float = TOL) -> bool:
-    """Weak improvement for everyone, strict (> tol) for at least one."""
+def is_pareto_improving(baseline, induced) -> bool:
+    """Weak improvement for everyone, strict (> TOL) for at least one."""
     baseline = [float(v) for v in baseline]
     induced = [float(v) for v in induced]
     if len(baseline) != len(induced):
         raise ValueError("payoff vectors must have equal length")
-    if any(y < x - tol for x, y in zip(baseline, induced)):
+    if any(y < x - TOL for x, y in zip(baseline, induced)):
         return False
-    return any(y > x + tol for x, y in zip(baseline, induced))
+    return any(y > x + TOL for x, y in zip(baseline, induced))
 
 
 class BudgetSpec:
@@ -92,46 +67,21 @@ class BudgetSpec:
                              "finite discounted total")
 
 
-class BudgetReport(NamedTuple):
-    spent: float
-    within: bool
-    mode: str              # "finite" | "closed-form"
-
-
-def budget_check(budget: BudgetSpec, game: StrategicGame,
-                 schedule: IncentiveSchedule, trajectory,
-                 signal=None) -> BudgetReport:
-    """Discounted total transfer along a trajectory vs the budget.
-
-    `trajectory` is a sequence of profiles: all of them for a finite horizon,
-    discounted from t = 0, or one stationary profile (possibly repeated) for
-    the infinite case, where the geometric closed form sum/(1 - delta)
-    applies.
-    """
-    sig = game.resolve_signal(signal)
-    profiles = list(map(tuple, trajectory))
+def discounted_spend(budget: BudgetSpec, per_step: float) -> float:
+    """The discounted total of paying `per_step` at every step from t = 0:
+    the closed form per_step / (1 - delta) over an infinite horizon, the
+    series summed step by step over a finite one."""
     if budget.horizon is None:
-        if len(set(profiles)) != 1:
-            raise ValueError("infinite-horizon budget check needs a single "
-                             "stationary profile")
-        per_step = _total(schedule.per_agent(game, profiles[0], sig))
-        spent = per_step / (1.0 - budget.delta)
-        return BudgetReport(spent, spent <= budget.limit + TOL, "closed-form")
-    if len(profiles) != budget.horizon:
-        raise ValueError(
-            f"trajectory length {len(profiles)} != horizon {budget.horizon}")
-    price = {}                                # one transfer total per profile
+        return per_step / (1.0 - budget.delta)
     spent = 0.0
-    for t, profile in enumerate(profiles):
-        if profile not in price:
-            price[profile] = _total(schedule.per_agent(game, profile, sig))
-        spent += (budget.delta ** t) * price[profile]
-    return BudgetReport(spent, spent <= budget.limit + TOL, "finite")
+    for t in range(budget.horizon):
+        spent += (budget.delta ** t) * per_step
+    return spent
 
 
 class IncentiveDesign(NamedTuple):
     status: str                      # "ok" | "infeasible"
-    schedule: IncentiveSchedule | None
+    payments: tuple | None           # per-agent transfers at the target
     per_period_spend: float | None
     discounted_spend: float | None
     reason: str = ""
@@ -162,9 +112,9 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
     rho = tuple(max(0.0, base_pay[i] - tgt_pay[i],
                     _max(counterfactual_payoffs(game, i, target, sig)) - tgt_pay[i])
                 for i in range(n))
-    schedule = IncentiveSchedule.on_profile(game, target, rho, sig)
 
-    modified = modified_payoff(game, schedule)
+    modified = modified_payoff(game, {s: {target: rho} if s == sig else {}
+                                      for s in game.signals})
     # ties are allowed at the optimum, so verify at the shared tolerance;
     # exact zero would trip on the binding constraints' float wobble
     check = is_nash(modified, target, TOL, sig)
@@ -175,9 +125,9 @@ def design_incentive(game: StrategicGame, target, baseline, budget: BudgetSpec,
         return IncentiveDesign("infeasible", None, None, None,
                                "no strict Pareto improvement at minimal transfers")
     per_period = _total(rho)
-    report = budget_check(budget, game, schedule, [target] * (budget.horizon or 1), sig)
-    if not report.within:
-        return IncentiveDesign("infeasible", None, per_period, report.spent,
-                               f"discounted spend {report.spent} exceeds "
+    spent = discounted_spend(budget, per_period)
+    if not spent <= budget.limit + TOL:
+        return IncentiveDesign("infeasible", None, per_period, spent,
+                               f"discounted spend {spent} exceeds "
                                f"budget {budget.limit}")
-    return IncentiveDesign("ok", schedule, per_period, report.spent)
+    return IncentiveDesign("ok", rho, per_period, spent)

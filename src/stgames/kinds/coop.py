@@ -5,13 +5,14 @@ from __future__ import annotations
 import warnings
 
 from .. import coop as coopmod
-from ..scenario import (RunRecord, Table, _fail, _need_int, _need_list,
-                        _need_map, _need_number, _need_str)
+from ..scenario import (RunRecord, Table, _fail, _need_at_most, _need_int,
+                        _need_list, _need_map, _need_number, _need_str)
 
 
 def validate(node, path):
     _need_map(node, path, required=("agents", "values"), optional=("compute",))
-    n = _need_int(node["agents"], f"{path}.agents", 1, coopmod.MAX_AGENTS)
+    n = _need_int(node["agents"], f"{path}.agents", 1)
+    _need_at_most(n, coopmod.MAX_AGENTS, f"{path}.agents", "agents")
     values = {}
     for i, entry in enumerate(_need_list(node["values"], f"{path}.values", 1)):
         epath = f"{path}.values[{i}]"
@@ -34,6 +35,14 @@ def validate(node, path):
     if "compute" in node:
         compute = [_need_str(s, f"{path}.compute[{i}]", steps)
                    for i, s in enumerate(_need_list(node["compute"], f"{path}.compute", 1))]
+    # the pair checks scan 4^n coalition pairs, so they are refused before
+    # the 2^n values are built
+    for i, step in enumerate(compute):
+        if step in ("superadditive", "convex"):
+            where = f"{path}.compute[{i}]" if "compute" in node else f"{path}.agents"
+            _need_at_most(n, coopmod.MAX_PAIR_CHECK_AGENTS, where,
+                          f"agents for the {step} check")
+            break
     block = {"agents": n, "values": {str(m): v for m, v in values.items()},
              "compute": compute}
     return block, {"game": coopmod.CoalitionGame.from_dict(n, values),

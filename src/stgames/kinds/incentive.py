@@ -9,8 +9,8 @@ from ..scenario import (RunRecord, Table, _make, _need_at_most, _need_int,
 from ._game import _labels, _need_profile, _need_signal, _validate_game
 
 
-# steps of a finite budget horizon; the budget check sums a discounted
-# series over them
+# steps of a finite budget horizon; the budget sums a discounted series
+# over them
 MAX_BUDGET_HORIZON = 10 ** 6
 
 
@@ -49,7 +49,7 @@ def run(cfg, game, target, baseline, budget, signal):
                "target": _labels(game, target), "baseline": _labels(game, baseline)}
     tables = []
     if design.status == "ok":
-        payments = design.schedule.per_agent(game, target, signal)
+        payments = design.payments
         summary["payments"] = list(payments)
         summary["per_period_spend"] = design.per_period_spend
         summary["discounted_spend"] = design.discounted_spend

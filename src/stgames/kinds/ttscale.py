@@ -6,11 +6,14 @@ from __future__ import annotations
 import json
 
 from .. import coordination as coordmod
-from .. import incentives as incmod
 from ..scenario import (RunRecord, Table, _fail, _make, _need_at_most, _need_int,
                         _need_list, _need_map, _need_str, _need_vector)
 from ._game import (MAX_LEARN_STEPS, _labels, _need_label, _need_profile,
                     _need_signal, _validate_game, _validate_learners)
+
+# epochs (outer_steps); each costs a digest and a coordinator update on
+# top of its learning steps, so the count binds apart from the step cap
+MAX_EPOCHS = 10 ** 4
 
 
 def validate(node, path):
@@ -28,10 +31,11 @@ def validate(node, path):
                                   for i, c in enumerate(_need_list(
                                       coord["candidates"], f"{cpath}.candidates", 1))]}
     block = {"game": game_block, "learners": blocks,
-             "outer_steps": _need_int(node["outer_steps"], f"{path}.outer_steps", 1, 10 ** 4),
-             "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1, 10 ** 6),
+             "outer_steps": _need_int(node["outer_steps"], f"{path}.outer_steps", 1),
+             "epoch_length": _need_int(node["epoch_length"], f"{path}.epoch_length", 1),
              "coordinator": coordinator}
     # bounds the run time
+    _need_at_most(block["outer_steps"], MAX_EPOCHS, f"{path}.outer_steps", "epochs")
     _need_at_most(block["outer_steps"] * block["epoch_length"], MAX_LEARN_STEPS,
                   path, "learning steps (outer_steps x epoch_length)")
     inputs = {"game": game, "specs": specs,
@@ -47,13 +51,13 @@ def validate(node, path):
         if not isinstance(node["admissible"], dict):
             _fail(f"{path}.admissible", "expected a map of signal -> per-agent actions")
         allowed, indices = {}, {}
-        for sig, per_agent in node["admissible"].items():
+        for sig, agent_sets in node["admissible"].items():
             apath = f"{path}.admissible.{sig}"
             sig = _need_signal(str(sig), apath, game)
-            if len(_need_list(per_agent, apath)) != game.n_agents:
+            if len(_need_list(agent_sets, apath)) != game.n_agents:
                 _fail(apath, "needs one action list per agent")
             sets = []
-            for i, labels in enumerate(per_agent):
+            for i, labels in enumerate(agent_sets):
                 labels = tuple(_need_label(lab, f"{apath}[{i}][{k}]", game.actions[i])
                                for k, lab in enumerate(_need_list(labels, f"{apath}[{i}]", 1)))
                 if len(set(labels)) != len(labels):
@@ -63,10 +67,10 @@ def validate(node, path):
             indices[sig] = tuple(tuple(map(game.actions[i].index, labels))
                                  for i, labels in enumerate(sets))
         block["admissible"] = allowed
-        inputs["admissible"] = coordmod.AdmissibleSetRule(indices)
+        inputs["admissible"] = indices
     if "incentives" in node:
         entries = []
-        incentives = incmod.IncentiveSchedule.zero(game)
+        incentives = {sig: {} for sig in game.signals}
         for i, entry in enumerate(_need_list(node["incentives"], f"{path}.incentives", 1)):
             epath = f"{path}.incentives[{i}]"
             _need_map(entry, epath, required=("profile", "values"), optional=("signal",))
@@ -74,7 +78,7 @@ def validate(node, path):
             rec = {"profile": _labels(game, profile),
                    "values": _need_vector(entry["values"], f"{epath}.values", game.n_agents)}
             sig = _need_signal(entry.get("signal"), f"{epath}.signal", game)
-            paid = incentives.transfers[sig]
+            paid = incentives[sig]
             if profile in paid:
                 _fail(epath, f"duplicate profile {tuple(rec['profile'])}")
             if "signal" in entry:

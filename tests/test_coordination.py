@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from stgames import learning
-from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
-                                  EpochDigest, _restrict, apply_admissible_sets,
+from stgames.coordination import (CoordinatorPolicy, EpochDigest, _restrict,
                                   coordinator_update, run_two_timescale,
                                   stackelberg_solve)
-from stgames.incentives import IncentiveSchedule
 from stgames.learning import (LearnerSpec, LearningState, RateSchedule,
                               run_dynamics)
 from stgames.strategic import StrategicGame
@@ -41,24 +39,24 @@ def leader_fixture():
 
 def test_admissible_subgame():
     g = two_signal_pd()
-    rule = AdmissibleSetRule({"lo": ((0,), (0, 1))})      # agent 0 held to C
-    sub = apply_admissible_sets(g, rule, "lo")
+    admissible = {"lo": ((0,), (0, 1))}                  # agent 0 held to C
+    sub, keep = _restrict(g, admissible, "lo")
     assert sub.actions == (("C",), ("C", "D"))
+    assert keep == [[0], [0, 1]]
     assert sub.payoff((0, 1), "lo") == pytest.approx([0, 5])
     # unrestricted signal passes the full game through
-    assert apply_admissible_sets(g, rule, "hi") is g
-    assert apply_admissible_sets(
-        g, AdmissibleSetRule({"lo": ((0, 1), (0, 1))}), "lo") is g
-    flipped = apply_admissible_sets(
-        g, AdmissibleSetRule({"lo": ((1, 0), (0, 1))}), "lo")
+    assert _restrict(g, admissible, "hi")[0] is g
+    assert _restrict(g, None, "lo")[0] is g
+    assert _restrict(g, {"lo": ((0, 1), (0, 1))}, "lo")[0] is g
+    flipped = _restrict(g, {"lo": ((1, 0), (0, 1))}, "lo")[0]
     assert flipped.actions == (("D", "C"), ("C", "D"))
     assert flipped.payoff((0, 0), "lo") == pytest.approx([5, 0])   # (D, C)
     with pytest.raises(ValueError, match="admissible set empty"):
-        apply_admissible_sets(g, AdmissibleSetRule({"lo": ((), (0,))}), "lo")
+        _restrict(g, {"lo": ((), (0,))}, "lo")
     with pytest.raises(ValueError, match="must cover all agents"):
-        apply_admissible_sets(g, AdmissibleSetRule({"lo": ((0,),)}), "lo")
+        _restrict(g, {"lo": ((0,),)}, "lo")
     with pytest.raises(IndexError):
-        apply_admissible_sets(g, AdmissibleSetRule({"lo": ((2,), (0,))}), "lo")
+        _restrict(g, {"lo": ((2,), (0,))}, "lo")
 
 
 def test_coordinator_kinds():
@@ -130,7 +128,7 @@ def test_result_holds_no_per_step_history():
 def test_greedy_coordinator_locks_better_signal():
     g = two_signal_pd()
     # cooperation enforced by admissible sets so hi shows its higher welfare
-    rule = AdmissibleSetRule({"lo": ((0,), (0,)), "hi": ((0,), (0,))})
+    rule = {"lo": ((0,), (0,)), "hi": ((0,), (0,))}
     specs = [LearnerSpec("best-response")] * 2
     result = run_two_timescale(
         g, specs, CoordinatorPolicy("greedy", ("lo", "hi")),
@@ -145,13 +143,10 @@ def test_greedy_coordinator_locks_better_signal():
 
 def test_incentives_inside_the_loop():
     g = two_signal_pd()
-    transfers = IncentiveSchedule.zero(g)
-    paid = transfers.transfers["lo"]
     # agent 0 gets 3 at (C, C) and (C, D) and 2 at (D, C); agent 1 gets 2
     # at (C, D)
-    paid[0, 0] = (3.0, 0.0)
-    paid[0, 1] = (3.0, 2.0)
-    paid[1, 0] = (2.0, 0.0)
+    transfers = {"lo": {(0, 0): (3.0, 0.0), (0, 1): (3.0, 2.0), (1, 0): (2.0, 0.0)},
+                 "hi": {}}
     specs = [LearnerSpec("best-response")] * 2
     result = run_two_timescale(
         g, specs, CoordinatorPolicy("constant", ("lo",)),
@@ -182,7 +177,7 @@ def test_admissible_reordering_keeps_policies_on_their_actions():
     g = two_signal_pd()
     frozen = LearnerSpec("best-response", initial_policy=(1.0, 0.0),
                          policy_rate=RateSchedule("constant", 0.0))
-    rule = AdmissibleSetRule({"lo": ((1, 0), (1, 0))})      # D, then C
+    rule = {"lo": ((1, 0), (1, 0))}                   # D, then C
     result = run_two_timescale(
         g, [frozen] * 2, CoordinatorPolicy("constant", ("lo",)),
         outer_steps=2, epoch_length=10, seed=3, admissible=rule)
@@ -192,14 +187,14 @@ def test_admissible_reordering_keeps_policies_on_their_actions():
 
 
 def test_admissible_sets_resolve_no_labels_at_run_time():
-    # the rule holds action indices, so epochs never turn labels into them
+    # the sets hold action indices, so epochs never turn labels into them
     class Unindexed(tuple):
         def index(self, *args):
             raise AssertionError("label lookup at run time")
 
     g = two_signal_pd()
     g.actions = tuple(map(Unindexed, g.actions))
-    rule = AdmissibleSetRule({"hi": ((0,), (0, 1))})
+    rule = {"hi": ((0,), (0, 1))}
     result = run_two_timescale(g, [LearnerSpec("best-response")] * 2,
                                CoordinatorPolicy("round-robin", ("lo", "hi")),
                                outer_steps=4, epoch_length=3, seed=0,
@@ -223,8 +218,8 @@ def test_each_restricted_game_is_built_once(monkeypatch):
                   {sig: np.arange(18.0).reshape(2, 3, 3) % 5
                    for sig in ("lo", "hi", "mid", "all")})
     # "all" keeps every action in order, so it plays the full game
-    rule = AdmissibleSetRule({"hi": ((0, 2), (1, 2)), "mid": ((2, 1, 0), (0, 1, 2)),
-                              "all": ((0, 1, 2), (0, 1, 2))})
+    rule = {"hi": ((0, 2), (1, 2)), "mid": ((2, 1, 0), (0, 1, 2)),
+            "all": ((0, 1, 2), (0, 1, 2))}
     result = run_two_timescale(
         g, [LearnerSpec("best-response")] * 2,
         CoordinatorPolicy("round-robin", ("lo", "hi", "mid", "all")),
@@ -363,7 +358,7 @@ def _state_corpus():
                                         ("lo", "hi", "mid"))
         yield (make_game(actions, tables), specs, coordinator,
                int(rng.integers(6, 10)), int(rng.integers(1, 16)), case,
-               AdmissibleSetRule({"hi": tuple(hi), "mid": tuple(mid)}))
+               {"hi": tuple(hi), "mid": tuple(mid)})
 
 
 def test_list_state_matches_numpy_reference(monkeypatch):
@@ -414,10 +409,9 @@ def test_leader_prefers_optimism_on_multiplicity():
         stackelberg_solve(g, ("A",), "hopeful")
 
 
-def test_leader_reports_full_game_indices_under_reordered_sets():
-    # both agents coordinate; (z, x) is worth 5 each but agent 0 may not
-    # play z, and the admissible sets list y before x, so the subgame's
-    # index 0 is the full game's 1
+def test_leader_scores_each_equilibrium_with_its_objective():
+    # both agents coordinate; (y, y) is worth 2 each and (z, x) 5 each, and
+    # the objective sees the game itself and each equilibrium in order
     pay = {"x": {"x": 1, "y": 0}, "y": {"x": 0, "y": 2}, "z": {"x": 5, "y": 0}}
     g = make_game(
         (("x", "y", "z"), ("x", "y")),
@@ -430,14 +424,11 @@ def test_leader_reports_full_game_indices_under_reordered_sets():
 
     full = stackelberg_solve(g, ("default",))
     assert full.outcomes[0].equilibria == ((1, 1), (2, 0))     # (y, y), (z, x)
-    rule = AdmissibleSetRule({"default": ((1, 0), (1, 0))})
-    rep = stackelberg_solve(g, ("default",), leader_objective=welfare,
-                            admissible=rule)
+    rep = stackelberg_solve(g, ("default",), "pessimistic", leader_objective=welfare)
     out = rep.outcomes[0]
-    # subgame order: (y, y) then (x, x), each named in full-game indices
-    assert out.equilibria == ((1, 1), (0, 0))
-    assert out.values == (4.0, 2.0)
-    assert seen == [(g, (1, 1)), (g, (0, 0))]
+    assert out.equilibria == ((1, 1), (2, 0))
+    assert out.values == (4.0, 10.0)
+    assert seen == [(g, (1, 1)), (g, (2, 0))]
     assert rep.leader_value == 4.0
 
 

@@ -18,8 +18,7 @@ from stgames.learning import (Diagnostics, LearnerSpec, LearningState,
                               RateSchedule, diagnostics, policy_target,
                               run_dynamics, softmax, step_payoff_estimate,
                               step_policy)
-from stgames.coordination import (AdmissibleSetRule, CoordinatorPolicy,
-                                  run_two_timescale)
+from stgames.coordination import CoordinatorPolicy, run_two_timescale
 from stgames.errors import ComputationError
 from stgames.strategic import is_nash
 
@@ -300,7 +299,7 @@ def test_learning_state_holds_plain_lists():
     assert _plain(LearningState.fresh(g, specs))
     assert _plain(run_dynamics(g, specs, 20, seed=1).final_state)
     two = make_game((("C", "D"), ("C", "D")), {"lo": PD, "hi": PD})
-    rule = AdmissibleSetRule({"hi": ((1,), (1, 0))})
+    rule = {"hi": ((1,), (1, 0))}
     result = run_two_timescale(two, specs,
                                CoordinatorPolicy("round-robin", ("lo", "hi")),
                                outer_steps=4, epoch_length=5, seed=2,
@@ -510,7 +509,7 @@ def _lock_two_signal(rec):
 def _lock_two_timescale(rec):
     g = two_signal_mixed_game()
     specs = [rated("fictitious-play"), rated("replicator")]
-    rule = AdmissibleSetRule({"hi": ((0, 2), (0, 1))})     # (a, c), (x, y)
+    rule = {"hi": ((0, 2), (0, 1))}     # (a, c), (x, y)
     result = run_two_timescale(g, specs,
                                CoordinatorPolicy("round-robin", ("lo", "hi")),
                                outer_steps=5, epoch_length=60, seed=15,

@@ -30,11 +30,10 @@ EXPORTS = {
                   "price_of_anarchy system_optimum wardrop_equilibrium",
     "learning": "Diagnostics LearnerSpec LearningState RateSchedule Trace "
                 "diagnostics run_dynamics",
-    "incentives": "BudgetSpec IncentiveDesign IncentiveSchedule budget_check "
-                  "design_incentive is_pareto_improving modified_payoff",
-    "coordination": "AdmissibleSetRule CoordinatorPolicy EpochDigest "
-                    "StackelbergReport apply_admissible_sets coordinator_update "
-                    "run_two_timescale stackelberg_solve",
+    "incentives": "BudgetSpec IncentiveDesign design_incentive discounted_spend "
+                  "is_pareto_improving modified_payoff",
+    "coordination": "CoordinatorPolicy EpochDigest StackelbergReport "
+                    "coordinator_update run_two_timescale stackelberg_solve",
     "resilience": "AdversaryModel ConsensusRun ConsensusScenario DefenseSpec "
                   "ResilienceMetrics TrustMatrix corrupt_reports "
                   "run_consensus_scenario trimmed_consensus_step update_trust",
@@ -45,7 +44,7 @@ EXPORTS = {
 
 def test_all_is_the_re_exported_names():
     names = [name for names in EXPORTS.values() for name in names.split()]
-    assert len(names) == 86
+    assert len(names) == 83
     assert sorted(stgames.__all__) == sorted(names)
 
 

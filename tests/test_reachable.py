@@ -13,6 +13,10 @@ uses.
 
 A name a kind does not reach is allowed only as a helper the test oracles
 read, so every allowed name is read by some other test file.
+
+Every option of a function a kind reaches, a parameter with a default, is
+passed at some call in the package, so no option is kept that no input
+sets.
 """
 
 import ast
@@ -21,8 +25,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "stgames"
 
 # no kind reaches these: small helpers the test oracles use
-ALLOWED = {"in_core", "excess", "members", "best_responses",
-           "apply_admissible_sets"}
+ALLOWED = {"in_core", "excess", "members", "best_responses"}
+
+# options only callers outside the package set: tests and the benchmark
+# call `main` in process with their own argument list
+SET_OUTSIDE = {"cli.main(argv)"}
 
 
 def _modules():
@@ -58,8 +65,8 @@ def _mentions(node):
             yield n.attr
 
 
-def test_every_public_name_is_reached_from_a_kind():
-    trees = _modules()
+def _reached(trees):
+    """The names reached from `scenario`, `cli` and the kind modules."""
     defs = {}
     for tree in trees.values():
         for name, node in _bindings(tree):
@@ -74,6 +81,12 @@ def test_every_public_name_is_reached_from_a_kind():
             if name in defs and name not in reached:
                 reached.add(name)
                 todo.extend(defs[name])
+    return reached
+
+
+def test_every_public_name_is_reached_from_a_kind():
+    trees = _modules()
+    reached = _reached(trees)
     public = {node.name for tree in trees.values() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
@@ -81,6 +94,42 @@ def test_every_public_name_is_reached_from_a_kind():
     assert unreached - ALLOWED == set(), "wire these into a kind or delete them"
     # a name that a kind now reaches, or that is gone, leaves the list
     assert ALLOWED - unreached == set(), "drop these from ALLOWED"
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_every_option_of_a_reached_function_is_passed():
+    trees = _modules()
+    reached = _reached(trees)
+    positional, keywords = {}, {}       # callee name -> what its calls pass
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = _callee(call.func)
+                positional[name] = max(positional.get(name, 0), len(call.args))
+                keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unpassed = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") \
+                    or node.name not in reached or node.name in ALLOWED:
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            options = [(k, a) for k, a in enumerate(params)
+                       if k >= len(params) - len(args.defaults)]
+            options += [(None, a) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None]
+            for k, arg in options:
+                by_position = k is not None and k < positional.get(node.name, 0)
+                if not by_position and arg.arg not in keywords.get(node.name, ()):
+                    unpassed.add(f"{module}.{node.name}({arg.arg})")
+    assert unpassed - SET_OUTSIDE == set(), "pass these in a kind or delete them"
+    assert SET_OUTSIDE - unpassed == set(), "drop these from SET_OUTSIDE"
 
 
 def test_every_allowed_name_is_read_by_another_test():

@@ -13,7 +13,7 @@ from stgames.congestion import CongestionNetwork, Edge, PoaReport
 from stgames.coop import CoalitionGame, CoreReport
 from stgames.coordination import CoordinatorPolicy, EpochDigest
 from stgames.errors import CapacityError
-from stgames.incentives import BudgetReport, BudgetSpec
+from stgames.incentives import BudgetSpec, IncentiveDesign
 from stgames.learning import Diagnostics, LearnerSpec, RateSchedule
 from stgames.lp import LinearProgram, LpSolution
 from stgames.matching import Matching, MatchingMarket
@@ -37,8 +37,9 @@ RECORDS = [
     (Diagnostics((0.0,), [(1.0,)], (4, 8), (0.25, 0.5)),
      "Diagnostics(external_regret=(0.0,), empirical_frequencies=[(1.0,)], "
      "gap_times=(4, 8), gap_series=(0.25, 0.5))"),
-    (BudgetReport(3.0, True, "finite"),
-     "BudgetReport(spent=3.0, within=True, mode='finite')"),
+    (IncentiveDesign("infeasible", None, 4.0, 8.0, "over budget"),
+     "IncentiveDesign(status='infeasible', payments=None, per_period_spend=4.0, "
+     "discounted_spend=8.0, reason='over budget')"),
     (EpochDigest("hi", ((1.0, 0.0),), 1.5, (1.0, 0.5)),
      "EpochDigest(signal='hi', frequencies=((1.0, 0.0),), mean_welfare=1.5, "
      "mean_payoffs=(1.0, 0.5))"),

@@ -246,8 +246,8 @@ def test_profiles_resolve_to_action_indices():
 
 
 def test_ttscale_learning_steps_capped():
-    # every epoch's trace is kept, so outer_steps x epoch_length is capped
-    # like a learn horizon; the cap is checked before anything runs
+    # outer_steps x epoch_length is capped like a learn horizon, since it
+    # bounds the run time; the cap is checked before anything runs
     doc = yaml.safe_load((FIXTURES / "ttscale.yaml").read_text())
     doc["ttscale"].update(outer_steps=10, epoch_length=10 ** 5)
     assert parse_scenario(yaml.safe_dump(doc)).payload["epoch_length"] == 10 ** 5
@@ -406,7 +406,7 @@ def test_ttscale_incentives_match_one_schedule_per_entry():
         profile = tuple(labels.index(a) for labels, a in zip(game.actions, e["profile"]))
         want[e["signal"]][profile] = tuple(float.hex(0.0 + v) for v in e["values"])
         dense[e["signal"]][(slice(None),) + profile] += e["values"]
-    got = cfg.payload["incentives"].transfers
+    got = cfg.payload["incentives"]
     assert {sig: {p: tuple(map(float.hex, vec)) for p, vec in paid.items()}
             for sig, paid in got.items()} == want
     played = modified_payoff(game, cfg.payload["incentives"])

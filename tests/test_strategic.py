@@ -9,7 +9,7 @@ import pytest
 
 from stgames import learning
 from stgames.errors import CapacityError
-from stgames.incentives import IncentiveSchedule, modified_payoff
+from stgames.incentives import modified_payoff
 from stgames.learning import LearnerSpec, RateSchedule, diagnostics, run_dynamics
 from stgames.strategic import (NashCheck, StrategicGame, WelfareReport,
                                best_responses, contract_others,
@@ -367,9 +367,9 @@ def test_negative_eps_rejected():
     (lambda g: g.payoff((0,)), "profile length 1"),
     (lambda g: is_nash(g, (1,)), "profile length 1"),
     (lambda g: is_nash(g, (-1, -1)), "agent 0: action index -1"),
-    (lambda g: IncentiveSchedule.on_profile(g, (-1, 0), [1, 1]),
+    (lambda g: modified_payoff(g, {"default": {(-1, 0): (1.0, 1.0)}}),
      "agent 0: action index -1"),
-    (lambda g: IncentiveSchedule.zero(g).per_agent(g, (0, 2)),
+    (lambda g: modified_payoff(g, {"default": {(0, 2): (0.0, 0.0)}}),
      "agent 1: action index 2"),
     (lambda g: counterfactual_payoffs(g, 0, ("C", "D")), "agent 0: action index 'C'"),
     (lambda g: counterfactual_payoffs(g, -1, (0, 1)), r"agent -1 outside 0\.\.1"),
@@ -594,10 +594,10 @@ def _subgame_reference(game, keep):
             for sig, flat in game._tables.items()}
 
 
-def _modified_payoff_reference(game, schedule):
+def _modified_payoff_reference(game, transfers):
     zero = (0.0,) * game.n_agents
     return {sig: _rows_to_flat(
-        [tuple(x + t for x, t in zip(row, schedule.transfers[sig].get(profile, zero)))
+        [tuple(x + t for x, t in zip(row, transfers[sig].get(profile, zero)))
          for profile, row in zip(game.profiles(), game.rows(sig))])
         for sig in game.signals}
 
@@ -655,15 +655,15 @@ def test_flat_tables_match_earlier_conversions():
                                     for labels, idx in zip(actions, keep))
         assert _hex_tables(sub._tables) == _hex_tables(_subgame_reference(game, keep))
         # transfers at a third of the profiles, +-0.0 among them
-        schedule = IncentiveSchedule.zero(game)
+        transfers = {sig: {} for sig in game.signals}
         for sig in game.signals:
             for p in game.profiles():
                 if rng.random() < 1 / 3:
-                    schedule.transfers[sig][p] = tuple(
+                    transfers[sig][p] = tuple(
                         rng.choice([0.0, -0.0, 0.25, -1.5], size=game.n_agents).tolist())
                     paid += 1
-        assert _hex_tables(modified_payoff(game, schedule)._tables) \
-            == _hex_tables(_modified_payoff_reference(game, schedule))
+        assert _hex_tables(modified_payoff(game, transfers)._tables) \
+            == _hex_tables(_modified_payoff_reference(game, transfers))
     assert one_action > 20 and paid > 500
 
 
