@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-One subcommand per scenario kind; every subcommand takes YAML config files
-and shared output options. Exit codes: 0 success, 1 usage or schema problems,
-2 a computation that failed to converge or had no solution, 3 a capacity
-limit (problem too large for the implemented methods). Each config reports
-its own warnings and outcome (a summary line on stdout or an error line on
-stderr), and the exit code is the largest over the configs. With `--out`,
-configs whose result files would share a name are refused, exit 1, before
-any runs.
+`stgames KIND --config FILE ...`: one parser reads the scenario kind, YAML
+config files and the output options that every kind shares. Exit codes: 0
+success, 1 usage or schema problems, 2 a computation that failed to
+converge or had no solution, 3 a capacity limit (problem too large for the
+implemented methods). Each config reports its own warnings and outcome (a
+summary line on stdout or an error line on stderr), and the exit code is
+the largest over the configs. With `--out`, configs whose result files
+would share a name are refused, exit 1, before any runs.
 
 `python -m stgames.cli` and the `stgames` script end through `run`, which
 flushes stdout and stderr and then ends the process with `os._exit`,
@@ -32,7 +32,8 @@ import sys
 import warnings
 
 from .errors import CapacityError, ComputationError, SchemaError
-from .scenario import REGISTRY, parse_scenario, run_scenario, write_outputs
+from .scenario import (REGISTRY, STOCHASTIC_KINDS, parse_scenario, run_scenario,
+                       write_outputs)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,25 +52,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the scenario kind, then the options every kind shares.
+    The help lists each kind by its registry help text."""
+    kinds = "\n".join(f"  {kind:<12} {spec.help}" for kind, spec in REGISTRY.items())
     parser = _Parser(prog="stgames",
-                     description="Run game-theoretic scenarios from YAML configs.")
-    sub = parser.add_subparsers(dest="command", metavar="KIND")
-    for kind, spec in REGISTRY.items():
-        p = sub.add_parser(kind, help=spec.help, description=spec.help)
-        p.add_argument("--config", action="append", required=True,
-                       metavar="FILE", help="YAML scenario config (repeatable)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed"
-                            + (" (required for this kind if the config has none)"
-                               if spec.stochastic else ""))
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="directory for result files (default: print summary)")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
-                       help="output file format (default: csv)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes when running several configs")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress summary lines (warnings and errors still print)")
+                     description="Run game-theoretic scenarios from YAML configs.",
+                     epilog=f"kinds:\n{kinds}",
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("kind", choices=REGISTRY, metavar="KIND",
+                        help="scenario kind, which each config's `kind` must match")
+    parser.add_argument("--config", action="append", required=True,
+                        metavar="FILE", help="YAML scenario config (repeatable)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed (required for "
+                             f"{', '.join(STOCHASTIC_KINDS)} if the config has none)")
+    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="directory for result files (default: print summary)")
+    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv",
+                        help="output file format (default: csv)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes when running several configs")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress summary lines (warnings and errors still print)")
     return parser
 
 
@@ -86,6 +90,9 @@ def _run_config(kind, path, seed, out_dir, fmt):
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read config: not UTF-8, byte "
+                          f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from exc
     cfg = parse_scenario(text, seed_override=seed)
     if cfg.kind != kind:
         raise SchemaError(f"config is kind {cfg.kind!r}, command expects {kind!r}",
@@ -137,10 +144,12 @@ def _report(results, quiet) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    # `--config` is required, so argparse would refuse an empty command
+    # line; it prints the help instead
+    if not (sys.argv[1:] if argv is None else argv):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
+    args = parser.parse_args(argv)
     if args.out is not None:
         # configs that share a stem would overwrite each other's files,
         # at once with several workers
@@ -152,7 +161,7 @@ def main(argv=None) -> int:
                       f"{os.path.join(args.out, stem)}.*", file=sys.stderr)
                 return EXIT_USAGE
             first[stem] = path
-    tasks = [(args.command, path, args.seed, args.out, args.format)
+    tasks = [(args.kind, path, args.seed, args.out, args.format)
              for path in args.config]
     # The pool forks every worker up front: never more than there are
     # configs or CPUs.

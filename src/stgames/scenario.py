@@ -32,6 +32,17 @@ import yaml
 
 from .errors import CapacityError, SchemaError
 
+# SHA-256 from CPython's own module, as `random` takes SHA-512: `hashlib`
+# would load OpenSSL (`_hashlib`) as well. The module is `_sha256` up to
+# Python 3.11 and `_sha2` from 3.12; `hashlib` only where neither was built.
+try:
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 # bytes of document text `parse_scenario` reads. Loading costs about 3.5 s
 # and 115 MB of peak memory per MB of text (2-vCPU Xeon VM), so a document
@@ -175,11 +186,7 @@ def parse_scenario(text: str, seed_override=None) -> ScenarioConfig:
         normalized["name"] = doc["name"]
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"),
                            allow_nan=False)
-    # imported here, so that a document the schema rejects never loads
-    # OpenSSL (`_hashlib`)
-    import hashlib
-
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = _sha256(canonical.encode("utf-8")).hexdigest()
     if REGISTRY[kind].stochastic and seed is None:
         raise SchemaError(f"kind {kind!r} is stochastic and needs a seed", "seed")
     return ScenarioConfig(kind, seed, payload, canonical, digest)

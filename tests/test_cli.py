@@ -19,7 +19,8 @@ import yaml
 
 from stgames import cli
 from stgames.coop import CoalitionGame, in_core
-from stgames.errors import ComputationError
+from stgames.errors import ComputationError, SchemaError
+from stgames.scenario import STOCHASTIC_KINDS
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -89,6 +90,52 @@ def test_schema_failures(tmp_path, capsys):
     # config kind must match the subcommand
     assert cli.main(["coop", "--config", fx("nash"), "--quiet"]) == cli.EXIT_USAGE
     assert "expects 'coop'" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_a_read_error(tmp_path, capsys):
+    bad = tmp_path / "latin.yaml"
+    bad.write_bytes(b"kind: nash\n\xff\xfe: 1\n")
+    with pytest.raises(SchemaError, match="cannot read config: not UTF-8"):
+        cli._run_config("nash", str(bad), None, None, "csv")
+    assert cli.main(["nash", "--config", str(bad), "--quiet"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: cannot read config: not UTF-8, byte 0xff at offset 11 ({bad})\n")
+
+
+def test_help_lists_every_kind(capsys):
+    # one parser: `KIND --help` prints the same shared help
+    shown = []
+    for argv in (["--help"], ["nash", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_OK
+        shown.append(capsys.readouterr().out)
+    assert shown[0] == shown[1]
+    for kind, spec in cli.REGISTRY.items():
+        assert re.search(rf"^  {kind} +{re.escape(spec.help)}$", shown[0], re.M), kind
+    assert len(cli.REGISTRY) == 9
+
+
+def test_seed_help_names_the_stochastic_kinds(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    named = re.search(r"--seed SEED override the config seed \(required for (.*?) "
+                      r"if the config has none\)", text).group(1)
+    assert tuple(named.split(", ")) == STOCHASTIC_KINDS
+
+
+def test_options_may_come_before_the_kind(tmp_path, capsys):
+    runs = []
+    for name, argv in (("after", ["nash", "--config", fx("nash"), "--quiet"]),
+                       ("before", ["--quiet", "nash", "--config", fx("nash")])):
+        out = tmp_path / name
+        rc = cli.main(argv + ["--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((rc, capsys.readouterr(), files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == cli.EXIT_OK
+    assert runs[0][1].out == runs[0][1].err == ""
 
 
 def test_capacity_exit_code(tmp_path, capsys):
@@ -972,8 +1019,13 @@ def test_runs_register_no_exit_hook(tmp_path):
     assert after == before
 
 
-def test_rejected_document_loads_no_openssl(tmp_path):
-    # hashlib is imported once a document passes validation, for its digest
+# the digest comes from CPython's own SHA-256 module, not from `hashlib`,
+# which loads OpenSSL (`_hashlib`); only `numpy.random` still loads it
+NO_DRAW_KINDS = ("coop", "match", "nash", "stackelberg", "wardrop", "incentive",
+                 "resilience")
+
+
+def test_runs_load_no_openssl(tmp_path):
     doc = yaml.safe_load(pathlib.Path(fx("nash")).read_text())
     doc["nash"]["eps0"] = 1
     config = tmp_path / "nash.yaml"
@@ -984,6 +1036,52 @@ def test_rejected_document_loads_no_openssl(tmp_path):
         f"print(parse_scenario(open({fx('nash')!r}).read()).digest, "
         "'_hashlib' in sys.modules)")
     from stgames.scenario import parse_scenario
-    cfg = parse_scenario(pathlib.Path(fx("nash")).read_text())
-    assert digest == cfg.digest == hashlib.sha256(cfg.canonical.encode()).hexdigest()
-    assert loaded == "True"
+    assert digest == parse_scenario(pathlib.Path(fx("nash")).read_text()).digest
+    assert loaded == "False"
+    # one interpreter runs every kind in turn, so the first that loads
+    # OpenSSL reads True and every later one too
+    words = fresh_interpreter(
+        "import sys\nfrom stgames import cli\n"
+        f"for k in {NO_DRAW_KINDS!r}:\n"
+        f"    rc = cli.main([k, '--config', {str(FIXTURES)!r} + '/' + k + '.yaml', "
+        "'--jobs', '1', '--quiet'])\n"
+        "    print(k, rc, '_hashlib' in sys.modules)\n")
+    assert words == [w for k in NO_DRAW_KINDS for w in (k, "0", "False")]
+
+
+def test_digest_is_the_sha256_of_the_canonical_document():
+    from stgames.scenario import _sha256, parse_scenario
+    kinds = sorted(p.stem for p in FIXTURES.glob("*.yaml"))
+    assert len(kinds) == len(cli.REGISTRY)
+    for kind in kinds:
+        cfg = parse_scenario(pathlib.Path(fx(kind)).read_text())
+        assert cfg.digest == hashlib.sha256(cfg.canonical.encode()).hexdigest(), kind
+    # `json.dumps` escapes a non-ASCII name in the canonical document, and
+    # the hash itself agrees with hashlib's on non-ASCII UTF-8 bytes
+    doc = yaml.safe_load(pathlib.Path(fx("nash")).read_text())
+    doc["name"] = "Nash–Stackelberg ☃ Ünïcode"
+    cfg = parse_scenario(yaml.safe_dump(doc, allow_unicode=True))
+    assert "\\u2603" in cfg.canonical
+    assert cfg.digest == hashlib.sha256(cfg.canonical.encode()).hexdigest()
+    text = "Nash–Stackelberg ☃ Ünïcode".encode("utf-8")
+    assert _sha256(text).hexdigest() == hashlib.sha256(text).hexdigest()
+
+
+# `import yaml, json, argparse` is the floor of every run; the library adds
+# its own modules, CPython's SHA-256 and what argparse's help texts load
+# (`gettext` reads the locale). A name missing on some Python is fine.
+# `numpy` is the lazy entry of `stgames/_np.py`: once numpy executes, its
+# subpackages appear too, and they are not allowed.
+STARTUP_ALLOWED = {"_sha256", "_sha2", "locale", "_locale", "__future__", "numpy"}
+
+
+@pytest.mark.parametrize("kind", ["nash", "match"])
+def test_run_loads_nothing_beyond_the_allow_list(kind):
+    loaded = fresh_interpreter(
+        "import sys, yaml, json, argparse; before = set(sys.modules); "
+        "from stgames import cli; "
+        f"rc = cli.main([{kind!r}, '--config', {fx(kind)!r}, '--jobs', '1', '--quiet']); "
+        "print(rc, *sorted(set(sys.modules) - before))")
+    assert loaded[0] == "0"
+    assert [m for m in loaded[1:] if m not in STARTUP_ALLOWED
+            and m != "stgames" and not m.startswith("stgames.")] == []
